@@ -9,12 +9,14 @@ to this one.  Each invocation is one fresh process.  It pins the BLAS thread
 count, builds the workload's seeded inputs (INI files and, for the quench,
 a checkpoint), then:
 
-- with ``--trace 0`` repeats the workload's CLI calls, untraced, for about
-  ``--seconds`` seconds (at least once) and reports the end-to-end metrics;
-- with ``--trace 1`` runs the calls once untraced and once with every layer's
-  public functions wrapped from outside (see ``tracing.py``), checks that
-  tracing left the output tables byte-identical, and reports the per-layer
-  metrics plus the ansatz kernel table (``kernels.py``).
+- with ``--trace 0`` repeats the workload's CLI calls, untraced and each
+  repetition in a fresh process, for about ``--seconds`` seconds (at least
+  once) and reports the end-to-end metrics;
+- with ``--trace 1`` runs the calls once untraced in a fresh process and once
+  in this process with every layer's public functions wrapped from outside
+  (see ``tracing.py``), checks that tracing left the output tables
+  byte-identical, and reports the per-layer metrics plus the ansatz kernel
+  table (``kernels.py``).
 
 Every repetition's outputs are checked (``workloads.py``); a repetition whose
 CLI call exits non-zero or whose check fails counts as failed.  The last line
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import resource
@@ -43,7 +46,7 @@ import subprocess
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -90,6 +93,9 @@ class Rep:
     error: str | None = None
     check_failed: bool = False
     info: dict = field(default_factory=dict)
+    peak_rss_mb: float = 0.0
+    # sha256 of each output table, for the tracing byte-identity check
+    digests: list = field(default_factory=list)
 
 
 def run_rep(cli, wl) -> Rep:
@@ -121,60 +127,85 @@ def run_rep(cli, wl) -> Rep:
             rep.error, rep.check_failed = f"check failed: {exc}", True
     if rep.error:
         print(f"perfbench: {wl.name}: {rep.error}", file=sys.stderr)
+    rep.digests = [hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else None
+                   for p in wl.trajectories]
     return rep
+
+
+def _child(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(Path(__file__).resolve()), *args],
+                          stdout=subprocess.PIPE, text=True)
 
 
 def time_setup(workload: str, seed: int) -> float:
     """Wall time of a fresh process that only sets the workload up:
     interpreter start, imports, INI files and the seeded initial state."""
     start = time.perf_counter()
-    subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--setup-only",
-         "--workload", workload, "--seed", str(seed)],
-        stdout=subprocess.DEVNULL, check=True,
-    )
+    proc = _child("--setup-only", "--workload", workload, "--seed", str(seed))
+    if proc.returncode:
+        sys.exit(f"perfbench: setting {workload} up failed")
     return time.perf_counter() - start
 
 
-def end_to_end(cli, wl, seed: int, seconds: float) -> tuple[dict, list[Rep]]:
+def rep_in_child(workload: str, seed: int, work: Path, smoke: bool) -> Rep:
+    """One repetition in a fresh process, as a user's CLI call would run.
+
+    Within one process, later repetitions ran up to 20 % faster than the
+    first, so a median over mixed cold and warm repetitions drifted with
+    the number of repetitions that fit.
+    """
+    start = time.perf_counter()
+    proc = _child("--rep", "--workload", workload, "--seed", str(seed),
+                  "--work", str(work), *(["--smoke"] if smoke else []))
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return Rep(**json.loads(lines[-1]))
+    except (IndexError, json.JSONDecodeError, TypeError):
+        return Rep(wall_s=time.perf_counter() - start,
+                   error=f"repetition process exited with {proc.returncode}")
+
+
+def end_to_end(wl_name: str, seed: int, seconds: float, work: Path,
+               smoke: bool = False) -> tuple[dict, list[Rep]]:
     """Repeat the workload for about ``seconds``; report medians.
 
     Set-up samples are spread between the repetitions, so that both medians
     span the same stretch of the machine's (varying) speed.
     """
-    setups = [time_setup(wl.name, seed) for _ in range(2)]
+    setups = [time_setup(wl_name, seed) for _ in range(2)]
     reps: list[Rep] = []
     begin = time.perf_counter()
     while True:
-        reps.append(run_rep(cli, wl))
-        setups.append(time_setup(wl.name, seed))
+        reps.append(rep_in_child(wl_name, seed, work / f"rep{len(reps)}", smoke))
+        setups.append(time_setup(wl_name, seed))
         typical = statistics.median(r.wall_s for r in reps)
         if time.perf_counter() - begin + typical > seconds:
             break
     while len(setups) < SETUP_SAMPLES:
-        setups.append(time_setup(wl.name, seed))
+        setups.append(time_setup(wl_name, seed))
     ok = [r for r in reps if r.error is None]
     metrics = {
         "wall_s": statistics.median(r.wall_s for r in reps),
         "setup_s": statistics.median(setups),
         "steps_per_s": (statistics.median(r.info["steps"] / r.wall_s for r in ok)
                         if ok else 0.0),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": statistics.median(r.peak_rss_mb for r in reps),
     }
     return metrics, reps
 
 
-def traced_run(cli, wl, seed: int, spans_path: Path | None) -> tuple[dict, list[Rep]]:
+def traced_run(cli, wl, seed: int, work: Path, spans_path: Path | None,
+               smoke: bool = False) -> tuple[dict, list[Rep]]:
+    """An untraced repetition in a fresh process, then a traced one in this
+    process, which has run none before; both start cold."""
     import kernels
     import tracing
 
-    untraced = run_rep(cli, wl)
-    reference = [p.read_bytes() if p.is_file() else None for p in wl.trajectories]
+    untraced = rep_in_child(wl.name, seed, work, smoke)
     tracer = tracing.Tracer()
     with tracer:
         traced = run_rep(cli, wl)
-    if any(ref is None or not p.is_file() or p.read_bytes() != ref
-           for p, ref in zip(wl.trajectories, reference)):
+    if untraced.error is None and traced.digests != untraced.digests:
         traced.error = "tracing changed " + ", ".join(p.name for p in wl.trajectories)
         traced.check_failed = False
         print(f"perfbench: {wl.name}: {traced.error}", file=sys.stderr)
@@ -210,13 +241,13 @@ def run_workload(args) -> int:
     results = STATE / "results"
     results.mkdir(parents=True, exist_ok=True)
     try:
-        wl = workloads.setup(args.workload, work, args.seed)
         if args.trace:
-            measured, reps = traced_run(cli, wl, args.seed,
+            wl = workloads.setup(args.workload, work / "traced", args.seed)
+            measured, reps = traced_run(cli, wl, args.seed, work / "untraced",
                                         results / f"{args.workload}-spans.csv")
             units = layer_units
         else:
-            measured, reps = end_to_end(cli, wl, args.seed, args.seconds)
+            measured, reps = end_to_end(args.workload, args.seed, args.seconds, work)
             units = e2e_units
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -236,6 +267,18 @@ def run_workload(args) -> int:
     print("environment:", json.dumps(record["environment"]))
     print(json.dumps(result))
     return 0 if result["correct"] else 1
+
+
+def rep_only(args) -> int:
+    """Set up and run one repetition; print it as JSON."""
+    cli = import_program()
+    import workloads
+
+    wl = workloads.setup(args.workload, Path(args.work), args.seed, smoke=args.smoke)
+    rep = run_rep(cli, wl)
+    rep.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps(asdict(rep)))
+    return 0
 
 
 def setup_only(args) -> int:
@@ -281,9 +324,10 @@ def smoke() -> int:
     work = STATE / "work" / f"smoke-{os.getpid()}"
     try:
         for name in WORKLOADS:
-            wl = workloads.setup(name, work / name, seed=1, smoke=True)
-            measured, reps = end_to_end(cli, wl, seed=1, seconds=0.0)
-            layers, traced = traced_run(cli, wl, seed=1, spans_path=None)
+            measured, reps = end_to_end(name, 1, 0.0, work / name / "e2e", smoke=True)
+            wl = workloads.setup(name, work / name / "traced", seed=1, smoke=True)
+            layers, traced = traced_run(cli, wl, 1, work / name / "untraced",
+                                        spans_path=None, smoke=True)
             for rep in reps + traced:
                 # at this size the HMC workloads' physics checks are at the
                 # mercy of sampling noise; the quadrature oracle's is not
@@ -328,10 +372,14 @@ def main(argv=None) -> int:
                         help="run every workload, each in a fresh process")
     parser.add_argument("--smoke", action="store_true", help="self-test at tiny sizes")
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--rep", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--work", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be non-negative")
     pin_threads()
+    if args.rep:
+        return rep_only(args)
     if args.smoke:
         return smoke()
     if args.all:
