@@ -158,8 +158,9 @@ ORACLE = {
     # window + 1, so every seed does the same imaginary-time work
     "ground-state": {"tau": 0.02, "tolerance": 1e3, "window": 199, "max_iters": 200},
     # c1's tolerances with steps capped at 1/64: uncapped, the controller took
-    # 32 to 57 steps per chain depending on the seed; capped, it stays at the
-    # cap, while a fixed 1/32 step broke c1's e_pot tolerance on a seed
+    # 32 to 57 steps per chain depending on the seed; capped, it stays within
+    # a few steps of the cap, while a fixed 1/32 step broke c1's e_pot
+    # tolerance on a seed
     "ode": {"atol": 1e-3, "rtol": 1e-3, "dt0": 0.015625, "dt_max": 0.015625},
     "run": {"sampling": "quadrature", "quadrature_points": 16, "m_cut": 5,
             "n_workers": 1},
