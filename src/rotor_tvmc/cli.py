@@ -94,7 +94,9 @@ def main(argv=None) -> int:
                   f"E/N = {result.energies[-1] / config.lattice.n_sites:.6f}")
         elif args.verb == "quench":
             if resumed is None:
-                resumed = run_ground_state(config, out_dir=out_dir).state
+                resumed = run_ground_state(
+                    config, out_dir=out_dir / "ground-state"
+                ).state
             record = run_quench(config, resumed, out_dir=out_dir)
             print(f"{len(record.rows) - 1} accepted steps to "
                   f"t = {record.rows[-1]['t']:.4f}")

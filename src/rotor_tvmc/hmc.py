@@ -172,32 +172,6 @@ def _transition(chains: list[ChainState], target, l0: int, jitter: float):
     return alpha, accept
 
 
-def propose_and_accept(chain: ChainState, n_steps: int, target):
-    """Single-chain HMC update with a fixed trajectory length."""
-    pi = chain.rng.normal(size=chain.theta.size) * np.sqrt(chain.mass_diag)
-    u = chain.rng.uniform()
-
-    def grad_v(th):
-        return -target.grad_log_prob(th)
-
-    with np.errstate(all="ignore"):
-        h0 = -target.log_prob(chain.theta) + _kinetic(pi, chain.mass_diag)
-        theta_new, pi_new = leapfrog(
-            chain.theta, pi, chain.eps, n_steps, chain.mass_diag, grad_v
-        )
-        h1 = -target.log_prob(theta_new) + _kinetic(pi_new, chain.mass_diag)
-        dh = h1 - h0
-        divergent = not np.isfinite(dh) or abs(dh) > DIVERGENCE_THRESHOLD
-        accepted = (not divergent) and u < np.exp(min(-dh, 0.0))
-    chain.proposed += 1
-    if divergent:
-        chain.divergences += 1
-    if accepted:
-        chain.accepted += 1
-        chain.theta = theta_new
-    return chain, bool(accepted)
-
-
 class _DualAveraging:
     """Nesterov dual averaging of log(eps) toward a target acceptance rate."""
 

@@ -11,6 +11,8 @@ with an explicit repr-precision format, which makes CSVs byte-comparable.
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -116,13 +118,18 @@ def load_checkpoint(path, state):
 
 
 class _HmcEngine:
-    """Fresh warmed-up chains per evaluation, keyed by an evaluation counter."""
+    """Fresh warmed-up chains per evaluation, keyed by an evaluation counter.
+
+    ``warnings`` counts each sampler warning message over all draws; a
+    message is printed on stderr the first time it occurs.
+    """
 
     def __init__(self, config: RunConfig, mode_code: int):
         self.config = config
         self.mode_code = mode_code
         self.counter = 0
         self.last_diag = None
+        self.warnings: Counter[str] = Counter()
 
     def draw(self, state, counter: int | None = None) -> np.ndarray:
         """(n_chains, n_samples, N) angles from |psi|^2 at state.alpha."""
@@ -141,6 +148,10 @@ class _HmcEngine:
         warmup(chains, cfg.hmc, state)
         flat, diag = sample(chains, cfg.hmc.n_samples, state, cfg.hmc, cfg.n_workers)
         self.last_diag = diag
+        for message in diag.warnings:
+            if message not in self.warnings:
+                print(f"sampler warning: {message}", file=sys.stderr)
+            self.warnings[message] += 1
         return flat.reshape(cfg.hmc.n_chains, cfg.hmc.n_samples, state.n_sites)
 
     def qgt(self, state, g: float):
@@ -156,6 +167,7 @@ class _QuadratureEngine:
     def __init__(self, config: RunConfig):
         self.config = config
         self.last_diag = None
+        self.warnings: Counter[str] = Counter()
 
     def qgt(self, state, g: float):
         return quadrature.quadrature_qgt(
@@ -308,6 +320,7 @@ def run_ground_state(config: RunConfig, alpha0: np.ndarray | None = None,
             "converged": converged,
             "iterations": len(energies),
             "final_energy": energies[-1] if energies else None,
+            "sampler_warnings": dict(engine.warnings),
         })
     if not converged:
         raise RunnerError(
@@ -336,6 +349,7 @@ class TrajectoryRecord:
     rows: list[dict] = field(default_factory=list)
     checkpoints: list[tuple[float, np.ndarray]] = field(default_factory=list)
     status: str = "ok"
+    sampler_warnings: dict[str, int] = field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:
@@ -393,7 +407,7 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
             return None
 
     stepper = AdaptiveStepper(config.controller, fsal=noiseless)
-    record = TrajectoryRecord()
+    record = TrajectoryRecord(sampler_warnings=engine.warnings)
     alpha = np.array(initial_state.alpha, copy=True)
     t, dt = 0.0, min(config.dt0, config.controller.dt_max)
     r2_integral = 0.0
@@ -440,9 +454,10 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
         row.setdefault("vort_sigma", None)
         record.rows.append(row)
 
-    # row at t = 0 (fidelity is 1 by construction; still estimated)
+    # row at t = 0 (fidelity is 1 by construction; still estimated); each
+    # later row carries the size of the accepted step that produced it
     rhs(0.0, alpha)
-    emit(0.0, dt)
+    emit(0.0, 0.0)
     record.checkpoints.append((0.0, alpha.copy()))
 
     try:
@@ -451,7 +466,7 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
             refresh_cache(initial_state.with_alpha(alpha))
             alpha, t, dt = stepper.advance(rhs, alpha, t, dt)
             step_index += 1
-            emit(t, dt)
+            emit(t, stepper.attempts[-1].dt)
             if step_index % config.checkpoint_stride == 0:
                 record.checkpoints.append((t, alpha.copy()))
     except Exception as exc:
@@ -480,6 +495,7 @@ def _persist_trajectory(config, record, initial_state, alpha, t, out_dir):
         "status": record.status,
         "steps": len(record.rows) - 1,
         "final_time": t,
+        "sampler_warnings": record.sampler_warnings,
     })
 
 

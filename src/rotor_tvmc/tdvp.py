@@ -5,14 +5,28 @@ parameter log-derivatives O over |psi|^2-distributed configurations:
 
     S_mn = <O_m^* O_n> - <O_m^*><O_n>,   g_m = <O_m^* E_L> - <O_m^*><E_L> .
 
-The regularized pseudoinverse keeps the smooth spectral filter
-f(s) = 1 / (1 + (lambda^2 / s)^6) applied eigenvalue by eigenvalue.
+An estimate keeps the n x P matrix X = sqrt(w) (O - <O>) and the vector
+y = sqrt(w) (E_L - <E_L>), so that S = X^dag X, g = X^dag y and
+Var H = y^dag y.  The regularized pseudoinverse applies the smooth spectral
+filter f(s) = 1 / (1 + (lambda^2 / s)^6) eigenvalue by eigenvalue, with
+lambda^2 = max(a_c, r_c * max s).  Each right-hand side makes exactly one
+Hermitian eigendecomposition, of the smaller Gram matrix:
+
+- n >= P: S = U diag(s) U^dag, and S_f^+ = U diag(f/s) U^dag;
+- n < P: X X^dag = V diag(s) V^dag.  X X^dag and X^dag X share their
+  nonzero spectrum, and the remaining P - n eigenvalues of S are zero, which
+  f removes.  The eigenvectors of S with s > 0 are X^dag V s^(-1/2), so
+  S_f^+ = (X^dag V) diag(f/s^2) (X^dag V)^dag exactly, and lambda^2, the
+  effective rank and the r^2 residual come out the same as in parameter
+  space (minSR; Chen & Heyl, arXiv:2302.01941).
+
 Monte Carlo averages use the 1/n convention throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,13 +39,31 @@ class TdvpError(RuntimeError):
     pass
 
 
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
+
+
 @dataclass
 class QgtEstimate:
-    s_matrix: np.ndarray  # (P, P) Hermitian
-    gvec: np.ndarray  # (P,)
+    x: np.ndarray  # (n, P) sqrt(w) (O - <O>)
+    y: np.ndarray  # (n,) sqrt(w) (E_L - <E_L>)
     e_mean: complex
-    e_var: float  # <|E_L - <E_L>|^2| >= 0
     n_samples: int
+
+    @cached_property
+    def s_matrix(self) -> np.ndarray:
+        """(P, P) Hermitian S = X^dag X."""
+        return _hermitian(self.x.conj().T @ self.x)
+
+    @cached_property
+    def gvec(self) -> np.ndarray:
+        """(P,) force vector g = X^dag y."""
+        return (self.y.conj() @ self.x).conj()
+
+    @property
+    def e_var(self) -> float:
+        """<|E_L - <E_L>|^2> = y^dag y >= 0."""
+        return float(np.real(np.vdot(self.y, self.y)))
 
 
 @dataclass
@@ -48,17 +80,19 @@ class RegularizationPolicy:
 
 @dataclass
 class RegularizedInverse:
-    eigenvectors: np.ndarray
-    spectrum: np.ndarray  # clamped eigenvalues, ascending
-    inv_diag: np.ndarray  # f(s)/s per eigenvalue
+    """S_f^+ = W diag(d) W^dag over the nonzero spectrum of S."""
+
+    basis: np.ndarray  # W: eigenvectors U of S, or X^dag V in sample space
+    spectrum: np.ndarray  # clamped eigenvalues of S, or of X X^dag, ascending
+    inv_diag: np.ndarray  # d: f(s)/s, or f(s)/s^2 in sample space
     rho: float  # effective rank sum f(s)
     lambda2: float
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        u = self.eigenvectors
-        x_hat = u.conj().T @ x
+        w = self.basis
+        x_hat = w.conj().T @ x
         scale = self.inv_diag.reshape(-1, *([1] * (x_hat.ndim - 1)))
-        return u @ (scale * x_hat)
+        return w @ (scale * x_hat)
 
 
 def estimate_qgt(state: VariationalState, samples: np.ndarray, g: float, J: float,
@@ -67,7 +101,10 @@ def estimate_qgt(state: VariationalState, samples: np.ndarray, g: float, J: floa
     """Sampled (or quadrature-weighted) covariance estimate of S, g and Var H.
 
     ``weights`` defaults to uniform 1/n; a quadrature caller passes the
-    normalized |psi|^2 grid weights instead.
+    normalized |psi|^2 grid weights instead.  The ansatz kernels run on
+    ``chunk_size`` samples at a time, which bounds their temporaries; the
+    log-derivatives fill one preallocated (n, P) array that is then centered
+    and scaled in place.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n = samples.shape[0]
@@ -79,39 +116,17 @@ def estimate_qgt(state: VariationalState, samples: np.ndarray, g: float, J: floa
         weights = np.asarray(weights, dtype=np.float64)
         weights = weights / np.sum(weights)
 
-    p = state.n_params
-    o_mean = np.zeros(p, dtype=np.complex128)
-    e_mean = 0.0 + 0.0j
-    s_raw = np.zeros((p, p), dtype=np.complex128)
-    ge_raw = np.zeros(p, dtype=np.complex128)
-    e2_raw = 0.0
-
-    # two passes in chunks: means first, then centered second moments
-    o_chunks, e_chunks = [], []
+    x = np.empty((n, state.n_params), dtype=np.complex128)
+    e = np.empty(n, dtype=np.complex128)
     for lo in range(0, n, chunk_size):
-        sl = slice(lo, min(lo + chunk_size, n))
-        o = state.log_derivatives(samples[sl])
-        e = state.local_energy(samples[sl], g, J)
-        o_chunks.append(o)
-        e_chunks.append(e)
-        o_mean += weights[sl] @ o
-        e_mean += weights[sl] @ e
-    for (lo, o, e) in zip(range(0, n, chunk_size), o_chunks, e_chunks):
-        sl = slice(lo, lo + o.shape[0])
-        oc = o - o_mean
-        ec = e - e_mean
-        s_raw += (weights[sl, None] * oc).conj().T @ oc
-        ge_raw += oc.conj().T @ (weights[sl] * ec)
-        e2_raw += weights[sl] @ np.abs(ec) ** 2
-
-    s_matrix = 0.5 * (s_raw + s_raw.conj().T)
-    return QgtEstimate(
-        s_matrix=s_matrix,
-        gvec=ge_raw,
-        e_mean=complex(e_mean),
-        e_var=float(e2_raw),
-        n_samples=n,
-    )
+        sl = slice(lo, lo + chunk_size)
+        x[sl] = state.log_derivatives(samples[sl])
+        e[sl] = state.local_energy(samples[sl], g, J)
+    e_mean = weights @ e
+    root_w = np.sqrt(weights)
+    x -= weights @ x
+    x *= root_w[:, None]
+    return QgtEstimate(x=x, y=root_w * (e - e_mean), e_mean=complex(e_mean), n_samples=n)
 
 
 def spectral_filter(spectrum: np.ndarray, lambda2: float) -> np.ndarray:
@@ -130,28 +145,39 @@ def adaptive_lambda(spectrum: np.ndarray, policy: RegularizationPolicy) -> float
     return max(policy.a_c, policy.r_c * float(np.max(spectrum)))
 
 
-def regularized_pseudoinverse(s_matrix: np.ndarray, lambda2: float) -> RegularizedInverse:
-    """Hermitian eigendecomposition with the smooth cutoff applied.
-
-    Negative eigenvalues (Monte Carlo noise) are clamped to zero and excluded
-    from both the inverse and the effective rank.
-    """
+def _clamped_eigh(matrix: np.ndarray):
+    """Hermitian eigendecomposition with negative eigenvalues clamped to zero."""
     try:
-        spectrum, u = np.linalg.eigh(s_matrix)
+        spectrum, vectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise TdvpError(f"eigendecomposition failed: {exc}") from exc
-    spectrum = np.where(spectrum > 0, spectrum, 0.0)
+    return np.where(spectrum > 0, spectrum, 0.0), vectors
+
+
+def _filtered_inverse(spectrum: np.ndarray, basis: np.ndarray, lambda2: float,
+                      power: int) -> RegularizedInverse:
     f = spectral_filter(spectrum, lambda2)
     inv_diag = np.zeros_like(spectrum)
     pos = spectrum > 0
-    inv_diag[pos] = f[pos] / spectrum[pos]
+    inv_diag[pos] = f[pos] / spectrum[pos] ** power
     return RegularizedInverse(
-        eigenvectors=u,
+        basis=basis,
         spectrum=spectrum,
         inv_diag=inv_diag,
         rho=float(np.sum(f)),
         lambda2=float(lambda2),
     )
+
+
+def regularized_pseudoinverse(s_matrix: np.ndarray, lambda2: float) -> RegularizedInverse:
+    """Hermitian eigendecomposition of S with the smooth cutoff applied.
+
+    Negative eigenvalues (Monte Carlo noise) are clamped to zero and excluded
+    from both the inverse and the effective rank.  This is the parameter-space
+    reference for the solve inside ``tdvp_rhs``.
+    """
+    spectrum, u = _clamped_eigh(s_matrix)
+    return _filtered_inverse(spectrum, u, lambda2, power=1)
 
 
 def effective_rank(spectrum: np.ndarray, lambda2: float) -> float:
@@ -161,14 +187,25 @@ def effective_rank(spectrum: np.ndarray, lambda2: float) -> float:
 def tdvp_rhs(qgt: QgtEstimate, policy: RegularizationPolicy, mode: str):
     """Parameter velocity: -i S^-1 g in real time, -S^-1 g in imaginary time.
 
-    Returns (alpha_dot, RegularizedInverse) so callers can log the spectrum,
-    lambda^2 and effective rank, and reuse the solve for the r^2 residual.
+    Makes one eigendecomposition, of S = X^dag X when there are at least as
+    many samples as parameters and of X X^dag otherwise (see the module
+    docstring).  Returns (alpha_dot, RegularizedInverse) so callers can log
+    the spectrum, lambda^2 and effective rank, and reuse the solve for the
+    r^2 residual.
     """
     if mode not in ("real", "imag"):
         raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
-    spectrum = np.linalg.eigvalsh(qgt.s_matrix)
-    lambda2 = adaptive_lambda(np.where(spectrum > 0, spectrum, 0.0), policy)
-    pinv = regularized_pseudoinverse(qgt.s_matrix, lambda2)
+    x = qgt.x
+    n, p = x.shape
+    if n >= p:
+        spectrum, basis = _clamped_eigh(qgt.s_matrix)
+        power = 1
+    else:
+        spectrum, v = _clamped_eigh(_hermitian(x @ x.conj().T))
+        basis = x.conj().T @ v
+        power = 2
+    lambda2 = adaptive_lambda(spectrum, policy)
+    pinv = _filtered_inverse(spectrum, basis, lambda2, power)
     solution = pinv.apply(qgt.gvec)
     alpha_dot = -1j * solution if mode == "real" else -solution
     return alpha_dot, pinv

@@ -228,6 +228,13 @@ class TestQuench:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["mode"] == "quench"
 
+    def test_dt_is_the_step_that_produced_the_row(self, base_config, gs_state):
+        record = run_quench(base_config, gs_state)
+        t, dt = record.times, record.column("dt")
+        assert len(t) >= 3
+        assert dt[0] == 0.0
+        assert np.all(np.abs(dt[1:] - np.diff(t)) <= 1e-15)
+
     def test_rerun_is_byte_identical(self, base_config, gs_state, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -313,3 +320,76 @@ class TestCli:
                          "--resume", str(ckpt)])
         assert code == cli.EXIT_OK
         assert (out / "trajectory.csv").is_file()
+
+    def test_quench_keeps_the_ground_state_record(self, tmp_path):
+        path = write_ini(tmp_path, BASE_INI)
+        out = tmp_path / "out"
+        assert cli.main(["quench", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads((out / "metadata.json").read_text())["mode"] == "quench"
+        gs_meta = json.loads((out / "ground-state" / "metadata.json").read_text())
+        assert gs_meta["mode"] == "ground-state"
+        assert (out / "ground-state" / "ground_state.npz").is_file()
+        assert (out / "trajectory.csv").is_file()
+
+
+HMC_INI = BASE_INI.replace("sampling = quadrature", "sampling = hmc") + """
+[hmc]
+n_chains = 2
+n_samples = 50
+n_warmup = 150
+n_slow_windows = 3
+l0 = 4
+"""
+
+WARNING = "split-Rhat 1.234 exceeds 1.1 on some coordinate"
+
+
+class TestSamplerWarnings:
+    @staticmethod
+    def _patch_warnings(monkeypatch, warnings):
+        """Let the real sampler run, then replace its diagnostics' warnings."""
+        real_sample = runner.sample
+
+        def patched(*args, **kwargs):
+            flat, diag = real_sample(*args, **kwargs)
+            diag.warnings = list(warnings)
+            return flat, diag
+
+        monkeypatch.setattr(runner, "sample", patched)
+
+    def test_ground_state_metadata_counts_warnings(self, tmp_path, monkeypatch, capsys):
+        self._patch_warnings(monkeypatch, [WARNING])
+        text = HMC_INI.replace("window = 10\nmax_iters = 500", "window = 2\nmax_iters = 3")
+        path = write_ini(tmp_path, text.replace("tolerance = 1e-6", "tolerance = 1e3"))
+        out = tmp_path / "gs"
+        assert cli.main(["ground-state", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        meta = json.loads((out / "metadata.json").read_text())
+        # one draw per iteration; the loose tolerance stops after window + 1
+        assert meta["sampler_warnings"] == {WARNING: 3}
+        assert capsys.readouterr().err.count(WARNING) == 1
+
+    def test_quench_metadata_counts_warnings(self, tmp_path, monkeypatch, capsys):
+        path = write_ini(tmp_path, HMC_INI)
+        state = make_ansatz("jastrow", load_config(path, {}).lattice)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(5), 0.2))
+        ckpt = tmp_path / "init.npz"
+        save_checkpoint(ckpt, state, 0.0)
+
+        def quench(name, warnings):
+            self._patch_warnings(monkeypatch, warnings)
+            out = tmp_path / name
+            args = ["quench", "--config", str(path), "--out", str(out), "--resume", str(ckpt)]
+            assert cli.main(args) == cli.EXIT_OK
+            return json.loads((out / "metadata.json").read_text())
+
+        assert quench("quiet", [])["sampler_warnings"] == {}
+        assert "sampler warning" not in capsys.readouterr().err
+
+        counts = quench("warned", [WARNING])["sampler_warnings"]
+        # the reference draw, the t = 0 solve, one per row, four per RK attempt
+        assert list(counts) == [WARNING] and counts[WARNING] >= 7
+        assert capsys.readouterr().err.count(WARNING) == 1
+        # telemetry stays out of the trajectory
+        assert (tmp_path / "warned" / "trajectory.csv").read_bytes() == (
+            tmp_path / "quiet" / "trajectory.csv"
+        ).read_bytes()

@@ -156,8 +156,8 @@ class TestTdvpRhs:
 
     def test_residual_zero_variance(self):
         qgt = QgtEstimate(
-            s_matrix=np.eye(2, dtype=complex), gvec=np.zeros(2, dtype=complex),
-            e_mean=0.0, e_var=0.0, n_samples=100,
+            x=np.eye(2, dtype=complex), y=np.zeros(2, dtype=complex),
+            e_mean=0.0, n_samples=100,
         )
         pinv = regularized_pseudoinverse(qgt.s_matrix, 1e-6)
         assert residual_r2(qgt, pinv) == (0.0, False)
@@ -179,3 +179,100 @@ class TestTdvpRhs:
         _, pinv_r = tdvp_rhs(qgt_r, policy, mode="real")
         r2_r, _ = residual_r2(qgt_r, pinv_r)
         assert r2_r <= r2_j + 0.05
+
+
+class _TableState:
+    """Stub ansatz whose "samples" index rows of fixed O and E_L tables."""
+
+    def __init__(self, o, e):
+        self.o, self.e = o, e
+        self.n_params = o.shape[1]
+
+    def log_derivatives(self, samples):
+        return self.o[samples[:, 0].astype(int)]
+
+    def local_energy(self, samples, g, J):
+        return self.e[samples[:, 0].astype(int)]
+
+
+def _random_estimate(n, p, uniform, seed):
+    rng = np.random.default_rng(seed)
+    o = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+    e = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    weights = None if uniform else rng.uniform(0.1, 2.0, size=n)
+    state = _TableState(o, e)
+    samples = np.arange(n, dtype=np.float64)[:, None]
+    return estimate_qgt(state, samples, g=1.0, J=1.0, weights=weights, chunk_size=7), o, e, weights
+
+
+SHAPES = [(30, 50), (50, 30)]  # n < P solves in sample space, n > P in parameter space
+
+
+class TestSmallerSpaceSolve:
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("n,p", SHAPES)
+    def test_estimate_matches_covariances(self, n, p, uniform):
+        qgt, o, e, weights = _random_estimate(n, p, uniform, seed=n + 2 * uniform)
+        w = np.full(n, 1.0 / n) if weights is None else weights / np.sum(weights)
+        oc = o - w @ o
+        ec = e - w @ e
+        assert np.allclose(qgt.s_matrix, (w[:, None] * oc).conj().T @ oc, rtol=0, atol=1e-12)
+        assert np.allclose(qgt.gvec, oc.conj().T @ (w * ec), rtol=0, atol=1e-12)
+        assert qgt.e_var == pytest.approx(float(w @ np.abs(ec) ** 2), rel=1e-12)
+        assert qgt.e_mean == pytest.approx(complex(w @ e), rel=1e-12)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("n,p", SHAPES)
+    def test_solve_matches_parameter_space_reference(self, n, p, uniform):
+        qgt, _, _, _ = _random_estimate(n, p, uniform, seed=10 + n + 2 * uniform)
+        policy = RegularizationPolicy(a_c=1e-4, r_c=0.1)
+        alpha_dot, pinv = tdvp_rhs(qgt, policy, mode="imag")
+
+        spectrum = np.linalg.eigvalsh(qgt.s_matrix)
+        lambda2 = adaptive_lambda(np.where(spectrum > 0, spectrum, 0.0), policy)
+        ref = regularized_pseudoinverse(qgt.s_matrix, lambda2)
+        solution = ref.apply(qgt.gvec)
+
+        def rel(a, b):
+            return np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b)
+
+        assert rel(-alpha_dot, solution) <= 1e-10
+        assert pinv.lambda2 == pytest.approx(ref.lambda2, rel=1e-10)
+        assert pinv.rho == pytest.approx(ref.rho, rel=1e-10)
+        # the filter is active: some directions are partly cut
+        assert 1.0 < pinv.rho < min(n, p) - 0.5
+        r2, _ = residual_r2(qgt, pinv)
+        r2_ref, _ = residual_r2(qgt, ref)
+        assert r2 == pytest.approx(r2_ref, rel=1e-10)
+
+        vec = np.random.default_rng(99).standard_normal((p, 3)) * (1 + 2j)
+        assert rel(pinv.apply(vec), ref.apply(vec)) <= 1e-10
+
+    @pytest.mark.parametrize("n,p", SHAPES)
+    def test_one_eigensolve_per_rhs(self, n, p, monkeypatch):
+        qgt, _, _, _ = _random_estimate(n, p, uniform=True, seed=3)
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+        tdvp_rhs(qgt, RegularizationPolicy(), mode="real")
+        assert calls == ["eigh"]
+        # the sample-space solve never forms the P x P tensor
+        assert ("s_matrix" in vars(qgt)) == (n >= p)
+
+    @pytest.mark.parametrize("n,p", SHAPES)
+    def test_failed_eigensolve_is_typed(self, n, p, monkeypatch):
+        qgt, _, _, _ = _random_estimate(n, p, uniform=True, seed=4)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(TdvpError):
+            tdvp_rhs(qgt, RegularizationPolicy(), mode="real")
