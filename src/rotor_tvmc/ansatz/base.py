@@ -4,9 +4,17 @@ Every ansatz evaluates ln psi(theta) as a holomorphic function of a flat
 complex parameter vector ``alpha`` with a documented layout.  All evaluation
 methods are pure functions of (alpha, theta) and accept either a single
 configuration of shape (N,) or a batch of shape (B, N).
+
+A subclass implements four batched cores: ``_log_psi``, ``_log_derivatives``,
+``_angle_derivatives`` (ln psi with its first and second angle derivatives,
+for the local energy) and ``_angle_grad`` (the first angle derivative alone).
+``_angle_grad`` feeds ``grad_log_prob``, which HMC calls on every leapfrog
+step, so it must not pay for the second derivatives.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -61,7 +69,7 @@ class VariationalState:
         out = {}
         offset = 0
         for name, shape in self.layout:
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             out[name] = self.alpha[offset : offset + size].reshape(shape)
             offset += size
         return out
@@ -84,6 +92,9 @@ class VariationalState:
         raise NotImplementedError
 
     def _angle_derivatives(self, theta):  # -> (logpsi (B,), d1 (B,N), d2 (B,N))
+        raise NotImplementedError
+
+    def _angle_grad(self, theta):  # -> d1 (B, N), first order only
         raise NotImplementedError
 
     # -- public API --
@@ -114,11 +125,6 @@ class VariationalState:
         d1 = self._angle_grad(theta)
         out = 2.0 * np.real(d1)
         return out[0] if single else out
-
-    def _angle_grad(self, theta):
-        # subclasses may override with a cheaper first-order-only path
-        _, d1, _ = self._angle_derivatives(theta)
-        return d1
 
     def local_energy(self, theta, g: float, J: float):
         """E_L = -(gJ/2) sum_k [d2_k ln psi + (d1_k ln psi)^2] - J sum_bonds cos."""

@@ -22,11 +22,13 @@ class Jastrow(VariationalState):
         if alpha is None:
             alpha = np.zeros(n_pairs, dtype=np.complex128)
         super().__init__(lattice, alpha, [("w", (n_pairs,))])
-        # one-hot pair-to-site incidence used to accumulate angle derivatives
-        self._inc_i = np.zeros((n_pairs, n), dtype=np.float64)
-        self._inc_j = np.zeros((n_pairs, n), dtype=np.float64)
+        # one-hot pair-to-site incidence used to accumulate angle derivatives,
+        # complex so the matmuls with complex weights need no cast
+        self._inc_i = np.zeros((n_pairs, n), dtype=np.complex128)
+        self._inc_j = np.zeros((n_pairs, n), dtype=np.complex128)
         self._inc_i[np.arange(n_pairs), self.pair_i] = 1.0
         self._inc_j[np.arange(n_pairs), self.pair_j] = 1.0
+        self._inc_sum = self._inc_i + self._inc_j
 
     def _pair_diffs(self, theta):
         return theta[:, self.pair_i] - theta[:, self.pair_j]
@@ -37,13 +39,17 @@ class Jastrow(VariationalState):
     def _log_derivatives(self, theta):
         return np.cos(self._pair_diffs(theta)).astype(np.complex128)
 
+    def _d1(self, ws):
+        return -ws @ self._inc_i + ws @ self._inc_j
+
+    def _angle_grad(self, theta):
+        return self._d1(self.alpha * np.sin(self._pair_diffs(theta)))
+
     def _angle_derivatives(self, theta):
         d = self._pair_diffs(theta)
         cos_d = np.cos(d)
         w = self.alpha
         logpsi = cos_d @ w
-        ws = w * np.sin(d)
-        wc = w * cos_d
-        d1 = -ws @ self._inc_i + ws @ self._inc_j
-        d2 = -wc @ (self._inc_i + self._inc_j)
+        d1 = self._d1(w * np.sin(d))
+        d2 = -(w * cos_d) @ self._inc_sum
         return logpsi, d1, d2

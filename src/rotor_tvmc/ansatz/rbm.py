@@ -102,6 +102,18 @@ class CircularRBM(VariationalState):
             coupling = o_w_dense.reshape(batch, -1)
         return np.concatenate([o_a, o_b, coupling], axis=-1)
 
+    def _angle_grad(self, theta):
+        blocks = self.blocks()
+        a, b = blocks["a"], blocks["b"]
+        w = self._weights(blocks)
+        cos, sin = np.cos(theta), np.sin(theta)
+        x_x = b[:, 0] + cos @ w  # (B, N_h)
+        x_y = b[:, 1] + sin @ w
+        gp = 2.0 * d_poly_log_I0_of_square(np.square(x_x) + np.square(x_y))
+        # d1_j = a_j . t_j + sum_k gp_k w_jk (x_k . t_j), t_j = (-sin, cos)
+        wt = w.T
+        return -sin * (a[:, 0] + (gp * x_x) @ wt) + cos * (a[:, 1] + (gp * x_y) @ wt)
+
     def _angle_derivatives(self, theta):
         blocks, w, nhat, x, s, visible = self._forward(theta)
         a = blocks["a"]

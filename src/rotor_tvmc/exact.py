@@ -153,6 +153,15 @@ def angle_grid(q: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(q) / q
 
 
+def grid_points(n_sites: int, q: int) -> np.ndarray:
+    """(q^N, N) points of the uniform product grid, site 0 most significant."""
+    if q ** n_sites > GRID_GUARD:
+        raise OracleGuardError(f"grid size {q}^{n_sites} exceeds guard {GRID_GUARD}")
+    grid = angle_grid(q)
+    meshes = np.meshgrid(*([grid] * n_sites), indexing="ij")
+    return np.stack([m.ravel() for m in meshes], axis=-1)
+
+
 def evaluate_on_grid(state: VariationalState, q: int, chunk_size: int = 8192):
     """psi on the uniform product grid, shape (q,) * N, scaled by exp(-shift).
 
@@ -160,11 +169,7 @@ def evaluate_on_grid(state: VariationalState, q: int, chunk_size: int = 8192):
     the overall scale when it matters (it cancels in normalized quantities).
     """
     n = state.n_sites
-    if q ** n > GRID_GUARD:
-        raise OracleGuardError(f"grid size {q}^{n} exceeds guard {GRID_GUARD}")
-    grid = angle_grid(q)
-    meshes = np.meshgrid(*([grid] * n), indexing="ij")
-    points = np.stack([m.ravel() for m in meshes], axis=-1)
+    points = grid_points(n, q)
     logs = np.empty(points.shape[0], dtype=np.complex128)
     for lo in range(0, points.shape[0], chunk_size):
         logs[lo : lo + chunk_size] = state.log_psi(points[lo : lo + chunk_size])

@@ -91,43 +91,31 @@ def jittered_length(rng: np.random.Generator, l0: int, jitter: float) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def leapfrog(theta, pi, eps, n_steps, mass_diag, grad_fn):
-    """Half-kick/drift/half-kick scheme with interior kicks fused.
-
-    ``grad_fn`` returns dV/dtheta for V = -ln p.  Works for a single
-    configuration (N,) or a uniform batch (B, N) with broadcastable eps/mass.
-    """
-    theta = np.array(theta, dtype=np.float64)
-    pi = np.array(pi, dtype=np.float64)
-    with np.errstate(all="ignore"):
-        pi = pi - 0.5 * eps * grad_fn(theta)
-        for step in range(n_steps):
-            theta = theta + eps * pi / mass_diag
-            kick = eps if step < n_steps - 1 else 0.5 * eps
-            pi = pi - kick * grad_fn(theta)
-    return theta, pi
-
-
 def _batched_leapfrog(theta, pi, eps, lengths, mass_diag, grad_fn):
-    """Leapfrog with a per-chain number of steps.
+    """Half-kick/drift/half-kick leapfrog with a per-chain number of steps.
 
-    Chains whose trajectory is already finished are frozen by zeroing their
-    effective step size; per-chain results match sequential execution exactly.
+    ``theta`` and ``pi`` are (B, N) batches, ``eps`` and ``lengths`` hold one
+    step size and one step count per chain, and ``grad_fn`` returns dV/dtheta
+    for V = -ln p.  Interior kicks are fused.  Chains whose trajectory is
+    already finished are frozen: they drift by 0 and are kicked by 0, so
+    per-chain results match running each chain as its own batch exactly.
     """
     theta = np.array(theta, dtype=np.float64)
     pi = np.array(pi, dtype=np.float64)
     lengths = np.asarray(lengths)
     eps_col = np.asarray(eps, dtype=np.float64)[:, None]
     max_steps = int(np.max(lengths))
+    # (max_steps, B, 1) tables of which chains drift and how far each is kicked
+    steps = np.arange(max_steps)[:, None, None]
+    ends = lengths[None, :, None]
+    active = steps < ends
+    kicks = np.where(steps < ends - 1, eps_col,
+                     np.where(steps == ends - 1, 0.5 * eps_col, 0.0))
     with np.errstate(all="ignore"):
         pi = pi - 0.5 * eps_col * grad_fn(theta)
         for step in range(max_steps):
-            active = (step < lengths)[:, None]
-            theta = theta + np.where(active, eps_col * pi / mass_diag, 0.0)
-            interior = (step < lengths - 1)[:, None]
-            last = (step == lengths - 1)[:, None]
-            kick = np.where(interior, eps_col, np.where(last, 0.5 * eps_col, 0.0))
-            pi = pi - kick * grad_fn(theta)
+            theta = theta + np.where(active[step], eps_col * pi / mass_diag, 0.0)
+            pi = pi - kicks[step] * grad_fn(theta)
     return theta, pi
 
 

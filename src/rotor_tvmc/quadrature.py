@@ -9,16 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .ansatz.base import VariationalState
-from .exact import GRID_GUARD, OracleGuardError, angle_grid
+from .exact import grid_points
 from .tdvp import QgtEstimate, estimate_qgt
-
-
-def grid_points(n_sites: int, q: int) -> np.ndarray:
-    if q ** n_sites > GRID_GUARD:
-        raise OracleGuardError(f"grid size {q}^{n_sites} exceeds guard {GRID_GUARD}")
-    grid = angle_grid(q)
-    meshes = np.meshgrid(*([grid] * n_sites), indexing="ij")
-    return np.stack([m.ravel() for m in meshes], axis=-1)
 
 
 def born_weights(state: VariationalState, points: np.ndarray,

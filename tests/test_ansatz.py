@@ -134,6 +134,56 @@ class TestGradients:
         assert np.all(np.isfinite(e))
 
 
+class TestFirstOrderGradient:
+    """grad_log_prob runs on the first-order ``_angle_grad`` core alone."""
+
+    @pytest.mark.parametrize("dims,periodic", [
+        ((4,), (True,)), ((3, 3), (True, True)),
+        ((5,), (False,)), ((3, 4), (True, False)),
+    ])
+    def test_jastrow_bitwise_equal_to_second_order_path(self, dims, periodic):
+        lattice = build_lattice(dims, periodic)
+        state = _random_state("jastrow", lattice, {}, seed=21, scale=0.7)
+        rng = np.random.default_rng(22)
+        theta = rng.uniform(-np.pi, np.pi, size=(9, lattice.n_sites))
+        _, d1, _ = state.angle_derivatives(theta)
+        assert np.array_equal(state.grad_log_prob(theta), 2.0 * np.real(d1))
+
+    @pytest.mark.parametrize("dims,periodic,hyper", [
+        ((4,), (True,), {"n_hidden": 6}),
+        ((3, 4), (True, False), {"n_hidden": 5}),
+        ((4,), (True,), {"convolutional": True}),
+        ((3, 3), (True, True), {"convolutional": True}),
+    ])
+    def test_rbm_agrees_with_second_order_path(self, dims, periodic, hyper):
+        lattice = build_lattice(dims, periodic)
+        state = _random_state("rbm", lattice, hyper, seed=23, scale=0.7)
+        rng = np.random.default_rng(24)
+        theta = rng.uniform(-np.pi, np.pi, size=(9, lattice.n_sites))
+        _, d1, _ = state.angle_derivatives(theta)
+        expected = 2.0 * np.real(d1)
+        grad = state.grad_log_prob(theta)
+        assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("kind,hyper", [
+        ("jastrow", {}), ("rbm", {"n_hidden": 4}),
+        ("rbm", {"convolutional": True}), ("cnn", {"depth": 2, "n_modes": 2}),
+    ])
+    def test_never_computes_second_derivatives(self, kind, hyper, monkeypatch):
+        lattice = build_lattice((4,), (True,))
+        state = _random_state(kind, lattice, hyper)
+        theta = np.random.default_rng(25).uniform(-np.pi, np.pi, size=(3, 4))
+        expected = state.grad_log_prob(theta)
+
+        def refuse(self, theta):
+            raise AssertionError("second-order path called")
+
+        monkeypatch.setattr(type(state), "_angle_derivatives", refuse)
+        assert np.array_equal(state.grad_log_prob(theta), expected)
+        # one configuration takes a matrix-vector path, equal up to rounding
+        assert np.allclose(state.grad_log_prob(theta[0]), expected[0], rtol=1e-12, atol=0)
+
+
 class TestLocalEnergy:
     def test_uniform_state_energy_is_potential_only(self):
         # lnpsi = 0: kinetic part vanishes, E_L = -J sum cos(dtheta)

@@ -72,10 +72,10 @@ class TestLeapfrog:
         def grad_v(th):
             return -target.grad_log_prob(th)
 
-        t1, p1 = hmc.leapfrog(theta, pi, 0.1, 25, mass, grad_v)
-        t2, p2 = hmc.leapfrog(t1, -p1, 0.1, 25, mass, grad_v)
-        assert np.allclose(t2, theta, atol=1e-10)
-        assert np.allclose(-p2, pi, atol=1e-10)
+        t1, p1 = hmc._batched_leapfrog(theta[None], pi[None], [0.1], [25], mass, grad_v)
+        t2, p2 = hmc._batched_leapfrog(t1, -p1, [0.1], [25], mass, grad_v)
+        assert np.allclose(t2[0], theta, atol=1e-10)
+        assert np.allclose(-p2[0], pi, atol=1e-10)
 
     def test_energy_error_scaling(self):
         # leapfrog is second order: Delta H ~ eps^2 per unit trajectory time
@@ -90,12 +90,32 @@ class TestLeapfrog:
 
         def dh(eps, n):
             h0 = -target.log_prob(theta)[0] + 0.5 * np.sum(pi ** 2)
-            t1, p1 = hmc.leapfrog(theta, pi, eps, n, mass, grad_v)
+            t1, p1 = hmc._batched_leapfrog(theta[None], pi[None], [eps], [n], mass, grad_v)
             return abs(-target.log_prob(t1)[0] + 0.5 * np.sum(p1 ** 2) - h0)
 
         errs = [float(dh(eps, int(round(2.0 / eps)))) for eps in (0.2, 0.1, 0.05)]
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
         assert all(2.5 < r < 6.0 for r in ratios)
+
+    def test_mixed_lengths_match_one_chain_batches(self):
+        # finished chains are frozen, so batching never changes a chain's path
+        target = VonMises()
+        rng = np.random.default_rng(2)
+        lengths = [1, 7, 3, 12, 1, 5]
+        theta = rng.uniform(-np.pi, np.pi, size=(6, 4))
+        pi = rng.standard_normal((6, 4))
+        eps = rng.uniform(0.05, 0.3, size=6)
+        mass = rng.uniform(0.5, 1.5, size=(6, 4))
+
+        def grad_v(th):
+            return -target.grad_log_prob(th)
+
+        t_all, p_all = hmc._batched_leapfrog(theta, pi, eps, lengths, mass, grad_v)
+        for c, n in enumerate(lengths):
+            t1, p1 = hmc._batched_leapfrog(theta[c:c + 1], pi[c:c + 1], eps[c:c + 1],
+                                           [n], mass[c:c + 1], grad_v)
+            assert np.array_equal(t_all[c], t1[0])
+            assert np.array_equal(p_all[c], p1[0])
 
 
 class TestTransitions:
