@@ -15,7 +15,7 @@ from .ansatz import (
     random_alpha,
     zero_final_kernel,
 )
-from .hmc import HmcConfig, WarmupError, run_hmc, sample, warmup
+from .hmc import HmcConfig, WarmupError, sample, warmup
 from .integrator import AdaptiveStepper, StepController, StepSizeUnderflow, rk32_step
 from .lattice import Lattice, build_lattice, circular_site_stats, wrap_angle
 from .tdvp import (
@@ -51,7 +51,6 @@ __all__ = [
     "regularized_pseudoinverse",
     "residual_r2",
     "rk32_step",
-    "run_hmc",
     "sample",
     "tdvp_rhs",
     "warmup",

@@ -56,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--resume", default=None,
                        help="checkpoint (.npz) providing the initial parameters")
-        p.add_argument("--workers", type=int, default=None,
-                       help="override [run] n_workers")
     return parser
 
 
@@ -77,8 +75,6 @@ def main(argv=None) -> int:
             overrides["seed"] = args.seed
         if args.out is not None:
             overrides["out_dir"] = Path(args.out)
-        if args.workers is not None:
-            overrides["n_workers"] = args.workers
         config = load_config(args.config, overrides)
     except (ConfigError, AnsatzError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

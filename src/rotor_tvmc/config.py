@@ -67,7 +67,6 @@ class RunConfig:
     out_dir: Path = Path("runs")
     sampling: str = "hmc"  # "hmc" or "quadrature" (noiseless grid averages)
     quadrature_points: int = 16
-    n_workers: int = 1
     resample: str = "per-stage"  # "per-step" reuses one sample set (biased)
     dt0: float = 0.01
     checkpoint_stride: int = 10
@@ -83,8 +82,8 @@ class RunConfig:
             raise ConfigError(f"resample must be 'per-stage' or 'per-step', got {self.resample!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
-        if self.n_workers < 1 or self.quadrature_points < 2:
-            raise ConfigError("n_workers >= 1 and quadrature_points >= 2 required")
+        if self.quadrature_points < 2:
+            raise ConfigError("quadrature_points >= 2 required")
         if self.dt0 <= 0 or self.checkpoint_stride < 1 or self.m_cut < 1:
             raise ConfigError("dt0, checkpoint_stride and m_cut must be positive")
         self.out_dir = Path(self.out_dir)
@@ -248,7 +247,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         out_dir=_get(run, "out", Path, Path("runs")),
         sampling=_get(run, "sampling", str, "hmc"),
         quadrature_points=_get(run, "quadrature_points", int, 16),
-        n_workers=_get(run, "n_workers", int, 1),
         resample=_get(run, "resample", str, "per-stage"),
         checkpoint_stride=_get(run, "checkpoint_stride", int, 10),
         m_cut=_get(run, "m_cut", int, 5),
@@ -304,7 +302,6 @@ def config_echo(config: RunConfig) -> dict:
             "out": str(config.out_dir),
             "sampling": config.sampling,
             "quadrature_points": config.quadrature_points,
-            "n_workers": config.n_workers,
             "resample": config.resample,
             "checkpoint_stride": config.checkpoint_stride,
             "m_cut": config.m_cut,

@@ -1,8 +1,8 @@
 """Hamiltonian Monte Carlo over rotor configurations.
 
 Each chain owns a deterministic RNG stream; a transition consumes draws in a
-fixed per-chain order (momenta, trajectory length, accept uniform), so results
-are identical whether chains are advanced one at a time or batched together.
+fixed per-chain order (momenta, trajectory length, accept uniform), so a rerun
+from the same streams replays the same draws.
 Leapfrog dynamics run on unwrapped angles (the target is 2 pi periodic, so the
 unwrapped trajectory is valid and reversibility bookkeeping stays exact);
 angles are wrapped once when samples are emitted.
@@ -15,7 +15,6 @@ window of Nw/18 steps, after which all kernel hyperparameters are frozen.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,43 +263,16 @@ class SampleDiagnostics:
     warnings: list[str] = field(default_factory=list)
 
 
-def _run_group(chains, n_samples, target, l0, jitter):
-    n_sites = chains[0].theta.size
-    out = np.empty((len(chains), n_samples, n_sites))
-    for s in range(n_samples):
-        _transition(chains, target, l0, jitter)
-        for i, c in enumerate(chains):
-            out[i, s] = wrap_angle(c.theta)
-    return out
-
-
-def sample(chains: list[ChainState], n_samples: int, target,
-           config: HmcConfig, n_workers: int = 1):
-    """Draw n_samples per chain; returns ((Nc*Ns, N) samples, diagnostics).
-
-    Chains may be partitioned across workers; per-chain RNG streams and the
-    fixed-order concatenation by chain index make the result independent of
-    the partitioning.
-    """
+def sample(chains: list[ChainState], n_samples: int, target, config: HmcConfig):
+    """Draw n_samples per chain, all chains as one batch; returns
+    ((Nc*Ns, N) samples ordered by chain, then draw; diagnostics)."""
     for c in chains:
         c.accepted = c.proposed = c.divergences = 0
-    n_workers = max(1, min(n_workers, len(chains)))
-    groups = [chains[i::n_workers] for i in range(n_workers)]
-    if n_workers == 1:
-        results = [_run_group(chains, n_samples, target, config.l0, config.jitter)]
-        order = list(range(len(chains)))
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_run_group, grp, n_samples, target, config.l0, config.jitter)
-                for grp in groups
-            ]
-            results = [f.result() for f in futures]
-        order = [i for w in range(n_workers) for i in range(w, len(chains), n_workers)]
-    stacked = np.concatenate(results, axis=0)
-    by_chain = np.empty_like(stacked)
-    for pos, chain_idx in enumerate(order):
-        by_chain[chain_idx] = stacked[pos]
+    by_chain = np.empty((len(chains), n_samples, chains[0].theta.size))
+    for s in range(n_samples):
+        _transition(chains, target, config.l0, config.jitter)
+        for i, c in enumerate(chains):
+            by_chain[i, s] = wrap_angle(c.theta)
 
     rhats = []
     for k in range(by_chain.shape[2]):
@@ -318,12 +290,3 @@ def sample(chains: list[ChainState], n_samples: int, target,
         warnings=warnings,
     )
     return by_chain.reshape(-1, by_chain.shape[2]), diag
-
-
-def run_hmc(target, n_sites: int, config: HmcConfig, rngs: list[np.random.Generator],
-            n_workers: int = 1):
-    """Init + warmup + sample in one call; returns (samples, diagnostics, chains)."""
-    chains = [init_chain(n_sites, config, rng) for rng in rngs]
-    warmup(chains, config, target)
-    samples, diag = sample(chains, config.n_samples, target, config, n_workers)
-    return samples, diag, chains

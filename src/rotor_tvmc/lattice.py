@@ -136,7 +136,7 @@ def wrap_angle(x):
     return out if out.ndim else float(out)
 
 
-def circular_site_stats(samples: np.ndarray):
+def circular_site_stats(samples: np.ndarray, weights: np.ndarray | None = None):
     """Per-site circular statistics of a (n_samples, n_sites) angle array.
 
     Returns ``(mean_dir, resultant, variance)`` where ``mean_dir`` has shape
@@ -144,13 +144,17 @@ def circular_site_stats(samples: np.ndarray):
     ``resultant`` is R_k = |<n_k>| in [0, 1] and ``variance`` is -2 ln R_k.
     A site whose resultant vanishes exactly gets ``mean_dir = (0, 0)`` and a
     +inf variance sentinel (legitimate for antipodal or fully disordered
-    samples, not an error).
+    samples, not an error).  Normalized ``weights`` make the means weighted.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] < 1:
         raise ValueError("need at least one sample")
-    cx = np.mean(np.cos(samples), axis=0)
-    sx = np.mean(np.sin(samples), axis=0)
+    if weights is None:
+        cx = np.mean(np.cos(samples), axis=0)
+        sx = np.mean(np.sin(samples), axis=0)
+    else:
+        cx = weights @ np.cos(samples)
+        sx = weights @ np.sin(samples)
     resultant = np.hypot(cx, sx)
     mean_dir = np.zeros((samples.shape[1], 2))
     nonzero = resultant > 0

@@ -1,10 +1,11 @@
 """Physical measurements over sampled rotor configurations.
 
 Sample arrays are either flat (n_samples, n_sites) or chain-resolved
-(n_chains, n_draws, n_sites).  Error bars always come from bootstrap
-resampling; when the chain structure is available whole chains are resampled
-(block bootstrap) to respect autocorrelation, otherwise draws are treated as
-independent.
+(n_chains, n_draws, n_sites).  Error bars come from bootstrap resampling;
+when the chain structure is available whole chains are resampled (block
+bootstrap) to respect autocorrelation, otherwise draws are treated as
+independent.  Given normalized ``weights`` (one per configuration, such as
+quadrature Born weights), an average is the weighted sum and its error is 0.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ def bootstrap_sigma(values, n_resamples: int = DEFAULT_RESAMPLES,
     return float(np.std(means))
 
 
-def _mean_and_sigma(per_sample, chain_shape, n_resamples, rng):
+def _mean_and_sigma(per_sample, chain_shape, n_resamples, rng, weights=None):
+    if weights is not None:
+        return float(weights @ per_sample), 0.0
     value = float(np.mean(per_sample))
     if chain_shape is not None:
         per_sample = np.reshape(per_sample, chain_shape)
@@ -56,17 +59,19 @@ def _mean_and_sigma(per_sample, chain_shape, n_resamples, rng):
 
 
 def potential_energy_density(samples, lattice: Lattice, J: float,
-                             n_resamples: int = DEFAULT_RESAMPLES, rng=None):
+                             n_resamples: int = DEFAULT_RESAMPLES, rng=None,
+                             weights=None):
     """eps_p = -(J/N) < sum_bonds cos(theta_k - theta_l) >, with bootstrap sigma."""
     flat, chain_shape = _flatten(samples)
     bk, bl = lattice.bonds[:, 0], lattice.bonds[:, 1]
     per_sample = -(J / lattice.n_sites) * np.sum(
         np.cos(flat[:, bk] - flat[:, bl]), axis=-1
     )
-    return _mean_and_sigma(per_sample, chain_shape, n_resamples, rng)
+    return _mean_and_sigma(per_sample, chain_shape, n_resamples, rng, weights)
 
 
-def magnetization(samples, n_resamples: int = DEFAULT_RESAMPLES, rng=None):
+def magnetization(samples, n_resamples: int = DEFAULT_RESAMPLES, rng=None,
+                  weights=None):
     """Returns (M, M_x, M_y, sigma_M).
 
     M keeps the modulus inside the sample average (per-sample resultant length
@@ -77,21 +82,24 @@ def magnetization(samples, n_resamples: int = DEFAULT_RESAMPLES, rng=None):
     n = flat.shape[1]
     cos_t, sin_t = np.cos(flat), np.sin(flat)
     per_sample = np.hypot(np.sum(cos_t, axis=1), np.sum(sin_t, axis=1)) / n
-    m, sigma = _mean_and_sigma(per_sample, chain_shape, n_resamples, rng)
-    return m, float(np.mean(cos_t)), float(np.mean(sin_t)), sigma
+    m, sigma = _mean_and_sigma(per_sample, chain_shape, n_resamples, rng, weights)
+    if weights is None:
+        return m, float(np.mean(cos_t)), float(np.mean(sin_t)), sigma
+    return (m, float(weights @ cos_t.mean(axis=1)),
+            float(weights @ sin_t.mean(axis=1)), sigma)
 
 
-def circular_variance_mean(samples) -> float:
+def circular_variance_mean(samples, weights=None) -> float:
     """Lattice average of the per-site circular variance -2 ln |<n_k>|."""
     from .lattice import circular_site_stats
 
     flat, _ = _flatten(samples)
-    _, _, variance = circular_site_stats(flat)
+    _, _, variance = circular_site_stats(flat, weights)
     return float(np.mean(variance))
 
 
 def vorticity(samples, lattice: Lattice, ell: int,
-              n_resamples: int = DEFAULT_RESAMPLES, rng=None):
+              n_resamples: int = DEFAULT_RESAMPLES, rng=None, weights=None):
     """Average plaquette circulation v_ell with minimal-image edge differences.
 
     Per loop, v(A) = (1/ell^2) * sum over directed boundary edges of the
@@ -107,7 +115,7 @@ def vorticity(samples, lattice: Lattice, ell: int,
     nxt = np.roll(cur, -1, axis=-1)
     circulation = np.sum(wrap_angle(nxt - cur), axis=-1) / ell ** 2
     per_sample = np.mean(circulation, axis=-1)
-    return _mean_and_sigma(per_sample, chain_shape, n_resamples, rng)
+    return _mean_and_sigma(per_sample, chain_shape, n_resamples, rng, weights)
 
 
 def loop_circulation(theta, loop_sites, ell: int) -> float:
@@ -118,10 +126,12 @@ def loop_circulation(theta, loop_sites, ell: int) -> float:
     return float(np.sum(wrap_angle(nxt - cur)) / ell ** 2)
 
 
-def _log_mean_exp(z: np.ndarray) -> complex:
-    """Complex log of the mean of exp(z), stabilized by the max real part."""
+def _log_mean_exp(z: np.ndarray, weights=None) -> complex:
+    """Complex log of the (weighted) mean of exp(z), stabilized by max Re z."""
     shift = float(np.max(np.real(z)))
-    return complex(np.log(np.mean(np.exp(z - shift))) + shift)
+    if weights is None:
+        return complex(np.log(np.mean(np.exp(z - shift))) + shift)
+    return complex(np.log(weights @ np.exp(z - shift)) + shift)
 
 
 @dataclass
@@ -135,27 +145,30 @@ class FidelityResult:
 
 def fidelity(state_0: VariationalState, state_t: VariationalState,
              samples_0, samples_t, n_resamples: int = DEFAULT_RESAMPLES,
-             rng=None) -> FidelityResult:
+             rng=None, weights_0=None, weights_t=None) -> FidelityResult:
     """Normalization-free overlap estimator
 
         F = < psi_t/psi_0 >_{|psi_0|^2} * < psi_0/psi_t >_{|psi_t|^2},
 
     with both factors accumulated in log space and the real part of the
     product clamped to [0, 1].  If both factors underflow (log means below
-    -700) the overlap is reported as 0 with ``overlap_lost`` set.
+    -700) the overlap is reported as 0 with ``overlap_lost`` set.  Weights,
+    if any, are given for both sample sets.
     """
     flat0, shape0 = _flatten(samples_0)
     flat_t, shape_t = _flatten(samples_t)
     z0 = state_t.log_psi(flat0) - state_0.log_psi(flat0)
     zt = state_0.log_psi(flat_t) - state_t.log_psi(flat_t)
-    log_f0 = _log_mean_exp(z0)
-    log_ft = _log_mean_exp(zt)
+    log_f0 = _log_mean_exp(z0, weights_0)
+    log_ft = _log_mean_exp(zt, weights_t)
     if np.real(log_f0) < _LOG_UNDERFLOW and np.real(log_ft) < _LOG_UNDERFLOW:
         return FidelityResult(0.0, 0.0, 0.0j, False, True)
     raw = np.exp(log_f0 + log_ft)
     value = float(np.real(raw))
     clamped = not 0.0 <= value <= 1.0
     value = min(1.0, max(0.0, value))
+    if weights_0 is not None:
+        return FidelityResult(value, 0.0, raw, clamped, False)
 
     if rng is None:
         rng = np.random.default_rng(20240817)

@@ -1,11 +1,15 @@
 """Run orchestration: ground-state preparation, quench dynamics, oracle
 benchmarking, sampler diagnostics, and reproducible persistence.
 
+Both expectation engines answer ``draw(state) -> (points, weights)``: HMC
+chains with no weights, or a fixed grid with the state's Born weights.  The
+QGT and every observable are computed from such a draw by one code path.
+
 Sampling RNG streams are keyed by (seed, mode code, evaluation counter,
 chain index) through ``numpy``'s seed-sequence spawning, so a rerun with the
-same configuration replays the exact draw sequence regardless of how chains
-are partitioned across workers.  All floating-point output is serialized
-with an explicit repr-precision format, which makes CSVs byte-comparable.
+same configuration replays the exact draw sequence.  All floating-point
+output is serialized with an explicit repr-precision format, which makes
+CSVs byte-comparable.
 """
 
 from __future__ import annotations
@@ -131,8 +135,8 @@ class _HmcEngine:
         self.last_diag = None
         self.warnings: Counter[str] = Counter()
 
-    def draw(self, state, counter: int | None = None) -> np.ndarray:
-        """(n_chains, n_samples, N) angles from |psi|^2 at state.alpha."""
+    def draw(self, state, counter: int | None = None):
+        """((n_chains, n_samples, N) angles from |psi|^2 at state.alpha, None)."""
         cfg = self.config
         if counter is None:
             counter = self.counter
@@ -146,101 +150,50 @@ class _HmcEngine:
             for c in range(cfg.hmc.n_chains)
         ]
         warmup(chains, cfg.hmc, state)
-        flat, diag = sample(chains, cfg.hmc.n_samples, state, cfg.hmc, cfg.n_workers)
+        flat, diag = sample(chains, cfg.hmc.n_samples, state, cfg.hmc)
         self.last_diag = diag
         for message in diag.warnings:
             if message not in self.warnings:
                 print(f"sampler warning: {message}", file=sys.stderr)
             self.warnings[message] += 1
-        return flat.reshape(cfg.hmc.n_chains, cfg.hmc.n_samples, state.n_sites)
-
-    def qgt(self, state, g: float):
-        samples = self.draw(state)
-        return estimate_qgt(
-            state, samples.reshape(-1, state.n_sites), g, self.config.physics.j
-        )
+        return flat.reshape(cfg.hmc.n_chains, cfg.hmc.n_samples, state.n_sites), None
 
 
 class _QuadratureEngine:
     """Noiseless grid-weighted averages; the deterministic reference engine."""
 
     def __init__(self, config: RunConfig):
-        self.config = config
+        self.grid = quadrature.grid_points(
+            config.lattice.n_sites, config.quadrature_points
+        )
         self.last_diag = None
         self.warnings: Counter[str] = Counter()
 
-    def qgt(self, state, g: float):
-        return quadrature.quadrature_qgt(
-            state, g, self.config.physics.j, q=self.config.quadrature_points
-        )
+    def draw(self, state):
+        """(grid points, normalized |psi|^2 weights on them)."""
+        return self.grid, quadrature.born_weights(state, self.grid)
 
 
-def _weighted_rows(state, q: int):
-    points = quadrature.grid_points(state.n_sites, q)
-    weights = quadrature.born_weights(state, points)
-    return points, weights
+def _engine(config: RunConfig, mode_code: int):
+    if config.sampling == "quadrature":
+        return _QuadratureEngine(config)
+    return _HmcEngine(config, mode_code)
 
 
-def _weighted_observables(state, config: RunConfig, lattice) -> dict:
-    """Quadrature-mode observable row (zero Monte Carlo error by construction)."""
-    points, w = _weighted_rows(state, config.quadrature_points)
-    j = config.physics.j
-    bk, bl = lattice.bonds[:, 0], lattice.bonds[:, 1]
-    e_pot = -(j / lattice.n_sites) * float(
-        w @ np.sum(np.cos(points[:, bk] - points[:, bl]), axis=-1)
+def _qgt(state, draw, g: float, J: float):
+    points, weights = draw
+    return estimate_qgt(
+        state, points.reshape(-1, state.n_sites), g, J, weights=weights
     )
-    cos_t, sin_t = np.cos(points), np.sin(points)
-    resultant = np.hypot(np.sum(cos_t, axis=1), np.sum(sin_t, axis=1)) / lattice.n_sites
-    row = {
-        "e_pot": e_pot,
-        "e_pot_sigma": 0.0,
-        "mag": float(w @ resultant),
-        "mag_x": float(w @ cos_t.mean(axis=1)),
-        "mag_y": float(w @ sin_t.mean(axis=1)),
-        "mag_sigma": 0.0,
-        "var_mean": _weighted_circular_variance(points, w),
-    }
-    if lattice.ndim == 2:
-        row["vort_1"], row["vort_sigma"] = _weighted_vorticity(points, w, lattice)
-    return row
 
 
-def _weighted_circular_variance(points, w) -> float:
-    mean_cos = w @ np.cos(points)
-    mean_sin = w @ np.sin(points)
-    r = np.hypot(mean_cos, mean_sin)
-    with np.errstate(divide="ignore"):
-        return float(np.mean(np.where(r > 0, -2.0 * np.log(r), np.inf)))
-
-
-def _weighted_vorticity(points, w, lattice):
-    from .lattice import wrap_angle
-
-    loops = lattice.plaquettes(1)
-    if loops.shape[0] == 0:
-        return None, None
-    cur = points[:, loops]
-    circ = np.sum(wrap_angle(np.roll(cur, -1, axis=-1) - cur), axis=-1)
-    return float(w @ np.mean(circ, axis=-1)), 0.0
-
-
-def _weighted_fidelity(state_0, state_t, q: int):
-    """Noiseless version of the two-factor overlap estimator."""
-    points0, w0 = _weighted_rows(state_0, q)
-    points_t, wt = _weighted_rows(state_t, q)
-    z0 = state_t.log_psi(points0) - state_0.log_psi(points0)
-    zt = state_0.log_psi(points_t) - state_t.log_psi(points_t)
-    s0 = float(np.max(np.real(z0)))
-    st = float(np.max(np.real(zt)))
-    f = np.exp(np.log(w0 @ np.exp(z0 - s0)) + s0 + np.log(wt @ np.exp(zt - st)) + st)
-    return min(1.0, max(0.0, float(np.real(f)))), 0.0
-
-
-def _mc_observables(samples, config: RunConfig, lattice) -> dict:
+def _observables(draw, config: RunConfig, lattice) -> dict:
+    """One trajectory row's observables from an engine draw."""
+    samples, weights = draw
     e_pot, e_sigma = observables.potential_energy_density(
-        samples, lattice, config.physics.j
+        samples, lattice, config.physics.j, weights=weights
     )
-    mag, mag_x, mag_y, mag_sigma = observables.magnetization(samples)
+    mag, mag_x, mag_y, mag_sigma = observables.magnetization(samples, weights=weights)
     row = {
         "e_pot": e_pot,
         "e_pot_sigma": e_sigma,
@@ -248,10 +201,13 @@ def _mc_observables(samples, config: RunConfig, lattice) -> dict:
         "mag_x": mag_x,
         "mag_y": mag_y,
         "mag_sigma": mag_sigma,
-        "var_mean": observables.circular_variance_mean(samples),
+        "var_mean": observables.circular_variance_mean(samples, weights=weights),
     }
-    if lattice.ndim == 2:
-        row["vort_1"], row["vort_sigma"] = observables.vorticity(samples, lattice, 1)
+    # an open 1 x L strip is 2D but has no plaquette: vort_1 is left empty
+    if lattice.ndim == 2 and lattice.plaquettes(1).shape[0]:
+        row["vort_1"], row["vort_sigma"] = observables.vorticity(
+            samples, lattice, 1, weights=weights
+        )
     return row
 
 
@@ -278,17 +234,13 @@ def run_ground_state(config: RunConfig, alpha0: np.ndarray | None = None,
 
     gs = config.ground_state
     g = config.physics.g_initial
-    engine = (
-        _QuadratureEngine(config)
-        if config.sampling == "quadrature"
-        else _HmcEngine(config, _MODE_GROUND_STATE)
-    )
+    engine = _engine(config, _MODE_GROUND_STATE)
     energies: list[float] = []
     converged = False
     n = lattice.n_sites
     scale = gs.tolerance * config.physics.j * n
     for iteration in range(gs.max_iters):
-        qgt = engine.qgt(state, g)
+        qgt = _qgt(state, engine.draw(state), g, config.physics.j)
         alpha_dot, _ = tdvp_rhs(qgt, config.regularization, mode="imag")
         energies.append(float(np.real(qgt.e_mean)))
         state = state.with_alpha(state.alpha + gs.tau * alpha_dot)
@@ -366,28 +318,21 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
     j = config.physics.j
     g = config.physics.g_final if g_final is None else g_final
     state_0 = initial_state
-    engine = (
-        _QuadratureEngine(config)
-        if config.sampling == "quadrature"
-        else _HmcEngine(config, _MODE_QUENCH)
-    )
+    engine = _engine(config, _MODE_QUENCH)
     noiseless = config.sampling == "quadrature"
 
-    samples_0 = None if noiseless else engine.draw(state_0)
+    draw_0 = engine.draw(state_0)
 
     # cache the stage-0 estimate of each attempt so r^2 / rho / lambda^2 can
     # be logged for the accepted step without an extra solve
     stage_log = {}
-    cached = {}
+    # with per-step resampling, HMC draws one sample set at each step's
+    # starting parameters and reuses it across the stages (documented bias)
+    reused = None
 
     def rhs(t, alpha):
         st = initial_state.with_alpha(alpha)
-        if config.resample == "per-step" and "qgt" in cached:
-            qgt = estimate_qgt(
-                st, cached["samples"], g, j,
-            ) if not noiseless else engine.qgt(st, g)
-        else:
-            qgt = engine.qgt(st, g)
+        qgt = _qgt(st, reused if reused is not None else engine.draw(st), g, j)
         alpha_dot, pinv = tdvp_rhs(qgt, config.regularization, mode="real")
         r2, _ = residual_r2(qgt, pinv)
         stage_log["rho"] = pinv.rho
@@ -395,16 +340,6 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
         stage_log["r2"] = r2
         stage_log["energy"] = float(np.real(qgt.e_mean))
         return alpha_dot
-
-    if config.resample == "per-step" and not noiseless:
-        # one sample set per accepted-step attempt chain: drawn at the step's
-        # starting parameters and reused across stages (documented bias)
-        def refresh_cache(st):
-            cached["samples"] = engine.draw(st).reshape(-1, st.n_sites)
-            cached["qgt"] = True
-    else:
-        def refresh_cache(st):
-            return None
 
     stepper = AdaptiveStepper(config.controller, fsal=noiseless)
     record = TrajectoryRecord(sampler_warnings=engine.warnings)
@@ -418,19 +353,17 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
     def emit(t_now, dt_now):
         nonlocal r2_integral, prev_r2, prev_t
         st = initial_state.with_alpha(alpha)
-        if noiseless:
-            row = _weighted_observables(st, config, lattice)
-            fid, fid_sigma = _weighted_fidelity(state_0, st, config.quadrature_points)
-        else:
-            samples_t = engine.draw(st)
-            row = _mc_observables(samples_t, config, lattice)
-            fres = observables.fidelity(state_0, st, samples_0, samples_t)
-            if fres.overlap_lost:
-                raise RunnerError(
-                    "fidelity-overlap-loss",
-                    f"overlap estimator underflowed at t={t_now:.4f}",
-                )
-            fid, fid_sigma = fres.value, fres.sigma
+        draw_t = engine.draw(st)
+        row = _observables(draw_t, config, lattice)
+        fres = observables.fidelity(
+            state_0, st, draw_0[0], draw_t[0],
+            weights_0=draw_0[1], weights_t=draw_t[1],
+        )
+        if fres.overlap_lost:
+            raise RunnerError(
+                "fidelity-overlap-loss",
+                f"overlap estimator underflowed at t={t_now:.4f}",
+            )
         r2_now = stage_log.get("r2", 0.0)
         if prev_r2 is not None:
             r2_integral += 0.5 * (prev_r2 + r2_now) * (t_now - prev_t)
@@ -440,8 +373,8 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
             "t": t_now,
             "dt": dt_now,
             "energy": stage_log.get("energy"),
-            "fidelity": fid,
-            "fidelity_sigma": fid_sigma,
+            "fidelity": fres.value,
+            "fidelity_sigma": fres.sigma,
             "rho": stage_log.get("rho"),
             "lambda2": stage_log.get("lambda2"),
             "r2": r2_now,
@@ -463,7 +396,8 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
     try:
         while t < config.physics.t_max - 1e-12:
             dt = min(dt, config.physics.t_max - t)
-            refresh_cache(initial_state.with_alpha(alpha))
+            if config.resample == "per-step" and not noiseless:
+                reused = engine.draw(initial_state.with_alpha(alpha))
             alpha, t, dt = stepper.advance(rhs, alpha, t, dt)
             step_index += 1
             emit(t, stepper.attempts[-1].dt)
@@ -586,16 +520,9 @@ def run_sampler_check(config: RunConfig, state=None, out_dir: Path | None = None
         )
 
     def draw(hmc_cfg, counter):
-        chains = [
-            init_chain(
-                state.n_sites, hmc_cfg,
-                np.random.default_rng([config.seed, _MODE_SAMPLER_CHECK, counter, c]),
-            )
-            for c in range(hmc_cfg.n_chains)
-        ]
-        warmup(chains, hmc_cfg, state)
-        flat, diag = sample(chains, hmc_cfg.n_samples, state, hmc_cfg, config.n_workers)
-        return flat.reshape(hmc_cfg.n_chains, hmc_cfg.n_samples, state.n_sites), diag
+        engine = _HmcEngine(replace(config, hmc=hmc_cfg), _MODE_SAMPLER_CHECK)
+        samples, _ = engine.draw(state, counter)
+        return samples, engine.last_diag
 
     ns_rows = []
     for idx, n_samples in enumerate(SAMPLER_NS_SWEEP):

@@ -152,3 +152,65 @@ class TestHalfFidelityTime:
     def test_rejects_bad_start(self):
         with pytest.raises(ValueError):
             half_fidelity_time(np.array([0.0, 1.0]), np.array([0.4, 0.3]))
+
+
+class TestWeightedExpectations:
+    """With weights, every observable is the weighted sum with sigma 0."""
+
+    LATTICE = build_lattice((3, 3), (True, True))
+
+    def _samples(self):
+        return np.random.default_rng(8).uniform(-np.pi, np.pi, size=(40, 9))
+
+    def _values(self, samples, weights):
+        lat = self.LATTICE
+        e, e_sigma = potential_energy_density(samples, lat, 1.5, weights=weights)
+        m, mx, my, m_sigma = magnetization(samples, weights=weights)
+        v, v_sigma = vorticity(samples, lat, 1, weights=weights)
+        var = circular_variance_mean(samples, weights=weights)
+        return (e, m, mx, my, v, var), (e_sigma, m_sigma, v_sigma)
+
+    def test_uniform_weights_match_sample_means(self):
+        samples = self._samples()
+        uniform = np.full(samples.shape[0], 1.0 / samples.shape[0])
+        weighted, sigmas = self._values(samples, uniform)
+        plain, _ = self._values(samples, None)
+        np.testing.assert_allclose(weighted, plain, rtol=0.0, atol=1e-12)
+        assert sigmas == (0.0, 0.0, 0.0)
+
+    def test_one_hot_weights_pick_one_configuration(self):
+        lat = self.LATTICE
+        samples = self._samples()
+        i = 17
+        one_hot = np.zeros(samples.shape[0])
+        one_hot[i] = 1.0
+        (e, m, mx, my, v, var), sigmas = self._values(samples, one_hot)
+        theta = samples[i]
+        bk, bl = lat.bonds[:, 0], lat.bonds[:, 1]
+        assert e == pytest.approx(-1.5 / 9 * np.sum(np.cos(theta[bk] - theta[bl])),
+                                  abs=1e-12)
+        assert mx == pytest.approx(np.mean(np.cos(theta)), abs=1e-12)
+        assert my == pytest.approx(np.mean(np.sin(theta)), abs=1e-12)
+        assert m == pytest.approx(np.hypot(mx, my), abs=1e-12)
+        # a single configuration has a unit resultant on every site
+        assert var == pytest.approx(0.0, abs=1e-12)
+        loops = lat.plaquettes(1)
+        expected_v = np.mean([loop_circulation(theta, loop, 1) for loop in loops])
+        assert v == pytest.approx(expected_v, abs=1e-12)
+        assert sigmas == (0.0, 0.0, 0.0)
+
+    def test_fidelity_uniform_weights_match_unweighted(self):
+        lat = build_lattice((3,), (True,))
+        state = make_ansatz("jastrow", lat)
+        a = state.with_alpha(random_alpha(state, np.random.default_rng(4), 0.2))
+        b = a.with_alpha(a.alpha + 0.05)
+        rng = np.random.default_rng(9)
+        s0 = rng.uniform(-np.pi, np.pi, size=(300, 3))
+        st = rng.uniform(-np.pi, np.pi, size=(200, 3))
+        plain = fidelity(a, b, s0, st)
+        weighted = fidelity(a, b, s0, st, weights_0=np.full(300, 1 / 300),
+                            weights_t=np.full(200, 1 / 200))
+        assert weighted.value == pytest.approx(plain.value, abs=1e-12)
+        assert weighted.raw == pytest.approx(plain.raw, abs=1e-12)
+        assert weighted.sigma == 0.0
+        assert plain.sigma > 0.0

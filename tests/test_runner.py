@@ -122,9 +122,14 @@ class TestConfigParsing:
 
     def test_overrides_win(self, tmp_path):
         path = write_ini(tmp_path, BASE_INI)
-        cfg = load_config(path, {"seed": 99, "n_workers": 3})
+        cfg = load_config(path, {"seed": 99, "quadrature_points": 6})
         assert cfg.seed == 99
-        assert cfg.n_workers == 3
+        assert cfg.quadrature_points == 6
+
+    def test_run_section_ignores_unknown_keys(self, tmp_path):
+        # configurations written for older versions may still set n_workers
+        path = write_ini(tmp_path, BASE_INI + "n_workers = 2\n")
+        assert load_config(path).quadrature_points == 12
 
     def test_echo_is_json_serializable(self, base_config):
         echo = config_echo(base_config)
@@ -393,3 +398,18 @@ class TestSamplerWarnings:
         assert (tmp_path / "warned" / "trajectory.csv").read_bytes() == (
             tmp_path / "quiet" / "trajectory.csv"
         ).read_bytes()
+
+
+class TestStripWithoutPlaquettes:
+    @pytest.mark.parametrize("ini", [BASE_INI, HMC_INI], ids=["quadrature", "hmc"])
+    def test_vorticity_is_nan(self, tmp_path, ini):
+        # an open 1 x 3 strip is 2D but has no 1x1 plaquette
+        text = ini.replace("dims = 2\nperiodic = true", "dims = 1 3\nperiodic = false")
+        config = load_config(write_ini(tmp_path, text))
+        assert config.lattice.plaquettes(1).shape[0] == 0
+        state = make_ansatz("jastrow", config.lattice)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(5), 0.2))
+        record = run_quench(config, state)
+        assert record.status == "ok"
+        assert np.all(np.isnan(record.column("vort_1")))
+        assert np.all(np.isnan(record.column("vort_sigma")))
