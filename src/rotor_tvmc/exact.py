@@ -264,8 +264,7 @@ def exact_fidelity(a: DenseState, b: DenseState) -> float:
 def dense_magnetization_quadrature(state: DenseState, basis: TruncatedBasis, q: int = 32) -> float:
     """Eq.-17-style magnetization (modulus inside the average) via a theta grid."""
     n = basis.n_sites
-    if q ** n > GRID_GUARD:
-        raise OracleGuardError(f"grid size {q}^{n} exceeds guard {GRID_GUARD}")
+    thetas = grid_points(n, q)
     c = state.coefficients.reshape((basis.local_dim,) * n)
     # psi(theta_j) on the grid is an inverse transform of the coefficients
     grid = angle_grid(q)
@@ -277,8 +276,6 @@ def dense_magnetization_quadrature(state: DenseState, basis: TruncatedBasis, q: 
         psi = np.moveaxis(psi, 0, axis)
     prob = np.abs(psi.ravel()) ** 2
     prob /= prob.sum()
-    meshes = np.meshgrid(*([grid] * n), indexing="ij")
-    thetas = np.stack([m.ravel() for m in meshes], axis=-1)
     resultant = np.hypot(
         np.sum(np.cos(thetas), axis=-1), np.sum(np.sin(thetas), axis=-1)
     )

@@ -23,6 +23,12 @@ _A = (
 _B3 = (2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0, 0.0)
 _B2 = (7.0 / 24.0, 0.25, 1.0 / 3.0, 0.125)
 
+# step-size controller: safety factor, error exponent 1/(order of the lower
+# embedded solution + 1), and rejected attempts allowed per accepted step
+SAFETY = 0.9
+ORDER_EXPONENT = 1.0 / 3.0
+MAX_REJECTS = 30
+
 
 class StepSizeUnderflow(RuntimeError):
     pass
@@ -32,11 +38,8 @@ class StepSizeUnderflow(RuntimeError):
 class StepController:
     atol: float = 1e-3
     rtol: float = 1e-3
-    safety: float = 0.9
     dt_min: float = 1e-5
     dt_max: float = 0.1
-    order_exponent: float = 1.0 / 3.0
-    max_rejects: int = 30
 
     def __post_init__(self):
         if self.atol <= 0 or self.rtol <= 0:
@@ -47,7 +50,7 @@ class StepController:
     def next_dt(self, dt: float, err_norm: float) -> float:
         """Controller formula before the [dt_min, dt_max] bounds are applied."""
         if err_norm > 0:
-            factor = self.safety * err_norm ** (-self.order_exponent)
+            factor = SAFETY * err_norm ** (-ORDER_EXPONENT)
         else:
             factor = 4.0
         factor = min(4.0, max(0.25, factor))
@@ -113,7 +116,7 @@ class AdaptiveStepper:
     def advance(self, rhs_fn, alpha: np.ndarray, t: float, dt: float):
         """Advance one accepted step; returns (alpha_next, t_next, dt_next)."""
         ctrl = self.controller
-        for _ in range(ctrl.max_rejects):
+        for _ in range(MAX_REJECTS):
             k1 = self._k1 if self.fsal else None
             alpha3, _, err, k_last = rk32_step(
                 rhs_fn, alpha, t, dt, ctrl.atol, ctrl.rtol, k1=k1
@@ -131,4 +134,4 @@ class AdaptiveStepper:
                     f"step size {dt:.3e} fell below dt_min={ctrl.dt_min:.3e} at t={t:.4f}"
                 )
             dt = min(dt, ctrl.dt_max)
-        raise StepSizeUnderflow(f"exceeded {ctrl.max_rejects} rejected steps at t={t:.4f}")
+        raise StepSizeUnderflow(f"exceeded {MAX_REJECTS} rejected steps at t={t:.4f}")

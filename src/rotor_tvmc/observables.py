@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz.base import VariationalState
-from .lattice import Lattice, wrap_angle
+from .lattice import Lattice, circular_site_stats, wrap_angle
 
 DEFAULT_RESAMPLES = 200
+BOOTSTRAP_SEED = 20240817
 _LOG_UNDERFLOW = -700.0
 
 
@@ -41,37 +42,33 @@ def bootstrap_sigma(values, n_resamples: int = DEFAULT_RESAMPLES,
     if values.ndim not in (1, 2) or values.shape[0] < 2:
         raise ValueError("need >= 2 values (or >= 2 chains)")
     if rng is None:
-        rng = np.random.default_rng(20240817)
+        rng = np.random.default_rng(BOOTSTRAP_SEED)
     n = values.shape[0]
     picks = rng.integers(0, n, size=(n_resamples, n))
     means = values[picks].mean(axis=tuple(range(1, values.ndim + 1)))
     return float(np.std(means))
 
 
-def _mean_and_sigma(per_sample, chain_shape, n_resamples, rng, weights=None):
+def _mean_and_sigma(per_sample, chain_shape, weights=None):
     if weights is not None:
         return float(weights @ per_sample), 0.0
     value = float(np.mean(per_sample))
     if chain_shape is not None:
         per_sample = np.reshape(per_sample, chain_shape)
-    sigma = bootstrap_sigma(per_sample, n_resamples, rng)
-    return value, sigma
+    return value, bootstrap_sigma(per_sample)
 
 
-def potential_energy_density(samples, lattice: Lattice, J: float,
-                             n_resamples: int = DEFAULT_RESAMPLES, rng=None,
-                             weights=None):
+def potential_energy_density(samples, lattice: Lattice, J: float, weights=None):
     """eps_p = -(J/N) < sum_bonds cos(theta_k - theta_l) >, with bootstrap sigma."""
     flat, chain_shape = _flatten(samples)
     bk, bl = lattice.bonds[:, 0], lattice.bonds[:, 1]
     per_sample = -(J / lattice.n_sites) * np.sum(
         np.cos(flat[:, bk] - flat[:, bl]), axis=-1
     )
-    return _mean_and_sigma(per_sample, chain_shape, n_resamples, rng, weights)
+    return _mean_and_sigma(per_sample, chain_shape, weights)
 
 
-def magnetization(samples, n_resamples: int = DEFAULT_RESAMPLES, rng=None,
-                  weights=None):
+def magnetization(samples, weights=None):
     """Returns (M, M_x, M_y, sigma_M).
 
     M keeps the modulus inside the sample average (per-sample resultant length
@@ -82,7 +79,7 @@ def magnetization(samples, n_resamples: int = DEFAULT_RESAMPLES, rng=None,
     n = flat.shape[1]
     cos_t, sin_t = np.cos(flat), np.sin(flat)
     per_sample = np.hypot(np.sum(cos_t, axis=1), np.sum(sin_t, axis=1)) / n
-    m, sigma = _mean_and_sigma(per_sample, chain_shape, n_resamples, rng, weights)
+    m, sigma = _mean_and_sigma(per_sample, chain_shape, weights)
     if weights is None:
         return m, float(np.mean(cos_t)), float(np.mean(sin_t)), sigma
     return (m, float(weights @ cos_t.mean(axis=1)),
@@ -91,15 +88,12 @@ def magnetization(samples, n_resamples: int = DEFAULT_RESAMPLES, rng=None,
 
 def circular_variance_mean(samples, weights=None) -> float:
     """Lattice average of the per-site circular variance -2 ln |<n_k>|."""
-    from .lattice import circular_site_stats
-
     flat, _ = _flatten(samples)
     _, _, variance = circular_site_stats(flat, weights)
     return float(np.mean(variance))
 
 
-def vorticity(samples, lattice: Lattice, ell: int,
-              n_resamples: int = DEFAULT_RESAMPLES, rng=None, weights=None):
+def vorticity(samples, lattice: Lattice, ell: int, weights=None):
     """Average plaquette circulation v_ell with minimal-image edge differences.
 
     Per loop, v(A) = (1/ell^2) * sum over directed boundary edges of the
@@ -115,7 +109,7 @@ def vorticity(samples, lattice: Lattice, ell: int,
     nxt = np.roll(cur, -1, axis=-1)
     circulation = np.sum(wrap_angle(nxt - cur), axis=-1) / ell ** 2
     per_sample = np.mean(circulation, axis=-1)
-    return _mean_and_sigma(per_sample, chain_shape, n_resamples, rng, weights)
+    return _mean_and_sigma(per_sample, chain_shape, weights)
 
 
 def loop_circulation(theta, loop_sites, ell: int) -> float:
@@ -144,8 +138,7 @@ class FidelityResult:
 
 
 def fidelity(state_0: VariationalState, state_t: VariationalState,
-             samples_0, samples_t, n_resamples: int = DEFAULT_RESAMPLES,
-             rng=None, weights_0=None, weights_t=None) -> FidelityResult:
+             samples_0, samples_t, weights_0=None, weights_t=None) -> FidelityResult:
     """Normalization-free overlap estimator
 
         F = < psi_t/psi_0 >_{|psi_0|^2} * < psi_0/psi_t >_{|psi_t|^2},
@@ -170,12 +163,11 @@ def fidelity(state_0: VariationalState, state_t: VariationalState,
     if weights_0 is not None:
         return FidelityResult(value, 0.0, raw, clamped, False)
 
-    if rng is None:
-        rng = np.random.default_rng(20240817)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
     z0b = z0.reshape(shape0) if shape0 is not None else z0
     ztb = zt.reshape(shape_t) if shape_t is not None else zt
-    estimates = np.empty(n_resamples)
-    for r in range(n_resamples):
+    estimates = np.empty(DEFAULT_RESAMPLES)
+    for r in range(DEFAULT_RESAMPLES):
         pick0 = rng.integers(0, z0b.shape[0], size=z0b.shape[0])
         pick_t = rng.integers(0, ztb.shape[0], size=ztb.shape[0])
         f = np.exp(_log_mean_exp(z0b[pick0].ravel()) + _log_mean_exp(ztb[pick_t].ravel()))

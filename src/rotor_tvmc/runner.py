@@ -299,7 +299,6 @@ TRAJECTORY_COLUMNS = [
 @dataclass
 class TrajectoryRecord:
     rows: list[dict] = field(default_factory=list)
-    checkpoints: list[tuple[float, np.ndarray]] = field(default_factory=list)
     status: str = "ok"
     sampler_warnings: dict[str, int] = field(default_factory=dict)
 
@@ -319,20 +318,16 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
     g = config.physics.g_final if g_final is None else g_final
     state_0 = initial_state
     engine = _engine(config, _MODE_QUENCH)
-    noiseless = config.sampling == "quadrature"
 
     draw_0 = engine.draw(state_0)
 
     # cache the stage-0 estimate of each attempt so r^2 / rho / lambda^2 can
     # be logged for the accepted step without an extra solve
     stage_log = {}
-    # with per-step resampling, HMC draws one sample set at each step's
-    # starting parameters and reuses it across the stages (documented bias)
-    reused = None
 
     def rhs(t, alpha):
         st = initial_state.with_alpha(alpha)
-        qgt = _qgt(st, reused if reused is not None else engine.draw(st), g, j)
+        qgt = _qgt(st, engine.draw(st), g, j)
         alpha_dot, pinv = tdvp_rhs(qgt, config.regularization, mode="real")
         r2, _ = residual_r2(qgt, pinv)
         stage_log["rho"] = pinv.rho
@@ -341,14 +336,13 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
         stage_log["energy"] = float(np.real(qgt.e_mean))
         return alpha_dot
 
-    stepper = AdaptiveStepper(config.controller, fsal=noiseless)
+    stepper = AdaptiveStepper(config.controller, fsal=config.sampling == "quadrature")
     record = TrajectoryRecord(sampler_warnings=engine.warnings)
     alpha = np.array(initial_state.alpha, copy=True)
     t, dt = 0.0, min(config.dt0, config.controller.dt_max)
     r2_integral = 0.0
     prev_r2 = None
     prev_t = 0.0
-    step_index = 0
 
     def emit(t_now, dt_now):
         nonlocal r2_integral, prev_r2, prev_t
@@ -391,25 +385,17 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
     # later row carries the size of the accepted step that produced it
     rhs(0.0, alpha)
     emit(0.0, 0.0)
-    record.checkpoints.append((0.0, alpha.copy()))
 
     try:
         while t < config.physics.t_max - 1e-12:
             dt = min(dt, config.physics.t_max - t)
-            if config.resample == "per-step" and not noiseless:
-                reused = engine.draw(initial_state.with_alpha(alpha))
             alpha, t, dt = stepper.advance(rhs, alpha, t, dt)
-            step_index += 1
             emit(t, stepper.attempts[-1].dt)
-            if step_index % config.checkpoint_stride == 0:
-                record.checkpoints.append((t, alpha.copy()))
     except Exception as exc:
         record.status = getattr(exc, "reason", type(exc).__name__)
-        record.checkpoints.append((t, alpha.copy()))
         if out_dir is not None:
             _persist_trajectory(config, record, initial_state, alpha, t, out_dir)
         raise
-    record.checkpoints.append((t, alpha.copy()))
     if out_dir is not None:
         _persist_trajectory(config, record, initial_state, alpha, t, out_dir)
     return record

@@ -6,6 +6,7 @@ sampler and acceptance suites.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -127,9 +128,36 @@ class TestConfigParsing:
         assert cfg.quadrature_points == 6
 
     def test_run_section_ignores_unknown_keys(self, tmp_path):
-        # configurations written for older versions may still set n_workers
-        path = write_ini(tmp_path, BASE_INI + "n_workers = 2\n")
+        # configurations written for older versions may still set these
+        retired = "n_workers = 2\nresample = per-step\ncheckpoint_stride = 5\n"
+        path = write_ini(tmp_path, BASE_INI + retired)
         assert load_config(path).quadrature_points == 12
+
+    @pytest.mark.parametrize("section, key", [
+        ("lattice", "dim"), ("ansatz", "n_hiden"), ("physics", "g_inital"),
+        ("hmc", "n_chain"), ("regularization", "ac"), ("ode", "dtmax"),
+        ("ground-state", "max_iter"), ("run", "sed"),
+    ])
+    def test_misspelt_key_rejected(self, tmp_path, section, key):
+        header = f"[{section}]\n"
+        text = BASE_INI if header in BASE_INI else BASE_INI + "\n" + header
+        text = text.replace(header, f"{header}{key} = 1\n")
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}]") + f".*'{key}'"):
+            load_config(write_ini(tmp_path, text))
+
+    def test_echo_round_trip(self, tmp_path):
+        text = HMC_INI.replace("kind = jastrow", "kind = rbm\nn_hidden = 3")
+        text += "[regularization]\nr_c = 0.05\n"
+        echo = config_echo(load_config(write_ini(tmp_path, text)))
+        lines = []
+        for section, keys in echo.items():
+            lines.append(f"[{section.replace('_', '-')}]")  # [ground-state]
+            for key, value in keys.items():
+                if isinstance(value, list):
+                    value = " ".join(map(str, value))
+                lines.append(f"{key} = {value}")
+        path = write_ini(tmp_path, "\n".join(lines) + "\n", "echo.ini")
+        assert config_echo(load_config(path)) == echo
 
     def test_echo_is_json_serializable(self, base_config):
         echo = config_echo(base_config)
