@@ -53,6 +53,8 @@ class CircularRBM(VariationalState):
                 raise AnsatzError("convolutional RBM fixes n_hidden = n_sites")
             n_hidden = n
             self._disp = _displacement_table(lattice)
+            # row d: the flat indices j * N + k of the pairs at displacement d
+            self._by_disp = np.argsort(self._disp, axis=None, kind="stable").reshape(n, n)
             layout = [("a", (n, 2)), ("b", (n_hidden, 2)), ("kernel", (n,))]
         else:
             n_hidden = n if n_hidden is None else int(n_hidden)
@@ -70,37 +72,38 @@ class CircularRBM(VariationalState):
         return blocks["w"]
 
     def _forward(self, theta):
+        """a, w, cos and sin (B, N), the hidden inputs x_x, x_y (B, N_h) and s = x . x."""
         blocks = self.blocks()
         a, b = blocks["a"], blocks["b"]
         w = self._weights(blocks)
-        nhat = np.stack([np.cos(theta), np.sin(theta)], axis=-1)  # (B, N, 2)
-        x = b[None] + np.einsum("jk,bjc->bkc", w, nhat)  # (B, N_h, 2)
-        s = np.einsum("bkc,bkc->bk", x, x)
-        visible = np.einsum("jc,bjc->b", a, nhat)
-        return blocks, w, nhat, x, s, visible
+        cos, sin = np.cos(theta), np.sin(theta)
+        x_x = b[:, 0] + cos @ w  # (B, N_h)
+        x_y = b[:, 1] + sin @ w
+        return a, w, cos, sin, x_x, x_y, np.square(x_x) + np.square(x_y)
 
     def _log_psi(self, theta):
-        _, _, _, _, s, visible = self._forward(theta)
-        return visible + np.sum(poly_log_I0_of_square(s), axis=-1)
+        a, _, cos, sin, _, _, s = self._forward(theta)
+        return cos @ a[:, 0] + sin @ a[:, 1] + np.sum(poly_log_I0_of_square(s), axis=-1)
 
     def _log_derivatives(self, theta):
-        blocks, w, nhat, x, s, _ = self._forward(theta)
-        batch = theta.shape[0]
-        gp = d_poly_log_I0_of_square(s)  # (B, N_h)
-        o_a = nhat.astype(np.complex128).reshape(batch, -1)
-        o_b = (2.0 * gp[..., None] * x).reshape(batch, -1)
-        # dot of x_k with n_j, weighted by d lnI0 / ds
-        xdotn = np.einsum("bkc,bjc->bjk", x, nhat)
-        o_w_dense = 2.0 * gp[:, None, :] * xdotn  # (B, N, N_h)
+        _, _, cos, sin, x_x, x_y, s = self._forward(theta)
+        batch, n, n_hidden = theta.shape[0], self.n_sites, self.n_hidden
+        gp2 = 2.0 * d_poly_log_I0_of_square(s)  # (B, N_h)
+        out = np.empty((batch, self.n_params), dtype=np.complex128)
+        o_a = out[:, : 2 * n].reshape(batch, n, 2)
+        o_a[..., 0] = cos
+        o_a[..., 1] = sin
+        o_b = out[:, 2 * n : 2 * (n + n_hidden)].reshape(batch, n_hidden, 2)
+        np.multiply(gp2, x_x, out=o_b[..., 0])
+        np.multiply(gp2, x_y, out=o_b[..., 1])
+        # O_w[j, k] = n_j . o_b[k]; a kernel entry sums O_w over its displacement
+        coupling = out[:, 2 * (n + n_hidden) :]
         if self.convolutional:
-            n = self.n_sites
-            o_kernel = np.zeros((batch, n), dtype=np.complex128)
-            flat_disp = self._disp.ravel()
-            np.add.at(o_kernel, (slice(None), flat_disp), o_w_dense.reshape(batch, -1))
-            coupling = o_kernel
+            o_w = (o_a @ o_b.transpose(0, 2, 1)).reshape(batch, -1)
+            np.sum(o_w[:, self._by_disp], axis=-1, out=coupling)
         else:
-            coupling = o_w_dense.reshape(batch, -1)
-        return np.concatenate([o_a, o_b, coupling], axis=-1)
+            np.matmul(o_a, o_b.transpose(0, 2, 1), out=coupling.reshape(batch, n, n_hidden))
+        return out
 
     def _angle_grad(self, theta):
         blocks = self.blocks()
@@ -115,24 +118,23 @@ class CircularRBM(VariationalState):
         return -sin * (a[:, 0] + (gp * x_x) @ wt) + cos * (a[:, 1] + (gp * x_y) @ wt)
 
     def _angle_derivatives(self, theta):
-        blocks, w, nhat, x, s, visible = self._forward(theta)
-        a = blocks["a"]
-        logpsi = visible + np.sum(poly_log_I0_of_square(s), axis=-1)
+        a, w, cos, sin, x_x, x_y, s = self._forward(theta)
+        logpsi = cos @ a[:, 0] + sin @ a[:, 1] + np.sum(poly_log_I0_of_square(s), axis=-1)
         gp = d_poly_log_I0_of_square(s)
         gpp = d2_poly_log_I0_of_square(s)
-        tang = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)  # d nhat / d theta
-        a_dot_t = np.einsum("jc,bjc->bj", a, tang)
-        a_dot_n = np.einsum("jc,bjc->bj", a, nhat)
-        xdott = np.einsum("bkc,bjc->bjk", x, tang)
-        xdotn = np.einsum("bkc,bjc->bjk", x, nhat)
-        # ds_k/dtheta_j = 2 w_jk (x_k . t_j)
-        ds = 2.0 * w[None] * xdott
-        d1 = a_dot_t + np.einsum("bk,bjk->bj", gp, ds)
-        w2 = np.square(w)[None]
-        d2s = 2.0 * (w2 - w[None] * xdotn)  # d2 s_k / d theta_j^2
+        wt, w2t = w.T, np.square(w).T
+        # with t_j = (-sin, cos): ds_k/dtheta_j = 2 w_jk (x_k . t_j)
+        uw_x = (gp * x_x) @ wt
+        uw_y = (gp * x_y) @ wt
+        d1 = -sin * (a[:, 0] + 2.0 * uw_x) + cos * (a[:, 1] + 2.0 * uw_y)
+        # sum_k gpp_k (ds_k/dtheta_j)^2 + gp_k d2s_k/dtheta_j^2, expanded in sin and cos
         d2 = (
-            -a_dot_n
-            + np.einsum("bk,bjk->bj", gpp, np.square(ds))
-            + np.einsum("bk,bjk->bj", gp, d2s)
+            -(cos * a[:, 0] + sin * a[:, 1])
+            + 4.0 * (
+                np.square(sin) * ((gpp * np.square(x_x)) @ w2t)
+                - 2.0 * sin * cos * ((gpp * x_x * x_y) @ w2t)
+                + np.square(cos) * ((gpp * np.square(x_y)) @ w2t)
+            )
+            + 2.0 * (gp @ w2t - cos * uw_x - sin * uw_y)
         )
         return logpsi, d1, d2

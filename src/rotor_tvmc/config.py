@@ -7,7 +7,8 @@ ansatz kind and the quench couplings must be written out explicitly.
 The keys of each optional section are the fields of the dataclass it builds
 (``_SECTIONS``); a key's type is the field's annotation and its default is the
 field's default.  Only ``[ode] dt0`` and the ``[run]`` keys, which set
-``RunConfig`` fields, are listed by hand.  An unknown key is an error.
+``RunConfig`` fields, are listed by hand.  An unknown key or section is an
+error.
 """
 
 from __future__ import annotations
@@ -209,6 +210,9 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     for required in ("lattice", "ansatz", "physics"):
         if not parser.has_section(required):
             raise ConfigError(f"config must contain a [{required}] section")
+    for name in parser.sections():
+        if name not in ("lattice", "ansatz", "run", *_SECTIONS):
+            raise ConfigError(f"unknown section [{name}]")
 
     lattice = _parse_lattice(parser)
     kind, hyper = _parse_ansatz(parser)
@@ -245,6 +249,8 @@ def config_echo(config: RunConfig) -> dict:
         },
         "ansatz": {"kind": config.ansatz_kind, **config.ansatz_hyper},
     }
+    if "kernel_shape" in echo["ansatz"]:  # the make_ansatz keyword of [ansatz] kernel
+        echo["ansatz"]["kernel"] = list(echo["ansatz"].pop("kernel_shape"))
     for name, (attr, _) in _SECTIONS.items():
         echo[name.replace("-", "_")] = asdict(getattr(config, attr))
     echo["ode"]["dt0"] = config.dt0

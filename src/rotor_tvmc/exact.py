@@ -140,9 +140,17 @@ class ExactEvolver:
         self.energies, self.modes = np.linalg.eigh(dense)
 
     def evolve(self, state: DenseState, t: float) -> DenseState:
-        c = self.modes.conj().T @ state.coefficients
-        c = self.modes @ (np.exp(-1j * self.energies * t) * c)
+        # modes^H c without forming modes^H
+        c = _matvec(self.modes.T, state.coefficients.conj()).conj()
+        c = _matvec(self.modes, np.exp(-1j * self.energies * t) * c)
         return DenseState(c, normalized=state.normalized)
+
+
+def _matvec(m, c):
+    """m @ c for a contiguous complex vector c; in real arithmetic when m is real."""
+    if np.iscomplexobj(m):
+        return m @ c
+    return (m @ c.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
 
 def evolve_exact(hamiltonian, state: DenseState, t: float) -> DenseState:
@@ -230,27 +238,39 @@ def expectation(op, state: DenseState) -> complex:
     return complex(c.conj() @ (op @ c)) / float(np.real(c.conj() @ c))
 
 
+def _shifted_overlap(c, shifts: dict) -> complex:
+    """<psi|O|psi> for O|m> = |m + shifts[k]> on each listed site k (truncated).
+
+    c is the coefficient tensor, one axis per site; a shift of -1 is L-, +1 is
+    L+, so the sum pairs each coefficient with the one shifted along each axis.
+    """
+    kept, moved = [slice(None)] * c.ndim, [slice(None)] * c.ndim
+    for axis, step in shifts.items():
+        kept[axis] = slice(max(0, -step), c.shape[axis] - max(0, step))
+        moved[axis] = slice(max(0, step), c.shape[axis] - max(0, -step))
+    return complex(np.vdot(c[tuple(moved)], c[tuple(kept)]))
+
+
 def exact_observables(state: DenseState, basis: TruncatedBasis, lattice: Lattice,
                       J: float = 1.0) -> dict:
-    """Potential energy density, magnetization components and circular variance."""
-    e_bonds = sum(
-        np.real(expectation(bond_coupling(basis, int(k), int(l)), state))
-        for k, l in lattice.bonds
-    )
+    """Potential energy density, magnetization components and circular variance.
+
+    With z_k = <L-_k> = <exp(i theta_k)>, <cos theta_k> = Re z_k and
+    <sin theta_k> = Im z_k; the bond term <n_k . n_l> is Re <L-_k L+_l>.
+    """
     n = lattice.n_sites
-    mx_sites, my_sites = [], []
-    for k in range(n):
-        cos_op, sin_op = cos_sin_operators(basis, k)
-        mx_sites.append(np.real(expectation(cos_op, state)))
-        my_sites.append(np.real(expectation(sin_op, state)))
-    mx, my = float(np.mean(mx_sites)), float(np.mean(my_sites))
-    resultants = np.hypot(mx_sites, my_sites)
+    c = state.coefficients.reshape((basis.local_dim,) * n)
+    norm = float(np.real(np.vdot(c, c)))
+    e_bonds = sum(
+        _shifted_overlap(c, {int(k): -1, int(l): 1}).real for k, l in lattice.bonds
+    ) / norm
+    z = np.array([_shifted_overlap(c, {k: -1}) for k in range(n)]) / norm
     with np.errstate(divide="ignore"):
-        var_sites = -2.0 * np.log(resultants)
+        var_sites = -2.0 * np.log(np.abs(z))
     return {
         "e_pot": -J * e_bonds / n,
-        "mag_x": mx,
-        "mag_y": my,
+        "mag_x": float(np.mean(z.real)),
+        "mag_y": float(np.mean(z.imag)),
         "var_mean": float(np.mean(var_sites)),
     }
 

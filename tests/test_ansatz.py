@@ -184,6 +184,116 @@ class TestFirstOrderGradient:
         assert np.allclose(state.grad_log_prob(theta[0]), expected[0], rtol=1e-12, atol=0)
 
 
+def _einsum_forward(state, theta):
+    """The RBM forward pass as written with einsum, kept as the test reference."""
+    blocks = state.blocks()
+    a, b = blocks["a"], blocks["b"]
+    w = state._weights(blocks)
+    nhat = np.stack([np.cos(theta), np.sin(theta)], axis=-1)  # (B, N, 2)
+    x = b[None] + np.einsum("jk,bjc->bkc", w, nhat)  # (B, N_h, 2)
+    s = np.einsum("bkc,bkc->bk", x, x)
+    visible = np.einsum("jc,bjc->b", a, nhat)
+    return blocks, w, nhat, x, s, visible
+
+
+def _einsum_log_derivatives(state, theta):
+    blocks, w, nhat, x, s, _ = _einsum_forward(state, theta)
+    batch = theta.shape[0]
+    gp = d_poly_log_I0_of_square(s)  # (B, N_h)
+    o_a = nhat.astype(np.complex128).reshape(batch, -1)
+    o_b = (2.0 * gp[..., None] * x).reshape(batch, -1)
+    xdotn = np.einsum("bkc,bjc->bjk", x, nhat)
+    o_w_dense = 2.0 * gp[:, None, :] * xdotn  # (B, N, N_h)
+    if state.convolutional:
+        n = state.n_sites
+        o_kernel = np.zeros((batch, n), dtype=np.complex128)
+        flat_disp = state._disp.ravel()
+        np.add.at(o_kernel, (slice(None), flat_disp), o_w_dense.reshape(batch, -1))
+        coupling = o_kernel
+    else:
+        coupling = o_w_dense.reshape(batch, -1)
+    return np.concatenate([o_a, o_b, coupling], axis=-1)
+
+
+def _einsum_angle_derivatives(state, theta):
+    blocks, w, nhat, x, s, visible = _einsum_forward(state, theta)
+    a = blocks["a"]
+    logpsi = visible + np.sum(poly_log_I0_of_square(s), axis=-1)
+    gp = d_poly_log_I0_of_square(s)
+    gpp = d2_poly_log_I0_of_square(s)
+    tang = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)  # d nhat / d theta
+    a_dot_t = np.einsum("jc,bjc->bj", a, tang)
+    a_dot_n = np.einsum("jc,bjc->bj", a, nhat)
+    xdott = np.einsum("bkc,bjc->bjk", x, tang)
+    xdotn = np.einsum("bkc,bjc->bjk", x, nhat)
+    ds = 2.0 * w[None] * xdott
+    d1 = a_dot_t + np.einsum("bk,bjk->bj", gp, ds)
+    w2 = np.square(w)[None]
+    d2s = 2.0 * (w2 - w[None] * xdotn)
+    d2 = (
+        -a_dot_n
+        + np.einsum("bk,bjk->bj", gpp, np.square(ds))
+        + np.einsum("bk,bjk->bj", gp, d2s)
+    )
+    return logpsi, d1, d2
+
+
+def _reference_grad_log_prob(state, theta):
+    """2 Re d1 from the first-order RBM gradient, the expression HMC runs on."""
+    blocks = state.blocks()
+    a, b = blocks["a"], blocks["b"]
+    w = state._weights(blocks)
+    cos, sin = np.cos(theta), np.sin(theta)
+    x_x = b[:, 0] + cos @ w
+    x_y = b[:, 1] + sin @ w
+    gp = 2.0 * d_poly_log_I0_of_square(np.square(x_x) + np.square(x_y))
+    wt = w.T
+    d1 = -sin * (a[:, 0] + (gp * x_x) @ wt) + cos * (a[:, 1] + (gp * x_y) @ wt)
+    return 2.0 * np.real(d1)
+
+
+def _relative_error(new, ref):
+    return np.max(np.abs(new - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("dims,periodic,hyper", [
+    ((4,), (True,), {"n_hidden": 6}),
+    ((3, 4), (True, False), {"n_hidden": 5}),
+    ((5,), (True,), {"convolutional": True}),
+    ((3, 3), (True, True), {"convolutional": True}),
+    ((2, 3), (True, True), {"convolutional": True}),
+])
+class TestRbmMatchesEinsumReference:
+    """The matmul RBM kernels against the einsum formulation they replaced."""
+
+    def _setup(self, dims, periodic, hyper, batch):
+        lattice = build_lattice(dims, periodic)
+        state = _random_state("rbm", lattice, hyper, seed=31, scale=0.7)
+        theta = np.random.default_rng(32).uniform(
+            -np.pi, np.pi, size=(batch, lattice.n_sites))
+        return state, theta
+
+    def test_log_psi_and_log_derivatives(self, dims, periodic, hyper, batch):
+        state, theta = self._setup(dims, periodic, hyper, batch)
+        _, _, _, _, s, visible = _einsum_forward(state, theta)
+        ref_log_psi = visible + np.sum(poly_log_I0_of_square(s), axis=-1)
+        assert _relative_error(state.log_psi(theta), ref_log_psi) <= 1e-12
+        assert _relative_error(state.log_derivatives(theta),
+                               _einsum_log_derivatives(state, theta)) <= 1e-12
+
+    def test_angle_derivatives(self, dims, periodic, hyper, batch):
+        state, theta = self._setup(dims, periodic, hyper, batch)
+        new = state.angle_derivatives(theta)
+        for got, ref in zip(new, _einsum_angle_derivatives(state, theta)):
+            assert _relative_error(got, ref) <= 1e-12
+
+    def test_grad_log_prob_bitwise(self, dims, periodic, hyper, batch):
+        state, theta = self._setup(dims, periodic, hyper, batch)
+        assert np.array_equal(state.grad_log_prob(theta),
+                              _reference_grad_log_prob(state, theta))
+
+
 class TestLocalEnergy:
     def test_uniform_state_energy_is_potential_only(self):
         # lnpsi = 0: kinetic part vanishes, E_L = -J sum cos(dtheta)

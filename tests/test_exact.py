@@ -175,6 +175,62 @@ class TestConversion:
             exact.vqs_to_dense(state, basis, q=7)
 
 
+def _rebuilt_observables(state, basis, lattice, J):
+    """exact_observables from sparse operators built for this one call."""
+    e_bonds = sum(
+        np.real(exact.expectation(exact.bond_coupling(basis, int(k), int(l)), state))
+        for k, l in lattice.bonds
+    )
+    mx_sites, my_sites = [], []
+    for k in range(lattice.n_sites):
+        cos_op, sin_op = exact.cos_sin_operators(basis, k)
+        mx_sites.append(np.real(exact.expectation(cos_op, state)))
+        my_sites.append(np.real(exact.expectation(sin_op, state)))
+    return {
+        "e_pot": -J * e_bonds / lattice.n_sites,
+        "mag_x": float(np.mean(mx_sites)),
+        "mag_y": float(np.mean(my_sites)),
+        "var_mean": float(np.mean(-2.0 * np.log(np.hypot(mx_sites, my_sites)))),
+    }
+
+
+def _reference_evolve(evolver, state, t):
+    c = evolver.modes.conj().T @ state.coefficients
+    return evolver.modes @ (np.exp(-1j * evolver.energies * t) * c)
+
+
+class TestAgainstRebuiltOperators:
+    """Observables from shifted coefficient slices, and evolve without modes^H."""
+
+    def test_three_rotor_trajectory(self):
+        lat = build_lattice((3,), (True,))
+        state = make_ansatz("rbm", lat, n_hidden=4)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(3), 0.4))
+        basis = exact.TruncatedBasis(3, 3)
+        dense0, _ = exact.vqs_to_dense(state, basis)
+        evolver = exact.ExactEvolver(exact.build_hamiltonian(basis, lat, g=4.5, J=1.0))
+        assert not np.iscomplexobj(evolver.modes)
+        for t in np.linspace(0.0, 1.0, 9):
+            dense_t = evolver.evolve(dense0, t)
+            ref = _reference_evolve(evolver, dense0, t)
+            assert np.max(np.abs(dense_t.coefficients - ref)) <= 1e-12
+            got = exact.exact_observables(dense_t, basis, lat, J=1.3)
+            want = _rebuilt_observables(dense_t, basis, lat, J=1.3)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-12)
+
+    def test_complex_hamiltonian_evolve(self):
+        rng = np.random.default_rng(4)
+        h = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+        evolver = exact.ExactEvolver(h + h.conj().T)
+        c = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        state = exact.DenseState(c / np.linalg.norm(c), normalized=True)
+        for t in (0.0, 0.3, 2.0):
+            got = evolver.evolve(state, t).coefficients
+            assert np.max(np.abs(got - _reference_evolve(evolver, state, t))) <= 1e-12
+
+
 class TestObservables:
     def test_product_state_observables(self):
         lat = build_lattice((2,), (False,))

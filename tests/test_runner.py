@@ -146,18 +146,28 @@ class TestConfigParsing:
             load_config(write_ini(tmp_path, text))
 
     def test_echo_round_trip(self, tmp_path):
-        text = HMC_INI.replace("kind = jastrow", "kind = rbm\nn_hidden = 3")
-        text += "[regularization]\nr_c = 0.05\n"
-        echo = config_echo(load_config(write_ini(tmp_path, text)))
-        lines = []
-        for section, keys in echo.items():
-            lines.append(f"[{section.replace('_', '-')}]")  # [ground-state]
-            for key, value in keys.items():
-                if isinstance(value, list):
-                    value = " ".join(map(str, value))
-                lines.append(f"{key} = {value}")
-        path = write_ini(tmp_path, "\n".join(lines) + "\n", "echo.ini")
-        assert config_echo(load_config(path)) == echo
+        rbm = HMC_INI.replace("kind = jastrow", "kind = rbm\nn_hidden = 3")
+        cnn = HMC_INI.replace("kind = jastrow", "kind = cnn\nkernel = 3 3")
+        cnn = cnn.replace("dims = 2\n", "dims = 3 3\n")
+        for text in (rbm, cnn):
+            text += "[regularization]\nr_c = 0.05\n"
+            echo = config_echo(load_config(write_ini(tmp_path, text)))
+            lines = []
+            for section, keys in echo.items():
+                lines.append(f"[{section.replace('_', '-')}]")  # [ground-state]
+                for key, value in keys.items():
+                    if isinstance(value, list):
+                        value = " ".join(map(str, value))
+                    lines.append(f"{key} = {value}")
+            path = write_ini(tmp_path, "\n".join(lines) + "\n", "echo.ini")
+            assert config_echo(load_config(path)) == echo
+        assert echo["ansatz"] == {"kind": "cnn", "kernel": [3, 3]}
+
+    @pytest.mark.parametrize("section", ["groundstate", "ODE", "runs"])
+    def test_unknown_section_rejected(self, tmp_path, section):
+        text = BASE_INI + f"\n[{section}]\nmax_iters = 5\n"
+        with pytest.raises(ConfigError, match=re.escape(f"unknown section [{section}]")):
+            load_config(write_ini(tmp_path, text))
 
     def test_echo_is_json_serializable(self, base_config):
         echo = config_echo(base_config)
