@@ -81,9 +81,13 @@ class CircularRBM(VariationalState):
         x_y = b[:, 1] + sin @ w
         return a, w, cos, sin, x_x, x_y, np.square(x_x) + np.square(x_y)
 
+    @staticmethod
+    def _log_psi_of(a, cos, sin, s):
+        return cos @ a[:, 0] + sin @ a[:, 1] + np.sum(poly_log_I0_of_square(s), axis=-1)
+
     def _log_psi(self, theta):
         a, _, cos, sin, _, _, s = self._forward(theta)
-        return cos @ a[:, 0] + sin @ a[:, 1] + np.sum(poly_log_I0_of_square(s), axis=-1)
+        return self._log_psi_of(a, cos, sin, s)
 
     def _log_derivatives(self, theta):
         _, _, cos, sin, x_x, x_y, s = self._forward(theta)
@@ -106,20 +110,15 @@ class CircularRBM(VariationalState):
         return out
 
     def _angle_grad(self, theta):
-        blocks = self.blocks()
-        a, b = blocks["a"], blocks["b"]
-        w = self._weights(blocks)
-        cos, sin = np.cos(theta), np.sin(theta)
-        x_x = b[:, 0] + cos @ w  # (B, N_h)
-        x_y = b[:, 1] + sin @ w
-        gp = 2.0 * d_poly_log_I0_of_square(np.square(x_x) + np.square(x_y))
+        a, w, cos, sin, x_x, x_y, s = self._forward(theta)
+        gp = 2.0 * d_poly_log_I0_of_square(s)
         # d1_j = a_j . t_j + sum_k gp_k w_jk (x_k . t_j), t_j = (-sin, cos)
         wt = w.T
         return -sin * (a[:, 0] + (gp * x_x) @ wt) + cos * (a[:, 1] + (gp * x_y) @ wt)
 
     def _angle_derivatives(self, theta):
         a, w, cos, sin, x_x, x_y, s = self._forward(theta)
-        logpsi = cos @ a[:, 0] + sin @ a[:, 1] + np.sum(poly_log_I0_of_square(s), axis=-1)
+        logpsi = self._log_psi_of(a, cos, sin, s)
         gp = d_poly_log_I0_of_square(s)
         gpp = d2_poly_log_I0_of_square(s)
         wt, w2t = w.T, np.square(w).T

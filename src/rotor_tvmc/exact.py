@@ -64,13 +64,6 @@ class TruncatedBasis:
 @dataclass
 class DenseState:
     coefficients: np.ndarray
-    normalized: bool = False
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
-    def normalize(self) -> "DenseState":
-        return DenseState(self.coefficients / self.norm(), normalized=True)
 
 
 def _local_ladder(m_cut: int):
@@ -125,7 +118,7 @@ def initial_product_state(basis: TruncatedBasis) -> DenseState:
     """Coherent superposition of all |theta>: the m = 0 product state."""
     c = np.zeros(basis.dim, dtype=np.complex128)
     c[basis.flat_index((0,) * basis.n_sites)] = 1.0
-    return DenseState(c, normalized=True)
+    return DenseState(c)
 
 
 class ExactEvolver:
@@ -143,7 +136,7 @@ class ExactEvolver:
         # modes^H c without forming modes^H
         c = _matvec(self.modes.T, state.coefficients.conj()).conj()
         c = _matvec(self.modes, np.exp(-1j * self.energies * t) * c)
-        return DenseState(c, normalized=state.normalized)
+        return DenseState(c)
 
 
 def _matvec(m, c):
@@ -230,7 +223,7 @@ def vqs_to_dense(state: VariationalState, basis: TruncatedBasis, q: int | None =
     norm = np.linalg.norm(c)
     if norm == 0:
         raise ValueError("variational state projects to the zero vector")
-    return DenseState(c / norm, normalized=True), alias_mass
+    return DenseState(c / norm), alias_mass
 
 
 def expectation(op, state: DenseState) -> complex:

@@ -1,9 +1,9 @@
 """Adaptive Bogacki-Shampine RK3(2) stepping for the parameter trajectory.
 
 The error norm is the max over interleaved real/imaginary components of
-|y3 - y2| / (atol + rtol |y3|).  FSAL reuse of the last stage is only valid
-when the right-hand side is deterministic (quadrature mode); with stochastic
-estimates each stage draws fresh samples and reuse would correlate noise.
+|y3 - y2| / (atol + rtol |y3|).  The tableau is first-same-as-last: the
+first stage of a step is the last stage of the last accepted step, evaluated
+at the point that step accepted.
 """
 
 from __future__ import annotations
@@ -109,25 +109,26 @@ class AdaptiveStepper:
     """Drives rk32_step with accept/reject control and telemetry."""
 
     controller: StepController
-    fsal: bool = False
     attempts: list[StepAttempt] = field(default_factory=list)
-    _k1: np.ndarray | None = None
+    # rhs at the point the last advance returned (evaluated there when None)
+    k1: np.ndarray | None = None
 
     def advance(self, rhs_fn, alpha: np.ndarray, t: float, dt: float):
-        """Advance one accepted step; returns (alpha_next, t_next, dt_next)."""
+        """Advance one accepted step from the (alpha, t) the last call returned;
+        returns (alpha_next, t_next, dt_next)."""
         ctrl = self.controller
+        if self.k1 is None:
+            self.k1 = rhs_fn(t, alpha)
         for _ in range(MAX_REJECTS):
-            k1 = self._k1 if self.fsal else None
             alpha3, _, err, k_last = rk32_step(
-                rhs_fn, alpha, t, dt, ctrl.atol, ctrl.rtol, k1=k1
+                rhs_fn, alpha, t, dt, ctrl.atol, ctrl.rtol, k1=self.k1
             )
             accepted = np.isfinite(err) and err <= 1.0
             self.attempts.append(StepAttempt(t=t, dt=dt, accepted=accepted, err_norm=err))
             if accepted:
-                self._k1 = k_last if self.fsal else None
+                self.k1 = k_last
                 dt_next = min(max(ctrl.next_dt(dt, err), ctrl.dt_min), ctrl.dt_max)
                 return alpha3, t + dt, dt_next
-            self._k1 = None
             dt = 0.5 * dt if not np.isfinite(err) else ctrl.next_dt(dt, err)
             if dt < ctrl.dt_min:
                 raise StepSizeUnderflow(

@@ -4,6 +4,10 @@ benchmarking, sampler diagnostics, and reproducible persistence.
 Both expectation engines answer ``draw(state) -> (points, weights)``: HMC
 chains with no weights, or a fixed grid with the state's Born weights.  The
 QGT and every observable are computed from such a draw by one code path.
+A quench draws once per parameter vector: the last right-hand-side
+evaluation keeps its draw and estimates, and the last stage of an accepted
+step sits at the accepted point, so the row there reads them.  The draw at
+alpha_0 serves the t = 0 row, the fidelity reference and the first stage.
 
 Sampling RNG streams are keyed by (seed, mode code, evaluation counter,
 chain index) through ``numpy``'s seed-sequence spawning, so a rerun with the
@@ -319,26 +323,25 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
     state_0 = initial_state
     engine = _engine(config, _MODE_QUENCH)
 
-    draw_0 = engine.draw(state_0)
-
-    # cache the stage-0 estimate of each attempt so r^2 / rho / lambda^2 can
-    # be logged for the accepted step without an extra solve
-    stage_log = {}
+    # the last rhs evaluation, which the row at its parameters reads
+    last = {}
 
     def rhs(t, alpha):
         st = initial_state.with_alpha(alpha)
-        qgt = _qgt(st, engine.draw(st), g, j)
+        draw = engine.draw(st)
+        qgt = _qgt(st, draw, g, j)
         alpha_dot, pinv = tdvp_rhs(qgt, config.regularization, mode="real")
         r2, _ = residual_r2(qgt, pinv)
-        stage_log["rho"] = pinv.rho
-        stage_log["lambda2"] = pinv.lambda2
-        stage_log["r2"] = r2
-        stage_log["energy"] = float(np.real(qgt.e_mean))
+        last.update(
+            state=st, draw=draw, diag=engine.last_diag, rho=pinv.rho,
+            lambda2=pinv.lambda2, r2=r2, energy=float(np.real(qgt.e_mean)),
+        )
         return alpha_dot
 
-    stepper = AdaptiveStepper(config.controller, fsal=config.sampling == "quadrature")
-    record = TrajectoryRecord(sampler_warnings=engine.warnings)
     alpha = np.array(initial_state.alpha, copy=True)
+    stepper = AdaptiveStepper(config.controller, k1=rhs(0.0, alpha))
+    draw_0 = last["draw"]
+    record = TrajectoryRecord(sampler_warnings=engine.warnings)
     t, dt = 0.0, min(config.dt0, config.controller.dt_max)
     r2_integral = 0.0
     prev_r2 = None
@@ -346,11 +349,10 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
 
     def emit(t_now, dt_now):
         nonlocal r2_integral, prev_r2, prev_t
-        st = initial_state.with_alpha(alpha)
-        draw_t = engine.draw(st)
+        draw_t, diag = last["draw"], last["diag"]
         row = _observables(draw_t, config, lattice)
         fres = observables.fidelity(
-            state_0, st, draw_0[0], draw_t[0],
+            state_0, last["state"], draw_0[0], draw_t[0],
             weights_0=draw_0[1], weights_t=draw_t[1],
         )
         if fres.overlap_lost:
@@ -358,19 +360,18 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
                 "fidelity-overlap-loss",
                 f"overlap estimator underflowed at t={t_now:.4f}",
             )
-        r2_now = stage_log.get("r2", 0.0)
+        r2_now = last["r2"]
         if prev_r2 is not None:
             r2_integral += 0.5 * (prev_r2 + r2_now) * (t_now - prev_t)
         prev_r2, prev_t = r2_now, t_now
-        diag = engine.last_diag
         row.update({
             "t": t_now,
             "dt": dt_now,
-            "energy": stage_log.get("energy"),
+            "energy": last["energy"],
             "fidelity": fres.value,
             "fidelity_sigma": fres.sigma,
-            "rho": stage_log.get("rho"),
-            "lambda2": stage_log.get("lambda2"),
+            "rho": last["rho"],
+            "lambda2": last["lambda2"],
             "r2": r2_now,
             "r2_integral": r2_integral,
             "acceptance": float(np.mean(diag.acceptance)) if diag else None,
@@ -383,7 +384,6 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
 
     # row at t = 0 (fidelity is 1 by construction; still estimated); each
     # later row carries the size of the accepted step that produced it
-    rhs(0.0, alpha)
     emit(0.0, 0.0)
 
     try:

@@ -225,7 +225,7 @@ class TestAgainstRebuiltOperators:
         h = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
         evolver = exact.ExactEvolver(h + h.conj().T)
         c = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        state = exact.DenseState(c / np.linalg.norm(c), normalized=True)
+        state = exact.DenseState(c / np.linalg.norm(c))
         for t in (0.0, 0.3, 2.0):
             got = evolver.evolve(state, t).coefficients
             assert np.max(np.abs(got - _reference_evolve(evolver, state, t))) <= 1e-12

@@ -116,6 +116,8 @@ class TestAdaptiveStepper:
         assert t_next > 0
         rejected = [a for a in stepper.attempts if not a.accepted]
         assert rejected
+        # k1 is evaluated once and survives every rejected attempt
+        assert len(calls) == 1 + 3 * len(stepper.attempts)
         assert all(
             later.dt < earlier.dt
             for earlier, later in zip(stepper.attempts, stepper.attempts[1:])

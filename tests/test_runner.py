@@ -429,7 +429,7 @@ class TestSamplerWarnings:
         assert "sampler warning" not in capsys.readouterr().err
 
         counts = quench("warned", [WARNING])["sampler_warnings"]
-        # the reference draw, the t = 0 solve, one per row, four per RK attempt
+        # one draw at t = 0, three per RK attempt
         assert list(counts) == [WARNING] and counts[WARNING] >= 7
         assert capsys.readouterr().err.count(WARNING) == 1
         # telemetry stays out of the trajectory
@@ -451,3 +451,30 @@ class TestStripWithoutPlaquettes:
         assert record.status == "ok"
         assert np.all(np.isnan(record.column("vort_1")))
         assert np.all(np.isnan(record.column("vort_sigma")))
+
+
+class TestDrawCount:
+    @pytest.mark.parametrize(
+        "ini, engine",
+        [(BASE_INI, runner._QuadratureEngine), (HMC_INI, runner._HmcEngine)],
+        ids=["quadrature", "hmc"],
+    )
+    def test_one_draw_per_parameter_vector(self, tmp_path, monkeypatch, ini, engine):
+        # loose tolerances: every attempt is accepted
+        text = ini.replace("dt_max = 0.05", "dt_max = 0.05\natol = 10.0\nrtol = 10.0")
+        config = load_config(write_ini(tmp_path, text))
+        state = make_ansatz("jastrow", config.lattice)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(5), 0.2))
+        real_draw = engine.draw
+        draws = []
+
+        def counted(self, *args):
+            draws.append(args[0].alpha)
+            return real_draw(self, *args)
+
+        monkeypatch.setattr(engine, "draw", counted)
+        record = run_quench(config, state)
+        assert len(record.rows) >= 3
+        # t = 0 shares one draw; each step adds its three new stages, the
+        # last of which also serves the row
+        assert len(draws) == 1 + 3 * (len(record.rows) - 1)
