@@ -20,12 +20,20 @@ import scipy.sparse as sp
 from .ansatz.base import VariationalState
 from .lattice import Lattice
 
-DIM_GUARD = 200_000
+# largest basis diagonalized densely: at this size the real Hamiltonian and
+# its eigenvectors take 200 MB each
+DIM_GUARD = 5_000
 GRID_GUARD = 10_000_000
 
 
 class OracleGuardError(RuntimeError):
     """Requested basis or quadrature grid exceeds the desk-scale guard."""
+
+
+def check_dim(dim: int) -> None:
+    """Raise OracleGuardError for a basis too large for dense evolution."""
+    if dim > DIM_GUARD:
+        raise OracleGuardError(f"dense eigendecomposition guard: dim {dim} > {DIM_GUARD}")
 
 
 @dataclass
@@ -103,8 +111,7 @@ def cos_sin_operators(basis: TruncatedBasis, site: int):
 
 
 def build_hamiltonian(basis: TruncatedBasis, lattice: Lattice, g: float, J: float) -> sp.spmatrix:
-    if basis.dim > DIM_GUARD:
-        raise OracleGuardError(f"dim {basis.dim} exceeds guard {DIM_GUARD}")
+    check_dim(basis.dim)
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on site count")
     m2 = np.sum(basis.m_values() ** 2, axis=-1).astype(np.float64)
@@ -125,11 +132,8 @@ class ExactEvolver:
     """Unitary evolution by one dense Hermitian eigendecomposition."""
 
     def __init__(self, hamiltonian):
+        check_dim(hamiltonian.shape[0])
         dense = hamiltonian.toarray() if sp.issparse(hamiltonian) else np.asarray(hamiltonian)
-        if dense.shape[0] > 5000:
-            raise OracleGuardError(
-                f"dense eigendecomposition guard: dim {dense.shape[0]} > 5000"
-            )
         self.energies, self.modes = np.linalg.eigh(dense)
 
     def evolve(self, state: DenseState, t: float) -> DenseState:

@@ -1,5 +1,12 @@
 """Hamiltonian Monte Carlo over rotor configurations.
 
+``warmup`` and ``sample`` stack their chains once into a (C, N) batch of
+positions and metrics, a (C,) batch of ln p and one step size shared by every
+chain; transitions only read and update these arrays, and the chains get
+their positions, step size and metric back on exit.  ln p is carried: each
+transition evaluates it once, at the proposals, and keeps it for the chains
+that accept.
+
 Each chain owns a deterministic RNG stream; a transition consumes draws in a
 fixed per-chain order (momenta, trajectory length, accept uniform), so a rerun
 from the same streams replays the same draws.
@@ -64,13 +71,6 @@ class ChainState:
     eps: float
     mass_diag: np.ndarray
     rng: np.random.Generator
-    accepted: int = 0
-    proposed: int = 0
-    divergences: int = 0
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.proposed if self.proposed else 0.0
 
 
 def init_chain(n_sites: int, config: HmcConfig, rng: np.random.Generator) -> ChainState:
@@ -90,31 +90,30 @@ def jittered_length(rng: np.random.Generator, l0: int, jitter: float) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _batched_leapfrog(theta, pi, eps, lengths, mass_diag, grad_fn):
+def _batched_leapfrog(theta, pi, eps, lengths, mass_diag, grad_log_prob):
     """Half-kick/drift/half-kick leapfrog with a per-chain number of steps.
 
-    ``theta`` and ``pi`` are (B, N) batches, ``eps`` and ``lengths`` hold one
-    step size and one step count per chain, and ``grad_fn`` returns dV/dtheta
-    for V = -ln p.  Interior kicks are fused.  Chains whose trajectory is
-    already finished are frozen: they drift by 0 and are kicked by 0, so
-    per-chain results match running each chain as its own batch exactly.
+    ``theta`` and ``pi`` are (B, N) batches, ``eps`` is the step size every
+    chain shares and ``lengths`` holds one step count per chain.  Interior
+    kicks are fused.  Chains whose trajectory is already finished are frozen:
+    they drift by 0 and are kicked by 0, so per-chain results match running
+    each chain as its own batch exactly.
     """
     theta = np.array(theta, dtype=np.float64)
     pi = np.array(pi, dtype=np.float64)
     lengths = np.asarray(lengths)
-    eps_col = np.asarray(eps, dtype=np.float64)[:, None]
     max_steps = int(np.max(lengths))
     # (max_steps, B, 1) tables of which chains drift and how far each is kicked
     steps = np.arange(max_steps)[:, None, None]
     ends = lengths[None, :, None]
     active = steps < ends
-    kicks = np.where(steps < ends - 1, eps_col,
-                     np.where(steps == ends - 1, 0.5 * eps_col, 0.0))
+    kicks = np.where(steps < ends - 1, eps,
+                     np.where(steps == ends - 1, 0.5 * eps, 0.0))
     with np.errstate(all="ignore"):
-        pi = pi - 0.5 * eps_col * grad_fn(theta)
+        pi = pi + 0.5 * eps * grad_log_prob(theta)
         for step in range(max_steps):
-            theta = theta + np.where(active[step], eps_col * pi / mass_diag, 0.0)
-            pi = pi - kicks[step] * grad_fn(theta)
+            theta = theta + np.where(active[step], eps * pi / mass_diag, 0.0)
+            pi = pi + kicks[step] * grad_log_prob(theta)
     return theta, pi
 
 
@@ -122,55 +121,56 @@ def _kinetic(pi, mass_diag):
     return 0.5 * np.sum(np.square(pi) / mass_diag, axis=-1)
 
 
-def _transition(chains: list[ChainState], target, l0: int, jitter: float):
-    """One accept/reject HMC update of every chain; returns accept statistics.
-
-    The returned array holds the Metropolis statistic min(1, exp(-dH)) per
-    chain (0 for divergent proposals), which feeds dual averaging.
-    """
+def _stack(chains: list[ChainState], target):
+    """(theta, mass, log_p, eps, rngs) of the chains as one batch."""
     theta = np.stack([c.theta for c in chains])
-    mass = np.stack([c.mass_diag for c in chains])
-    eps = np.array([c.eps for c in chains])
-    pi = np.stack([
-        c.rng.normal(size=theta.shape[1]) * np.sqrt(c.mass_diag) for c in chains
-    ])
-    lengths = np.array([jittered_length(c.rng, l0, jitter) for c in chains])
-    uniforms = np.array([c.rng.uniform() for c in chains])
+    with np.errstate(all="ignore"):
+        log_p = target.log_prob(theta)
+    return (theta, np.stack([c.mass_diag for c in chains]), log_p,
+            chains[0].eps, [c.rng for c in chains])
 
-    def grad_v(th):
-        return -target.grad_log_prob(th)
+
+def _unstack(chains: list[ChainState], theta, eps: float, mass) -> None:
+    for chain, theta_c, mass_c in zip(chains, theta, mass):
+        chain.theta, chain.eps, chain.mass_diag = theta_c, eps, mass_c
+
+
+def _transition(theta, log_p, mass, eps, rngs, target, config: HmcConfig):
+    """One accept/reject HMC update of the batch, in place on theta and log_p.
+
+    Returns the Metropolis statistic min(1, exp(-dH)) per chain (0 for
+    divergent proposals), which feeds dual averaging, and the per-chain
+    accept and divergence flags.
+    """
+    pi = np.stack([rng.normal(size=theta.shape[1]) for rng in rngs]) * np.sqrt(mass)
+    lengths = np.array([jittered_length(rng, config.l0, config.jitter) for rng in rngs])
+    uniforms = np.array([rng.uniform() for rng in rngs])
 
     with np.errstate(all="ignore"):
-        h0 = -target.log_prob(theta) + _kinetic(pi, mass)
-        theta_new, pi_new = _batched_leapfrog(theta, pi, eps, lengths, mass, grad_v)
-        h1 = -target.log_prob(theta_new) + _kinetic(pi_new, mass)
-        dh = h1 - h0
+        h0 = -log_p + _kinetic(pi, mass)
+        theta_new, pi_new = _batched_leapfrog(theta, pi, eps, lengths, mass,
+                                              target.grad_log_prob)
+        log_p_new = target.log_prob(theta_new)
+        dh = -log_p_new + _kinetic(pi_new, mass) - h0
         divergent = ~np.isfinite(dh) | (np.abs(dh) > DIVERGENCE_THRESHOLD)
         alpha = np.where(divergent, 0.0, np.minimum(1.0, np.exp(np.minimum(-dh, 0.0))))
         accept = ~divergent & (uniforms < alpha)
-
-    for i, chain in enumerate(chains):
-        chain.proposed += 1
-        if divergent[i]:
-            chain.divergences += 1
-        if accept[i]:
-            chain.accepted += 1
-            chain.theta = theta_new[i]
-    return alpha, accept
+    theta[accept] = theta_new[accept]
+    log_p[accept] = log_p_new[accept]
+    return alpha, accept, divergent
 
 
 class _DualAveraging:
     """Nesterov dual averaging of log(eps) toward a target acceptance rate."""
 
-    def __init__(self, eps0: np.ndarray, delta: float):
+    def __init__(self, eps0: float, delta: float):
         self.delta = delta
         self.mu = np.log(10.0 * eps0)
-        self.log_eps = np.log(eps0)
-        self.log_eps_bar = np.log(eps0)
-        self.h_bar = np.zeros_like(eps0)
+        self.log_eps = self.log_eps_bar = np.log(eps0)
+        self.h_bar = 0.0
         self.count = 0
 
-    def update(self, alpha: np.ndarray) -> np.ndarray:
+    def update(self, alpha: float) -> float:
         self.count += 1
         m = self.count
         frac = 1.0 / (m + DA_T0)
@@ -178,10 +178,10 @@ class _DualAveraging:
         self.log_eps = self.mu - np.sqrt(m) / DA_GAMMA * self.h_bar
         weight = m ** (-DA_KAPPA)
         self.log_eps_bar = weight * self.log_eps + (1.0 - weight) * self.log_eps_bar
-        return np.exp(self.log_eps)
+        return float(np.exp(self.log_eps))
 
-    def final(self) -> np.ndarray:
-        return np.exp(self.log_eps_bar)
+    def final(self) -> float:
+        return float(np.exp(self.log_eps_bar))
 
 
 def warmup_windows(n_warmup: int, n_slow: int) -> list[tuple[int, str]]:
@@ -194,7 +194,7 @@ def warmup_windows(n_warmup: int, n_slow: int) -> list[tuple[int, str]]:
 
 
 def warmup(chains: list[ChainState], config: HmcConfig, target) -> list[ChainState]:
-    """Adapt step sizes (all windows) and diagonal masses (slow windows).
+    """Adapt the step size (all windows) and diagonal masses (slow windows).
 
     A single dual-averaging run spans all windows and adapts one step size
     shared by every chain, fed with the chain-averaged Metropolis alpha.
@@ -203,56 +203,52 @@ def warmup(chains: list[ChainState], config: HmcConfig, target) -> list[ChainSta
     iterates settle, which biases the post-warmup acceptance rate well
     above the target.
     """
-    da = _DualAveraging(np.array([chains[0].eps]), config.target_accept)
+    theta, mass, log_p, eps, rngs = _stack(chains, target)
+    da = _DualAveraging(eps, config.target_accept)
     for window_len, kind in warmup_windows(config.n_warmup, config.n_slow_windows):
         for attempt in range(2):
-            draws = np.empty((window_len, len(chains), chains[0].theta.size))
-            accept_count = np.zeros(len(chains), dtype=int)
+            draws = np.empty((window_len,) + theta.shape)
+            n_accepted = 0
             for step in range(window_len):
-                alpha, accepted = _transition(chains, target, config.l0, config.jitter)
-                accept_count += accepted
-                eps_new = float(da.update(np.array([alpha.mean()]))[0])
-                for i, c in enumerate(chains):
-                    c.eps = eps_new
-                    draws[step, i] = c.theta
+                alpha, accept, _ = _transition(theta, log_p, mass, eps, rngs, target, config)
+                n_accepted += int(accept.sum())
+                eps = da.update(alpha.mean())
+                draws[step] = theta
             # rescue only a genuinely stuck sampler: no chain accepted
             # anything in the whole window.  A single chain with an unlucky
             # streak is ordinary noise for the shared, still-adapting step
             # size and is handled by dual averaging itself.
-            if accept_count.sum() > 0:
+            if n_accepted > 0:
                 break
             if attempt == 1:
                 raise WarmupError(
                     f"every proposal of a {kind} window was rejected twice"
                 )
-            for c in chains:
-                c.eps *= 0.5
-            da = _DualAveraging(np.array([chains[0].eps]), config.target_accept)
+            eps *= 0.5
+            da = _DualAveraging(eps, config.target_accept)
         if kind == "slow":
-            for i, c in enumerate(chains):
-                _, _, variance = circular_site_stats(draws[:, i])
-                c.mass_diag = np.clip(variance, MASS_FLOOR, MASS_CEILING)
-    eps_final = float(da.final()[0])
-    for c in chains:
-        c.eps = eps_final
+            # every (chain, site) column is one site's series
+            _, _, variance = circular_site_stats(draws.reshape(window_len, -1))
+            mass = np.clip(variance, MASS_FLOOR, MASS_CEILING).reshape(theta.shape)
+    _unstack(chains, theta, da.final(), mass)
     return chains
 
 
-def split_rhat(per_chain: np.ndarray) -> float:
-    """Split-R-hat of a (n_chains, n_draws) scalar series."""
-    n_chains, n_draws = per_chain.shape
-    half = n_draws // 2
+def split_rhat(series: np.ndarray) -> np.ndarray:
+    """Split-R-hat of (..., n_chains, n_draws) scalar series, one per series.
+
+    NaN where a series has fewer than 4 draws or no within-chain variance.
+    """
+    half = series.shape[-1] // 2
     if half < 2:
-        return np.nan
-    halves = np.concatenate([per_chain[:, :half], per_chain[:, half : 2 * half]])
-    means = halves.mean(axis=1)
-    variances = halves.var(axis=1, ddof=1)
-    w = variances.mean()
-    b = half * means.var(ddof=1)
-    if w <= 0:
-        return np.nan
-    var_plus = (half - 1) / half * w + b / half
-    return float(np.sqrt(var_plus / w))
+        return np.full(series.shape[:-2], np.nan)[()]
+    halves = np.concatenate([series[..., :half], series[..., half : 2 * half]], axis=-2)
+    means = halves.mean(axis=-1)
+    w = halves.var(axis=-1, ddof=1).mean(axis=-1)
+    b = half * means.var(axis=-1, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhat = np.sqrt(((half - 1) / half * w + b / half) / w)
+    return np.where(w > 0, rhat, np.nan)[()]
 
 
 @dataclass
@@ -266,26 +262,28 @@ class SampleDiagnostics:
 def sample(chains: list[ChainState], n_samples: int, target, config: HmcConfig):
     """Draw n_samples per chain, all chains as one batch; returns
     ((Nc*Ns, N) samples ordered by chain, then draw; diagnostics)."""
-    for c in chains:
-        c.accepted = c.proposed = c.divergences = 0
-    by_chain = np.empty((len(chains), n_samples, chains[0].theta.size))
+    theta, mass, log_p, eps, rngs = _stack(chains, target)
+    by_chain = np.empty((theta.shape[0], n_samples, theta.shape[1]))
+    accepted = np.zeros(theta.shape[0], dtype=int)
+    divergences = np.zeros(theta.shape[0], dtype=int)
     for s in range(n_samples):
-        _transition(chains, target, config.l0, config.jitter)
-        for i, c in enumerate(chains):
-            by_chain[i, s] = wrap_angle(c.theta)
+        _, accept, divergent = _transition(theta, log_p, mass, eps, rngs, target, config)
+        accepted += accept
+        divergences += divergent
+        by_chain[:, s] = wrap_angle(theta)
+    _unstack(chains, theta, eps, mass)
 
-    rhats = []
-    for k in range(by_chain.shape[2]):
-        rhats.append(split_rhat(np.cos(by_chain[:, :, k])))
-        rhats.append(split_rhat(np.sin(by_chain[:, :, k])))
-    rhats = [r for r in rhats if np.isfinite(r)]
-    rhat_max = max(rhats) if rhats else np.nan
+    # (2N, Nc, Ns) cos and sin series of every coordinate, draws contiguous
+    angles = np.ascontiguousarray(by_chain.transpose(2, 0, 1))
+    rhats = split_rhat(np.concatenate([np.cos(angles), np.sin(angles)]))
+    rhats = rhats[np.isfinite(rhats)]
+    rhat_max = float(rhats.max()) if rhats.size else np.nan
     warnings = []
     if np.isfinite(rhat_max) and rhat_max > 1.1:
         warnings.append(f"split-Rhat {rhat_max:.3f} exceeds 1.1 on some coordinate")
     diag = SampleDiagnostics(
-        acceptance=np.array([c.acceptance_rate for c in chains]),
-        divergences=np.array([c.divergences for c in chains]),
+        acceptance=accepted / n_samples,
+        divergences=divergences,
         rhat_max=rhat_max,
         warnings=warnings,
     )

@@ -433,6 +433,7 @@ def run_oracle_benchmark(config: RunConfig, initial_state=None,
     """
     lattice = config.lattice
     basis = exact.TruncatedBasis(lattice.n_sites, config.m_cut)
+    exact.check_dim(basis.dim)
     if initial_state is None:
         gs = run_ground_state(config)
         initial_state = gs.state
@@ -536,8 +537,8 @@ def run_sampler_check(config: RunConfig, state=None, out_dir: Path | None = None
         per_sample = np.hypot(
             np.sum(np.cos(samples), axis=-1), np.sum(np.sin(samples), axis=-1)
         ) / state.n_sites
-        boots = np.empty(200)
-        for b in range(200):
+        boots = np.empty(observables.DEFAULT_RESAMPLES)
+        for b in range(observables.DEFAULT_RESAMPLES):
             pick = rng.integers(0, per_sample.shape[0], size=per_sample.shape[0])
             boots[b] = per_sample[pick].mean(axis=1).std() / np.sqrt(per_sample.shape[0])
         sigma_draws[l0] = boots

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,9 +122,22 @@ class TestEvolution:
         assert np.allclose(evolved.coefficients, psi.coefficients, atol=1e-12)
 
     def test_eigendecomposition_guard(self):
+        # the guard fires before densifying: a dense 6000 x 6000 copy is 288 MB
         big = sp.eye(6000, format="csr")
-        with pytest.raises(exact.OracleGuardError):
-            exact.ExactEvolver(big)
+        tracemalloc.start()
+        try:
+            with pytest.raises(exact.OracleGuardError):
+                exact.ExactEvolver(big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_one_dense_limit(self):
+        lat = build_lattice((5,), (True,))
+        basis = exact.TruncatedBasis(5, 5)  # 11^5 = 161051 states
+        with pytest.raises(exact.OracleGuardError, match="> 5000"):
+            exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
 
 
 class TestConversion:

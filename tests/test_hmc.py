@@ -68,12 +68,10 @@ class TestLeapfrog:
         theta = rng.uniform(-np.pi, np.pi, size=3)
         pi = rng.standard_normal(3)
         mass = np.array([1.0, 0.7, 1.3])
+        grad = target.grad_log_prob
 
-        def grad_v(th):
-            return -target.grad_log_prob(th)
-
-        t1, p1 = hmc._batched_leapfrog(theta[None], pi[None], [0.1], [25], mass, grad_v)
-        t2, p2 = hmc._batched_leapfrog(t1, -p1, [0.1], [25], mass, grad_v)
+        t1, p1 = hmc._batched_leapfrog(theta[None], pi[None], 0.1, [25], mass, grad)
+        t2, p2 = hmc._batched_leapfrog(t1, -p1, 0.1, [25], mass, grad)
         assert np.allclose(t2[0], theta, atol=1e-10)
         assert np.allclose(-p2[0], pi, atol=1e-10)
 
@@ -85,12 +83,10 @@ class TestLeapfrog:
         pi = rng.standard_normal(2)
         mass = np.ones(2)
 
-        def grad_v(th):
-            return -target.grad_log_prob(th)
-
         def dh(eps, n):
             h0 = -target.log_prob(theta)[0] + 0.5 * np.sum(pi ** 2)
-            t1, p1 = hmc._batched_leapfrog(theta[None], pi[None], [eps], [n], mass, grad_v)
+            t1, p1 = hmc._batched_leapfrog(theta[None], pi[None], eps, [n], mass,
+                                           target.grad_log_prob)
             return abs(-target.log_prob(t1)[0] + 0.5 * np.sum(p1 ** 2) - h0)
 
         errs = [float(dh(eps, int(round(2.0 / eps)))) for eps in (0.2, 0.1, 0.05)]
@@ -104,16 +100,13 @@ class TestLeapfrog:
         lengths = [1, 7, 3, 12, 1, 5]
         theta = rng.uniform(-np.pi, np.pi, size=(6, 4))
         pi = rng.standard_normal((6, 4))
-        eps = rng.uniform(0.05, 0.3, size=6)
         mass = rng.uniform(0.5, 1.5, size=(6, 4))
+        grad = target.grad_log_prob
 
-        def grad_v(th):
-            return -target.grad_log_prob(th)
-
-        t_all, p_all = hmc._batched_leapfrog(theta, pi, eps, lengths, mass, grad_v)
+        t_all, p_all = hmc._batched_leapfrog(theta, pi, 0.17, lengths, mass, grad)
         for c, n in enumerate(lengths):
-            t1, p1 = hmc._batched_leapfrog(theta[c:c + 1], pi[c:c + 1], eps[c:c + 1],
-                                           [n], mass[c:c + 1], grad_v)
+            t1, p1 = hmc._batched_leapfrog(theta[c:c + 1], pi[c:c + 1], 0.17,
+                                           [n], mass[c:c + 1], grad)
             assert np.array_equal(t_all[c], t1[0])
             assert np.array_equal(p_all[c], p1[0])
 
@@ -221,6 +214,62 @@ class TestWarmupFailure:
         chain = hmc.init_chain(2, cfg, np.random.default_rng([6, 0]))
         with pytest.raises(hmc.WarmupError):
             hmc.warmup([chain], cfg, Wall())
+
+
+class CountingVonMises(VonMises):
+    def __init__(self, kappa=2.0):
+        super().__init__(kappa)
+        self.log_prob_calls = 0
+
+    def log_prob(self, theta):
+        self.log_prob_calls += 1
+        return super().log_prob(theta)
+
+
+class TestCarriedLogProb:
+    def test_one_log_prob_per_transition(self):
+        # ln p is evaluated once on entry and then only at the proposals
+        cfg = hmc.HmcConfig(l0=5, n_warmup=80, n_slow_windows=2,
+                            n_samples=30, n_chains=3)
+        target = CountingVonMises()
+        chains = [
+            hmc.init_chain(2, cfg, np.random.default_rng([8, c])) for c in range(3)
+        ]
+        hmc.warmup(chains, cfg, target)
+        n_warmup = sum(w for w, _ in hmc.warmup_windows(80, 2))
+        assert target.log_prob_calls == 1 + n_warmup
+        target.log_prob_calls = 0
+        hmc.sample(chains, 30, target, cfg)
+        assert target.log_prob_calls == 1 + 30
+
+
+def split_rhat_one(per_chain):
+    """Reference: split-R-hat of one (n_chains, n_draws) series."""
+    half = per_chain.shape[1] // 2
+    halves = np.concatenate([per_chain[:, :half], per_chain[:, half : 2 * half]])
+    w = halves.var(axis=1, ddof=1).mean()
+    if w <= 0:
+        return np.nan
+    b = half * halves.mean(axis=1).var(ddof=1)
+    return float(np.sqrt(((half - 1) / half * w + b / half) / w))
+
+
+class TestSplitRhat:
+    def test_stacked_equals_per_series(self):
+        # same reductions in the same order: equal to the last bit
+        rng = np.random.default_rng(9)
+        series = rng.standard_normal((5, 4, 51))
+        series[1] += np.arange(4)[:, None]  # chains that disagree
+        series[2, :, :] = 1.0  # no within-chain variance
+        stacked = hmc.split_rhat(series)
+        assert stacked.shape == (5,)
+        for k in range(5):
+            assert np.array_equal(stacked[k], split_rhat_one(series[k]), equal_nan=True)
+            assert np.array_equal(stacked[k], hmc.split_rhat(series[k]), equal_nan=True)
+        assert np.isnan(stacked[2]) and stacked[1] > 1.1
+
+    def test_too_few_draws(self):
+        assert np.all(np.isnan(hmc.split_rhat(np.ones((3, 2, 3)))))
 
 
 class TestConfigValidation:

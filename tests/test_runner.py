@@ -324,8 +324,7 @@ class TestCli:
 
     def test_guard_exits_4(self, tmp_path):
         # a 4-site basis at m_cut = 5 has 11^4 = 14641 states, which trips the
-        # dense-evolution guard; resuming from a checkpoint skips the (otherwise
-        # expensive) ground-state stage so the guard is reached immediately
+        # dense-evolution guard on the resume path too
         from rotor_tvmc.lattice import build_lattice
 
         lat = build_lattice((4,), (True,))
@@ -340,6 +339,18 @@ class TestCli:
             "oracle-benchmark", "--config", str(path),
             "--out", str(tmp_path / "out"), "--resume", str(ckpt),
         ])
+        assert code == cli.EXIT_GUARD
+
+    def test_guard_precedes_ground_state(self, tmp_path, monkeypatch):
+        # 5 rotors at m_cut = 5 (11^5 states) cannot be evolved densely, so the
+        # oracle stops before it spends any time on its ground-state stage
+        def ground_state(*args, **kwargs):
+            raise AssertionError("the ground-state stage ran")
+
+        monkeypatch.setattr(runner, "run_ground_state", ground_state)
+        path = write_ini(tmp_path, BASE_INI.replace("dims = 2", "dims = 5"))
+        code = cli.main(["oracle-benchmark", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_GUARD
 
     def test_seed_override_changes_output(self, tmp_path):
