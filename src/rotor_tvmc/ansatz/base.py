@@ -7,9 +7,9 @@ configuration of shape (N,) or a batch of shape (B, N).
 
 A subclass implements four batched cores: ``_log_psi``, ``_log_derivatives``,
 ``_angle_derivatives`` (ln psi with its first and second angle derivatives,
-for the local energy) and ``_angle_grad`` (the first angle derivative alone).
-``_angle_grad`` feeds ``grad_log_prob``, which HMC calls on every leapfrog
-step, so it must not pay for the second derivatives.
+for the local energy) and ``_angle_grad`` (the first angle derivative alone,
+or only its real part).  ``_angle_grad`` feeds ``grad_log_prob``, which HMC
+calls on every leapfrog step, so it must not pay for the second derivatives.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class VariationalState:
     def _angle_derivatives(self, theta):  # -> (logpsi (B,), d1 (B,N), d2 (B,N))
         raise NotImplementedError
 
-    def _angle_grad(self, theta):  # -> d1 (B, N), first order only
+    def _angle_grad(self, theta):  # -> d1 (B, N) or Re d1, first order only
         raise NotImplementedError
 
     # -- public API --

@@ -22,12 +22,15 @@ class Jastrow(VariationalState):
         if alpha is None:
             alpha = np.zeros(n_pairs, dtype=np.complex128)
         super().__init__(lattice, alpha, [("w", (n_pairs,))])
-        # one-hot pair-to-site incidence used to accumulate angle derivatives,
-        # complex so the matmuls with complex weights need no cast
-        self._inc_i = np.zeros((n_pairs, n), dtype=np.complex128)
-        self._inc_j = np.zeros((n_pairs, n), dtype=np.complex128)
-        self._inc_i[np.arange(n_pairs), self.pair_i] = 1.0
-        self._inc_j[np.arange(n_pairs), self.pair_j] = 1.0
+        # one-hot pair-to-site incidence used to accumulate angle derivatives:
+        # real for the HMC gradient, which needs only Re d1, and complex so the
+        # local energy's matmuls with complex weights need no cast
+        self._inc_i_real = np.zeros((n_pairs, n))
+        self._inc_j_real = np.zeros((n_pairs, n))
+        self._inc_i_real[np.arange(n_pairs), self.pair_i] = 1.0
+        self._inc_j_real[np.arange(n_pairs), self.pair_j] = 1.0
+        self._inc_i = self._inc_i_real.astype(np.complex128)
+        self._inc_j = self._inc_j_real.astype(np.complex128)
         self._inc_sum = self._inc_i + self._inc_j
 
     def _pair_diffs(self, theta):
@@ -43,7 +46,9 @@ class Jastrow(VariationalState):
         return -ws @ self._inc_i + ws @ self._inc_j
 
     def _angle_grad(self, theta):
-        return self._d1(self.alpha * np.sin(self._pair_diffs(theta)))
+        # Re d1 alone, in real arithmetic: Re(w sin d) = Re(w) sin d
+        ws = self.alpha.real * np.sin(self._pair_diffs(theta))
+        return -ws @ self._inc_i_real + ws @ self._inc_j_real
 
     def _angle_derivatives(self, theta):
         d = self._pair_diffs(theta)

@@ -6,6 +6,12 @@ so L+|M> = L-|-M> = 0, giving the bond coupling
 
     n_k . n_l = (L+_k L-_l + L-_k L+_l) / 2 .
 
+Each bond term moves one quantum between two sites, so the Hamiltonian
+conserves the total angular momentum m_1 + ... + m_N and splits into
+2 N M + 1 sectors, one per total.  ``ExactEvolver`` diagonalizes each sector
+on its own, and the dense limit applies to the largest sector (total 0), not
+to the whole basis.
+
 Multi-indices map to flat indices with site 0 most significant, matching the
 row-major grid layout used by the quadrature conversion.
 """
@@ -20,7 +26,7 @@ import scipy.sparse as sp
 from .ansatz.base import VariationalState
 from .lattice import Lattice
 
-# largest basis diagonalized densely: at this size the real Hamiltonian and
+# largest sector diagonalized densely: at this size its real Hamiltonian and
 # its eigenvectors take 200 MB each
 DIM_GUARD = 5_000
 GRID_GUARD = 10_000_000
@@ -31,9 +37,24 @@ class OracleGuardError(RuntimeError):
 
 
 def check_dim(dim: int) -> None:
-    """Raise OracleGuardError for a basis too large for dense evolution."""
+    """Raise OracleGuardError for a sector too large for dense evolution."""
     if dim > DIM_GUARD:
-        raise OracleGuardError(f"dense eigendecomposition guard: dim {dim} > {DIM_GUARD}")
+        raise OracleGuardError(
+            f"dense eigendecomposition guard: sector of dim {dim} > {DIM_GUARD}"
+        )
+
+
+def largest_sector(n_sites: int, m_cut: int) -> int:
+    """Size of the largest sector (total 0), without enumerating the basis.
+
+    This is the central coefficient of (1 + x + ... + x^(2 m_cut))^n_sites,
+    in exact integers.
+    """
+    local = np.ones(2 * m_cut + 1, dtype=object)
+    counts = np.ones(1, dtype=object)
+    for _ in range(n_sites):
+        counts = np.convolve(counts, local)
+    return int(counts[n_sites * m_cut])
 
 
 @dataclass
@@ -67,6 +88,10 @@ class TruncatedBasis:
         local = np.arange(-self.m_cut, self.m_cut + 1)
         grids = np.meshgrid(*([local] * self.n_sites), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
+
+    def total_m(self) -> np.ndarray:
+        """(dim,) total angular momentum sum_k m_k of each state: its sector."""
+        return self.m_values().sum(axis=-1)
 
 
 @dataclass
@@ -104,14 +129,8 @@ def bond_coupling(basis: TruncatedBasis, k: int, l: int) -> sp.spmatrix:
     return 0.5 * (rk @ ll + lk @ rl)
 
 
-def cos_sin_operators(basis: TruncatedBasis, site: int):
-    """(cos theta_k, sin theta_k); exp(i theta) lowers m in this convention."""
-    rk, lk = ladder_operators(basis, site)
-    return 0.5 * (rk + lk), 0.5j * (rk - lk)
-
-
 def build_hamiltonian(basis: TruncatedBasis, lattice: Lattice, g: float, J: float) -> sp.spmatrix:
-    check_dim(basis.dim)
+    check_dim(largest_sector(basis.n_sites, basis.m_cut))
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on site count")
     m2 = np.sum(basis.m_values() ** 2, axis=-1).astype(np.float64)
@@ -121,26 +140,39 @@ def build_hamiltonian(basis: TruncatedBasis, lattice: Lattice, g: float, J: floa
     return h.tocsr()
 
 
-def initial_product_state(basis: TruncatedBasis) -> DenseState:
-    """Coherent superposition of all |theta>: the m = 0 product state."""
-    c = np.zeros(basis.dim, dtype=np.complex128)
-    c[basis.flat_index((0,) * basis.n_sites)] = 1.0
-    return DenseState(c)
-
-
 class ExactEvolver:
-    """Unitary evolution by one dense Hermitian eigendecomposition."""
+    """Unitary evolution by one dense Hermitian eigendecomposition per sector.
 
-    def __init__(self, hamiltonian):
-        check_dim(hamiltonian.shape[0])
-        dense = hamiltonian.toarray() if sp.issparse(hamiltonian) else np.asarray(hamiltonian)
-        self.energies, self.modes = np.linalg.eigh(dense)
+    ``sectors`` labels every basis state with a conserved quantum number, such
+    as ``TruncatedBasis.total_m()`` for ``build_hamiltonian``'s H; H must have
+    no element between different labels.  Without labels H is one block.
+    ``blocks`` holds (basis indices, energies, modes) for each sector.
+    """
+
+    def __init__(self, hamiltonian, sectors=None):
+        if sectors is None:
+            sectors = np.zeros(hamiltonian.shape[0], dtype=np.int64)
+        sectors = np.asarray(sectors)
+        order = np.argsort(sectors, kind="stable")
+        _, starts = np.unique(sectors[order], return_index=True)
+        indices = np.split(order, starts[1:])
+        check_dim(max(idx.size for idx in indices))
+        h = sp.coo_matrix(hamiltonian)
+        if np.any(sectors[h.row] != sectors[h.col]):
+            raise ValueError("the Hamiltonian couples different sectors")
+        h = h.tocsr()
+        self.blocks = []
+        for idx in indices:
+            energies, modes = np.linalg.eigh(h[idx][:, idx].toarray())
+            self.blocks.append((idx, energies, modes))
 
     def evolve(self, state: DenseState, t: float) -> DenseState:
-        # modes^H c without forming modes^H
-        c = _matvec(self.modes.T, state.coefficients.conj()).conj()
-        c = _matvec(self.modes, np.exp(-1j * self.energies * t) * c)
-        return DenseState(c)
+        out = np.empty(state.coefficients.shape, dtype=np.complex128)
+        for idx, energies, modes in self.blocks:
+            # modes^H c without forming modes^H
+            c = _matvec(modes.T, state.coefficients[idx].conj()).conj()
+            out[idx] = _matvec(modes, np.exp(-1j * energies * t) * c)
+        return DenseState(out)
 
 
 def _matvec(m, c):
@@ -148,10 +180,6 @@ def _matvec(m, c):
     if np.iscomplexobj(m):
         return m @ c
     return (m @ c.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
-
-
-def evolve_exact(hamiltonian, state: DenseState, t: float) -> DenseState:
-    return ExactEvolver(hamiltonian).evolve(state, t)
 
 
 def angle_grid(q: int) -> np.ndarray:
@@ -230,11 +258,6 @@ def vqs_to_dense(state: VariationalState, basis: TruncatedBasis, q: int | None =
     return DenseState(c / norm), alias_mass
 
 
-def expectation(op, state: DenseState) -> complex:
-    c = state.coefficients
-    return complex(c.conj() @ (op @ c)) / float(np.real(c.conj() @ c))
-
-
 def _shifted_overlap(c, shifts: dict) -> complex:
     """<psi|O|psi> for O|m> = |m + shifts[k]> on each listed site k (truncated).
 
@@ -276,24 +299,3 @@ def exact_fidelity(a: DenseState, b: DenseState) -> float:
     ca = a.coefficients / np.linalg.norm(a.coefficients)
     cb = b.coefficients / np.linalg.norm(b.coefficients)
     return float(np.abs(ca.conj() @ cb) ** 2)
-
-
-def dense_magnetization_quadrature(state: DenseState, basis: TruncatedBasis, q: int = 32) -> float:
-    """Eq.-17-style magnetization (modulus inside the average) via a theta grid."""
-    n = basis.n_sites
-    thetas = grid_points(n, q)
-    c = state.coefficients.reshape((basis.local_dim,) * n)
-    # psi(theta_j) on the grid is an inverse transform of the coefficients
-    grid = angle_grid(q)
-    m_local = np.arange(-basis.m_cut, basis.m_cut + 1)
-    dft = np.exp(-1j * np.outer(grid, m_local))  # <theta|m> up to 1/sqrt(2 pi)
-    psi = c
-    for axis in range(n):
-        psi = np.tensordot(dft, psi, axes=(1, axis))
-        psi = np.moveaxis(psi, 0, axis)
-    prob = np.abs(psi.ravel()) ** 2
-    prob /= prob.sum()
-    resultant = np.hypot(
-        np.sum(np.cos(thetas), axis=-1), np.sum(np.sin(thetas), axis=-1)
-    )
-    return float(np.sum(prob * resultant) / n)

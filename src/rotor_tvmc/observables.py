@@ -20,6 +20,8 @@ from .lattice import Lattice, circular_site_stats, wrap_angle
 DEFAULT_RESAMPLES = 200
 BOOTSTRAP_SEED = 20240817
 _LOG_UNDERFLOW = -700.0
+# an edge's angle difference this close to +-pi is a tie between two images
+_PI_TIE = 1e-9
 
 
 def _flatten(samples):
@@ -93,6 +95,17 @@ def circular_variance_mean(samples, weights=None) -> float:
     return float(np.mean(variance))
 
 
+def _edge_differences(cur):
+    """Minimal-image angle differences along the directed edges of loops.
+
+    ``cur`` lists each loop's sites' angles on its last axis.  An edge whose
+    difference is +-pi (within _PI_TIE) has no minimal image: it counts as 0,
+    the midpoint of the jump, so reversing the edge negates its difference.
+    """
+    diff = wrap_angle(np.roll(cur, -1, axis=-1) - cur)
+    return np.where(np.abs(diff) >= np.pi - _PI_TIE, 0.0, diff)
+
+
 def vorticity(samples, lattice: Lattice, ell: int, weights=None):
     """Average plaquette circulation v_ell with minimal-image edge differences.
 
@@ -106,8 +119,7 @@ def vorticity(samples, lattice: Lattice, ell: int, weights=None):
         raise ValueError(f"no {ell}x{ell} plaquettes on this lattice")
     flat, chain_shape = _flatten(samples)
     cur = flat[:, loops]  # (B, n_loops, 4*ell)
-    nxt = np.roll(cur, -1, axis=-1)
-    circulation = np.sum(wrap_angle(nxt - cur), axis=-1) / ell ** 2
+    circulation = np.sum(_edge_differences(cur), axis=-1) / ell ** 2
     per_sample = np.mean(circulation, axis=-1)
     return _mean_and_sigma(per_sample, chain_shape, weights)
 
@@ -115,9 +127,7 @@ def vorticity(samples, lattice: Lattice, ell: int, weights=None):
 def loop_circulation(theta, loop_sites, ell: int) -> float:
     """Circulation of a single loop on a single configuration."""
     theta = np.asarray(theta, dtype=np.float64)
-    cur = theta[np.asarray(loop_sites)]
-    nxt = np.roll(cur, -1)
-    return float(np.sum(wrap_angle(nxt - cur)) / ell ** 2)
+    return float(np.sum(_edge_differences(theta[np.asarray(loop_sites)])) / ell ** 2)
 
 
 def _log_mean_exp(z: np.ndarray, weights=None) -> complex:

@@ -27,14 +27,3 @@ def born_weights(state: VariationalState, points: np.ndarray,
 def quadrature_qgt(state: VariationalState, g: float, J: float, q: int = 16) -> QgtEstimate:
     points = grid_points(state.n_sites, q)
     return estimate_qgt(state, points, g, J, weights=born_weights(state, points))
-
-
-def quadrature_mean(state: VariationalState, values_fn, q: int = 16):
-    """Weighted mean of an arbitrary per-configuration quantity."""
-    points = grid_points(state.n_sites, q)
-    weights = born_weights(state, points)
-    return np.tensordot(weights, values_fn(points), axes=(0, 0))
-
-
-def quadrature_energy(state: VariationalState, g: float, J: float, q: int = 16) -> complex:
-    return complex(quadrature_mean(state, lambda pts: state.local_energy(pts, g, J), q))

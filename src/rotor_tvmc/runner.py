@@ -429,11 +429,11 @@ def run_oracle_benchmark(config: RunConfig, initial_state=None,
 
     Returns (TrajectoryRecord, exact rows, summary dict).  The exact engine
     projects the variational initial state onto the truncated basis, evolves
-    it densely, and is evaluated at the t-VMC output times.
+    it one total-M sector at a time, and is evaluated at the t-VMC output times.
     """
     lattice = config.lattice
     basis = exact.TruncatedBasis(lattice.n_sites, config.m_cut)
-    exact.check_dim(basis.dim)
+    exact.check_dim(exact.largest_sector(basis.n_sites, basis.m_cut))
     if initial_state is None:
         gs = run_ground_state(config)
         initial_state = gs.state
@@ -441,7 +441,7 @@ def run_oracle_benchmark(config: RunConfig, initial_state=None,
     hamiltonian = exact.build_hamiltonian(
         basis, lattice, config.physics.g_final, config.physics.j
     )
-    evolver = exact.ExactEvolver(hamiltonian)
+    evolver = exact.ExactEvolver(hamiltonian, basis.total_m())
 
     record = run_quench(config, initial_state, out_dir=None)
 

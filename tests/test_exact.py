@@ -4,11 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from reference import (
+    cos_sin_operators,
+    dense_evolver,
+    dense_magnetization_quadrature,
+    evolve_exact,
+    expectation,
+    initial_product_state,
+    quadrature_energy,
+)
 
 from rotor_tvmc import exact
 from rotor_tvmc.ansatz import make_ansatz, random_alpha
 from rotor_tvmc.lattice import build_lattice
-from rotor_tvmc.quadrature import quadrature_energy
 
 
 class TestBasis:
@@ -68,7 +76,7 @@ class TestLadderOperators:
     def test_cos_sin_consistency(self):
         basis = exact.TruncatedBasis(1, 3)
         raise_op, lower_op = exact.ladder_operators(basis, 0)
-        cos_op, sin_op = exact.cos_sin_operators(basis, 0)
+        cos_op, sin_op = cos_sin_operators(basis, 0)
         assert np.allclose(cos_op.toarray(),
                            0.5 * (raise_op + lower_op).toarray())
         assert np.allclose(sin_op.toarray(),
@@ -107,7 +115,7 @@ class TestEvolution:
         lat = build_lattice((2,), (True,))
         basis = exact.TruncatedBasis(2, 3)
         h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
-        psi = exact.initial_product_state(basis)
+        psi = initial_product_state(basis)
         evolver = exact.ExactEvolver(h)
         for t in (0.1, 1.0, 5.0):
             evolved = evolver.evolve(psi, t)
@@ -117,8 +125,8 @@ class TestEvolution:
         lat = build_lattice((2,), (False,))
         basis = exact.TruncatedBasis(2, 2)
         h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
-        psi = exact.initial_product_state(basis)
-        evolved = exact.evolve_exact(h, psi, 0.0)
+        psi = initial_product_state(basis)
+        evolved = evolve_exact(h, psi, 0.0)
         assert np.allclose(evolved.coefficients, psi.coefficients, atol=1e-12)
 
     def test_eigendecomposition_guard(self):
@@ -134,10 +142,18 @@ class TestEvolution:
         assert peak < 1_000_000
 
     def test_one_dense_limit(self):
+        # 5 rotors at m_cut = 5: 11^5 = 161051 states, 8801 of them with M = 0;
+        # refused before the basis is enumerated
         lat = build_lattice((5,), (True,))
-        basis = exact.TruncatedBasis(5, 5)  # 11^5 = 161051 states
-        with pytest.raises(exact.OracleGuardError, match="> 5000"):
-            exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
+        basis = exact.TruncatedBasis(5, 5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(exact.OracleGuardError, match="8801 > 5000"):
+                exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestConversion:
@@ -146,7 +162,7 @@ class TestConversion:
         basis = exact.TruncatedBasis(2, 3)
         state = make_ansatz("jastrow", lat)  # zero parameters: psi = 1
         dense, alias = exact.vqs_to_dense(state, basis)
-        expected = exact.initial_product_state(basis)
+        expected = initial_product_state(basis)
         overlap = abs(np.vdot(dense.coefficients, expected.coefficients))
         assert overlap == pytest.approx(1.0, abs=1e-12)
         assert alias < 1e-12
@@ -177,7 +193,7 @@ class TestConversion:
         basis = exact.TruncatedBasis(2, 5)
         dense, _ = exact.vqs_to_dense(state, basis, q=32)
         h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
-        e_dense = np.real(exact.expectation(h, dense))
+        e_dense = np.real(expectation(h, dense))
         e_quad = np.real(quadrature_energy(state, g=3.0, J=1.0, q=32))
         assert e_dense == pytest.approx(e_quad, abs=1e-8)
 
@@ -192,25 +208,20 @@ class TestConversion:
 def _rebuilt_observables(state, basis, lattice, J):
     """exact_observables from sparse operators built for this one call."""
     e_bonds = sum(
-        np.real(exact.expectation(exact.bond_coupling(basis, int(k), int(l)), state))
+        np.real(expectation(exact.bond_coupling(basis, int(k), int(l)), state))
         for k, l in lattice.bonds
     )
     mx_sites, my_sites = [], []
     for k in range(lattice.n_sites):
-        cos_op, sin_op = exact.cos_sin_operators(basis, k)
-        mx_sites.append(np.real(exact.expectation(cos_op, state)))
-        my_sites.append(np.real(exact.expectation(sin_op, state)))
+        cos_op, sin_op = cos_sin_operators(basis, k)
+        mx_sites.append(np.real(expectation(cos_op, state)))
+        my_sites.append(np.real(expectation(sin_op, state)))
     return {
         "e_pot": -J * e_bonds / lattice.n_sites,
         "mag_x": float(np.mean(mx_sites)),
         "mag_y": float(np.mean(my_sites)),
         "var_mean": float(np.mean(-2.0 * np.log(np.hypot(mx_sites, my_sites)))),
     }
-
-
-def _reference_evolve(evolver, state, t):
-    c = evolver.modes.conj().T @ state.coefficients
-    return evolver.modes @ (np.exp(-1j * evolver.energies * t) * c)
 
 
 class TestAgainstRebuiltOperators:
@@ -222,11 +233,13 @@ class TestAgainstRebuiltOperators:
         state = state.with_alpha(random_alpha(state, np.random.default_rng(3), 0.4))
         basis = exact.TruncatedBasis(3, 3)
         dense0, _ = exact.vqs_to_dense(state, basis)
-        evolver = exact.ExactEvolver(exact.build_hamiltonian(basis, lat, g=4.5, J=1.0))
-        assert not np.iscomplexobj(evolver.modes)
+        h = exact.build_hamiltonian(basis, lat, g=4.5, J=1.0)
+        evolver = exact.ExactEvolver(h, basis.total_m())
+        assert not any(np.iscomplexobj(modes) for _, _, modes in evolver.blocks)
+        reference = dense_evolver(h)
         for t in np.linspace(0.0, 1.0, 9):
             dense_t = evolver.evolve(dense0, t)
-            ref = _reference_evolve(evolver, dense0, t)
+            ref = reference(dense0, t)
             assert np.max(np.abs(dense_t.coefficients - ref)) <= 1e-12
             got = exact.exact_observables(dense_t, basis, lat, J=1.3)
             want = _rebuilt_observables(dense_t, basis, lat, J=1.3)
@@ -237,19 +250,106 @@ class TestAgainstRebuiltOperators:
     def test_complex_hamiltonian_evolve(self):
         rng = np.random.default_rng(4)
         h = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-        evolver = exact.ExactEvolver(h + h.conj().T)
+        h = h + h.conj().T
+        evolver = exact.ExactEvolver(h)
+        reference = dense_evolver(h)
         c = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         state = exact.DenseState(c / np.linalg.norm(c))
         for t in (0.0, 0.3, 2.0):
             got = evolver.evolve(state, t).coefficients
-            assert np.max(np.abs(got - _reference_evolve(evolver, state, t))) <= 1e-12
+            assert np.max(np.abs(got - reference(state, t))) <= 1e-12
+
+
+def _random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return exact.DenseState(c / np.linalg.norm(c))
+
+
+def _lattices():
+    return {
+        "chain-2": build_lattice((2,), (True,)),
+        "chain-3": build_lattice((3,), (True,)),
+        "open-chain-3": build_lattice((3,), (False,)),
+        "open-2x2": build_lattice((2, 2), (False, False)),
+        "periodic-2x2": build_lattice((2, 2), (True, True)),
+    }
+
+
+class TestSectors:
+    """One eigendecomposition per total-M sector."""
+
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_evolution_matches_dense_eigh(self, n_sites):
+        lat = build_lattice((n_sites,), (True,))
+        basis = exact.TruncatedBasis(n_sites, 5)
+        h = exact.build_hamiltonian(basis, lat, g=6.0, J=1.0)
+        evolver = exact.ExactEvolver(h, basis.total_m())
+        assert len(evolver.blocks) == 2 * n_sites * 5 + 1
+        reference = dense_evolver(h)
+        state = _random_state(basis.dim, n_sites)
+        for t in (0.0, 0.05, 0.5, 1.0, 7.3):
+            got = evolver.evolve(state, t).coefficients
+            assert np.max(np.abs(got - reference(state, t))) <= 1e-12
+
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_spectra_union_is_the_dense_spectrum(self, n_sites):
+        lat = build_lattice((n_sites,), (True,))
+        basis = exact.TruncatedBasis(n_sites, 5)
+        h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
+        evolver = exact.ExactEvolver(h, basis.total_m())
+        union = np.sort(np.concatenate([e for _, e, _ in evolver.blocks]))
+        dense = np.linalg.eigvalsh(h.toarray())
+        assert np.max(np.abs(union - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(_lattices()))
+    def test_no_element_between_sectors(self, name):
+        lat = _lattices()[name]
+        basis = exact.TruncatedBasis(lat.n_sites, 3)
+        labels = basis.total_m()
+        h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0).tocoo()
+        assert h.nnz > basis.dim  # the bonds are there
+        assert np.array_equal(labels[h.row], labels[h.col])
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m_cut", [1, 2, 3])
+    def test_largest_sector_count(self, n_sites, m_cut):
+        counts = np.bincount(exact.TruncatedBasis(n_sites, m_cut).total_m() + n_sites * m_cut)
+        assert exact.largest_sector(n_sites, m_cut) == counts.max()
+        assert counts[n_sites * m_cut] == counts.max()  # the M = 0 sector
+
+    def test_two_by_two_admitted(self):
+        lat = build_lattice((2, 2), (False, False))
+        basis = exact.TruncatedBasis(4, 5)
+        assert basis.dim == 14641
+        assert exact.largest_sector(4, 5) == 891
+        h = exact.build_hamiltonian(basis, lat, g=6.0, J=1.0)
+        evolver = exact.ExactEvolver(h, basis.total_m())
+        assert max(idx.size for idx, _, _ in evolver.blocks) == 891
+        psi = initial_product_state(basis)
+        evolved = evolver.evolve(psi, 0.4).coefficients
+        assert np.linalg.norm(evolved) == pytest.approx(1.0, abs=1e-12)
+        # the m = 0 product state lives in the M = 0 sector alone
+        assert np.all(evolved[basis.total_m() != 0] == 0)
+
+    def test_labels_must_be_conserved(self):
+        lat = build_lattice((2,), (True,))
+        basis = exact.TruncatedBasis(2, 2)
+        h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
+        with pytest.raises(ValueError, match="couples different sectors"):
+            exact.ExactEvolver(h, basis.m_values()[:, 0])
+
+    def test_guard_applies_to_the_largest_sector(self):
+        # 6000 states in one labelled sector are refused like an unlabelled H
+        with pytest.raises(exact.OracleGuardError, match="> 5000"):
+            exact.ExactEvolver(sp.eye(6000, format="csr"), np.zeros(6000, dtype=int))
 
 
 class TestObservables:
     def test_product_state_observables(self):
         lat = build_lattice((2,), (False,))
         basis = exact.TruncatedBasis(2, 3)
-        psi = exact.initial_product_state(basis)
+        psi = initial_product_state(basis)
         obs = exact.exact_observables(psi, basis, lat, J=1.0)
         # independent uniform angles: <cos(theta_k - theta_l)> = 0, <n_k> = 0
         assert obs["e_pot"] == pytest.approx(0.0, abs=1e-12)
@@ -261,8 +361,8 @@ class TestObservables:
         lat = build_lattice((2,), (True,))
         basis = exact.TruncatedBasis(2, 3)
         h = exact.build_hamiltonian(basis, lat, g=6.0, J=1.0)
-        psi = exact.initial_product_state(basis)
-        evolved = exact.evolve_exact(h, psi, 0.7)
+        psi = initial_product_state(basis)
+        evolved = evolve_exact(h, psi, 0.7)
         f = exact.exact_fidelity(psi, evolved)
         assert 0.0 <= f <= 1.0
         assert exact.exact_fidelity(psi, psi) == pytest.approx(1.0)
@@ -270,7 +370,7 @@ class TestObservables:
     def test_quadrature_magnetization_uniform_state(self):
         lat = build_lattice((2,), (False,))
         basis = exact.TruncatedBasis(2, 2)
-        psi = exact.initial_product_state(basis)
-        m = exact.dense_magnetization_quadrature(psi, basis, q=24)
+        psi = initial_product_state(basis)
+        m = dense_magnetization_quadrature(psi, basis, q=24)
         # two-site resultant-length average of a flat distribution
         assert 0.5 < m < 0.9

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rotor_tvmc.ansatz import make_ansatz, random_alpha
+from rotor_tvmc.exact import grid_points
 from rotor_tvmc.lattice import build_lattice
 from rotor_tvmc.observables import (
     bootstrap_sigma,
@@ -76,6 +77,27 @@ class TestVorticity:
         lat = build_lattice((5,), (True,))
         with pytest.raises(ValueError):
             vorticity(np.zeros((3, 5)), lat, 1)
+
+    def test_pi_edge_counts_zero(self):
+        # every edge differs by pi: no minimal image, so no circulation (each
+        # edge would otherwise wrap to -pi in both directions, giving -4 pi)
+        theta = np.array([0.0, np.pi, 0.0, np.pi])
+        assert loop_circulation(theta, [0, 1, 2, 3], 1) == 0.0
+        # a tie up to rounding: reversing the loop negates the circulation
+        theta = np.array([0.3, 0.3 + np.pi, 0.3 + np.pi / 2, -0.2])
+        forward = loop_circulation(theta, [0, 1, 2, 3], 1)
+        assert forward == pytest.approx(-np.pi)
+        assert loop_circulation(theta, [3, 2, 1, 0], 1) == pytest.approx(-forward)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("q", [12, 16])
+    def test_uniform_grid_has_no_vorticity(self, periodic, q):
+        # on an even grid 23-29 % of the 2x2 points have an edge at +-pi
+        lat = build_lattice((2, 2), (periodic, periodic))
+        points = grid_points(4, q)
+        weights = np.full(points.shape[0], 1.0 / points.shape[0])
+        v, _ = vorticity(points, lat, 1, weights=weights)
+        assert abs(v) <= 1e-12
 
 
 class TestBootstrap:

@@ -323,17 +323,17 @@ class TestCli:
         assert report["reason"] == "ground-state-nonconvergence"
 
     def test_guard_exits_4(self, tmp_path):
-        # a 4-site basis at m_cut = 5 has 11^4 = 14641 states, which trips the
-        # dense-evolution guard on the resume path too
+        # 5 sites at m_cut = 5 have 8801 states with total M = 0, which trips
+        # the dense-evolution guard on the resume path too
         from rotor_tvmc.lattice import build_lattice
 
-        lat = build_lattice((4,), (True,))
+        lat = build_lattice((5,), (True,))
         state = make_ansatz("jastrow", lat)
         state = state.with_alpha(random_alpha(state, np.random.default_rng(3)))
         ckpt = tmp_path / "init.npz"
         save_checkpoint(ckpt, state, 0.0)
 
-        text = BASE_INI.replace("dims = 2", "dims = 4")
+        text = BASE_INI.replace("dims = 2", "dims = 5")
         path = write_ini(tmp_path, text)
         code = cli.main([
             "oracle-benchmark", "--config", str(path),
@@ -342,8 +342,9 @@ class TestCli:
         assert code == cli.EXIT_GUARD
 
     def test_guard_precedes_ground_state(self, tmp_path, monkeypatch):
-        # 5 rotors at m_cut = 5 (11^5 states) cannot be evolved densely, so the
-        # oracle stops before it spends any time on its ground-state stage
+        # 5 rotors at m_cut = 5 (8801 states with M = 0) cannot be evolved
+        # densely, so the oracle stops before it spends any time on its
+        # ground-state stage
         def ground_state(*args, **kwargs):
             raise AssertionError("the ground-state stage ran")
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from reference import quadrature_energy
 
 from rotor_tvmc.ansatz import make_ansatz, random_alpha
 from rotor_tvmc.lattice import build_lattice
-from rotor_tvmc.quadrature import quadrature_energy, quadrature_qgt
+from rotor_tvmc.quadrature import quadrature_qgt
 from rotor_tvmc.tdvp import (
     QgtEstimate,
     RegularizationPolicy,
