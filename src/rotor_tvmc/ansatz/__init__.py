@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..lattice import Lattice
-from .activations import poly_I1_over_I0, poly_log_I0
 from .base import AnsatzError, VariationalState, log_psi_periodicity_check
 from .cnn import PeriodicCNN, zero_final_kernel
 from .jastrow import Jastrow
@@ -19,8 +18,6 @@ __all__ = [
     "VariationalState",
     "log_psi_periodicity_check",
     "make_ansatz",
-    "poly_I1_over_I0",
-    "poly_log_I0",
     "random_alpha",
     "zero_final_kernel",
 ]

@@ -1,7 +1,8 @@
 """Polynomial activation: truncated series of ln I0 and its derivatives.
 
-The degree-6 polynomial is analytic everywhere (no branch cuts), which keeps
-the trial wavefunction holomorphic in its complex parameters.
+The degree-6 series is even in z, so it is written once, as a polynomial g in
+s = z^2.  It is analytic everywhere (no branch cuts), which keeps the trial
+wavefunction holomorphic in its complex parameters.
 """
 
 from __future__ import annotations
@@ -9,26 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def poly_log_I0(z):
-    """Degree-6 truncation z^2/4 - z^4/64 + z^6/576, for complex z."""
-    z2 = np.square(z)
-    return z2 / 4.0 - np.square(z2) / 64.0 + z2 * np.square(z2) / 576.0
-
-
-def poly_I1_over_I0(z):
-    """Degree-5 truncation z/2 - z^3/16 + z^5/96; the derivative of poly_log_I0."""
-    z2 = np.square(z)
-    return z / 2.0 - z * z2 / 16.0 + z * np.square(z2) / 96.0
-
-
-def poly_d2_log_I0(z):
-    """Second derivative of poly_log_I0: 1/2 - 3 z^2/16 + 5 z^4/96."""
-    z2 = np.square(z)
-    return 0.5 - 3.0 * z2 / 16.0 + 5.0 * np.square(z2) / 96.0
-
-
 def poly_log_I0_of_square(s):
-    """poly_log_I0 evaluated at z with z^2 = s; polynomial (holomorphic) in s."""
+    """Degree-6 truncation z^2/4 - z^4/64 + z^6/576 of ln I0(z), at z^2 = s.
+
+    Polynomial (holomorphic) in s.  A unit with preactivation z has
+    f = g(s), f' = 2 z g'(s) and f'' = 2 g'(s) + 4 s g''(s), with s = z^2.
+    """
     return s / 4.0 - np.square(s) / 64.0 + s * np.square(s) / 576.0
 
 

@@ -24,7 +24,11 @@ import itertools
 import numpy as np
 
 from ..lattice import Lattice
-from .activations import poly_d2_log_I0, poly_I1_over_I0, poly_log_I0
+from .activations import (
+    d2_poly_log_I0_of_square,
+    d_poly_log_I0_of_square,
+    poly_log_I0_of_square,
+)
 from .base import AnsatzError, VariationalState
 
 
@@ -156,7 +160,7 @@ class PeriodicCNN(VariationalState):
         for d in range(1, self.depth):
             z = blocks[f"b{d}"][None, :, None] + self.table.apply(blocks[f"w{d}"], h)
             preacts.append(z)
-            h = poly_log_I0(z)
+            h = poly_log_I0_of_square(np.square(z))
             hidden.append(h)
         wf = blocks["w_final"][None]  # (1, C, J) single output channel
         out = self.prefactor * np.sum(self.table.apply(wf, h), axis=(-2, -1))
@@ -175,7 +179,8 @@ class PeriodicCNN(VariationalState):
         grads = {"w_final": self.table.weight_grad(g_out, hidden[-1])[:, 0]}
         gh = self.table.transpose_apply(wf, g_out)
         for d in range(self.depth - 1, 0, -1):
-            gz = gh * poly_I1_over_I0(preacts[d - 1])
+            z = preacts[d - 1]
+            gz = gh * (2.0 * z * d_poly_log_I0_of_square(np.square(z)))
             grads[f"b{d}"] = np.sum(gz, axis=-1)
             grads[f"w{d}"] = self.table.weight_grad(gz, hidden[d - 1])
             gh = self.table.transpose_apply(blocks[f"w{d}"], gz)
@@ -204,9 +209,11 @@ class PeriodicCNN(VariationalState):
             z = blocks[f"b{d}"][None, :, None] + self.table.apply(w, h)
             z1 = self.table.apply_jet(w, t1)
             z2 = self.table.apply_jet(w, t2)
-            fp = poly_I1_over_I0(z)[..., None]
-            fpp = poly_d2_log_I0(z)[..., None]
-            h = poly_log_I0(z)
+            s = np.square(z)
+            gp = d_poly_log_I0_of_square(s)
+            fp = (2.0 * z * gp)[..., None]
+            fpp = (2.0 * gp + 4.0 * s * d2_poly_log_I0_of_square(s))[..., None]
+            h = poly_log_I0_of_square(s)
             t2 = fpp * np.square(z1) + fp * z2
             t1 = fp * z1
         wf = blocks["w_final"][None]

@@ -1,24 +1,26 @@
 """Exact small-system reference in the truncated angular-momentum basis.
 
 Per site the basis is |m>, m in [-M, M], with <theta|m> = exp(-i m theta) /
-sqrt(2 pi).  Ladder operators act as L+|m> = |m+1>, L-|m> = |m-1>, truncated
-so L+|M> = L-|-M> = 0, giving the bond coupling
+sqrt(2 pi).  Multi-indices map to flat indices with site 0 most significant,
+matching the row-major grid layout used by the quadrature conversion, and
+every operator here is an index shift on that flat basis.  Ladder operators
+act as L+|m> = |m+1>, L-|m> = |m-1>, truncated so L+|M> = L-|-M> = 0, giving
+the bond coupling
 
     n_k . n_l = (L+_k L-_l + L-_k L+_l) / 2 .
 
 Each bond term moves one quantum between two sites, so the Hamiltonian
 conserves the total angular momentum m_1 + ... + m_N and splits into
-2 N M + 1 sectors, one per total.  ``ExactEvolver`` diagonalizes each sector
-on its own, and the dense limit applies to the largest sector (total 0), not
-to the whole basis.
-
-Multi-indices map to flat indices with site 0 most significant, matching the
-row-major grid layout used by the quadrature conversion.
+2 N M + 1 sectors, one per total.  ``ExactEvolver`` finds these blocks itself,
+as the connected components of H's nonzero pattern, and diagonalizes each on
+its own; the dense limit applies to the largest sector (total 0), not to the
+whole basis.  States are plain coefficient vectors in the flat basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,6 +32,8 @@ from .lattice import Lattice
 # its eigenvectors take 200 MB each
 DIM_GUARD = 5_000
 GRID_GUARD = 10_000_000
+# grid points per ln psi call: bounds the ansatz kernels' temporaries
+GRID_CHUNK = 8192
 
 
 class OracleGuardError(RuntimeError):
@@ -89,44 +93,20 @@ class TruncatedBasis:
         grids = np.meshgrid(*([local] * self.n_sites), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
-    def total_m(self) -> np.ndarray:
-        """(dim,) total angular momentum sum_k m_k of each state: its sector."""
-        return self.m_values().sum(axis=-1)
-
-
-@dataclass
-class DenseState:
-    coefficients: np.ndarray
-
-
-def _local_ladder(m_cut: int):
-    d = 2 * m_cut + 1
-    raise_op = sp.diags([np.ones(d - 1)], [-1], format="csr")  # |m+1><m|
-    lower_op = sp.diags([np.ones(d - 1)], [1], format="csr")  # |m-1><m|
-    return raise_op, lower_op
-
-
-def _site_operator(basis: TruncatedBasis, site: int, local: sp.spmatrix) -> sp.spmatrix:
-    d = basis.local_dim
-    left = sp.identity(d ** site, format="csr")
-    right = sp.identity(d ** (basis.n_sites - site - 1), format="csr")
-    return sp.kron(sp.kron(left, local), right, format="csr")
-
-
-def ladder_operators(basis: TruncatedBasis, site: int):
-    """(L+_k, L-_k) embedded into the full truncated Hilbert space."""
-    raise_loc, lower_loc = _local_ladder(basis.m_cut)
-    return (
-        _site_operator(basis, site, raise_loc),
-        _site_operator(basis, site, lower_loc),
-    )
-
 
 def bond_coupling(basis: TruncatedBasis, k: int, l: int) -> sp.spmatrix:
-    """n_k . n_l = (L+_k L-_l + L-_k L+_l) / 2 as a sparse matrix."""
-    rk, lk = ladder_operators(basis, k)
-    rl, ll = ladder_operators(basis, l)
-    return 0.5 * (rk @ ll + lk @ rl)
+    """n_k . n_l = (L+_k L-_l + L-_k L+_l) / 2 as a sparse matrix.
+
+    The hop L+_k L-_l maps |m> to |m + e_k - e_l>, a flat-index step of
+    stride_k - stride_l, unless m_k = m_cut or m_l = -m_cut; the other term
+    is its transpose.
+    """
+    m = basis.m_values()
+    stride_k, stride_l = basis.local_dim ** (basis.n_sites - 1 - np.array([k, l]))
+    src = np.flatnonzero((m[:, k] < basis.m_cut) & (m[:, l] > -basis.m_cut))
+    hop = sp.csr_matrix((np.full(src.size, 0.5), (src + stride_k - stride_l, src)),
+                        shape=(basis.dim, basis.dim))
+    return hop + hop.T
 
 
 def build_hamiltonian(basis: TruncatedBasis, lattice: Lattice, g: float, J: float) -> sp.spmatrix:
@@ -141,38 +121,50 @@ def build_hamiltonian(basis: TruncatedBasis, lattice: Lattice, g: float, J: floa
 
 
 class ExactEvolver:
-    """Unitary evolution by one dense Hermitian eigendecomposition per sector.
+    """Unitary evolution by one dense Hermitian eigendecomposition per block.
 
-    ``sectors`` labels every basis state with a conserved quantum number, such
-    as ``TruncatedBasis.total_m()`` for ``build_hamiltonian``'s H; H must have
-    no element between different labels.  Without labels H is one block.
-    ``blocks`` holds (basis indices, energies, modes) for each sector.
+    The blocks are the connected components of H's nonzero pattern: for
+    ``build_hamiltonian``'s H, exactly its total-M sectors.  ``blocks`` holds
+    (basis indices, energies, modes) for each block.
     """
 
-    def __init__(self, hamiltonian, sectors=None):
-        if sectors is None:
-            sectors = np.zeros(hamiltonian.shape[0], dtype=np.int64)
-        sectors = np.asarray(sectors)
-        order = np.argsort(sectors, kind="stable")
-        _, starts = np.unique(sectors[order], return_index=True)
+    def __init__(self, hamiltonian):
+        h = sp.csr_matrix(hamiltonian)
+        labels = _components(h != 0)
+        order = np.argsort(labels, kind="stable")
+        _, starts = np.unique(labels[order], return_index=True)
         indices = np.split(order, starts[1:])
         check_dim(max(idx.size for idx in indices))
-        h = sp.coo_matrix(hamiltonian)
-        if np.any(sectors[h.row] != sectors[h.col]):
-            raise ValueError("the Hamiltonian couples different sectors")
-        h = h.tocsr()
         self.blocks = []
         for idx in indices:
             energies, modes = np.linalg.eigh(h[idx][:, idx].toarray())
             self.blocks.append((idx, energies, modes))
 
-    def evolve(self, state: DenseState, t: float) -> DenseState:
-        out = np.empty(state.coefficients.shape, dtype=np.complex128)
+    def evolve(self, coefficients: np.ndarray, t: float) -> np.ndarray:
+        out = np.empty(coefficients.shape, dtype=np.complex128)
         for idx, energies, modes in self.blocks:
             # modes^H c without forming modes^H
-            c = _matvec(modes.T, state.coefficients[idx].conj()).conj()
+            c = _matvec(modes.T, coefficients[idx].conj()).conj()
             out[idx] = _matvec(modes, np.exp(-1j * energies * t) * c)
-        return DenseState(out)
+        return out
+
+
+def _components(pattern) -> np.ndarray:
+    """Smallest state index connected to each state by a symmetric sparse pattern.
+
+    Each pass lowers a label to its neighbours' smallest, then jumps it to
+    its own label's label.  scipy.sparse.csgraph would do the same, but its
+    import adds 10 MB to the process.
+    """
+    pattern = pattern.tocoo()
+    labels = np.arange(pattern.shape[0])
+    while True:
+        lowered = labels.copy()
+        np.minimum.at(lowered, pattern.row, labels[pattern.col])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, labels):
+            return labels
+        labels = lowered
 
 
 def _matvec(m, c):
@@ -195,19 +187,12 @@ def grid_points(n_sites: int, q: int) -> np.ndarray:
     return np.stack([m.ravel() for m in meshes], axis=-1)
 
 
-def evaluate_on_grid(state: VariationalState, q: int, chunk_size: int = 8192):
-    """psi on the uniform product grid, shape (q,) * N, scaled by exp(-shift).
-
-    Returns (tensor, shift) with shift = max Re ln psi, so the caller can undo
-    the overall scale when it matters (it cancels in normalized quantities).
-    """
-    n = state.n_sites
-    points = grid_points(n, q)
+def log_psi_on_points(state: VariationalState, points: np.ndarray) -> np.ndarray:
+    """ln psi at every point, GRID_CHUNK points per call."""
     logs = np.empty(points.shape[0], dtype=np.complex128)
-    for lo in range(0, points.shape[0], chunk_size):
-        logs[lo : lo + chunk_size] = state.log_psi(points[lo : lo + chunk_size])
-    shift = float(np.max(np.real(logs)))
-    return np.exp(logs - shift).reshape((q,) * n), shift
+    for lo in range(0, points.shape[0], GRID_CHUNK):
+        logs[lo : lo + GRID_CHUNK] = state.log_psi(points[lo : lo + GRID_CHUNK])
+    return logs
 
 
 def vqs_to_dense(state: VariationalState, basis: TruncatedBasis, q: int | None = None):
@@ -215,47 +200,35 @@ def vqs_to_dense(state: VariationalState, basis: TruncatedBasis, q: int | None =
 
     c_m = (2 pi)^(-N/2) Int dtheta psi(theta) exp(+i m . theta), evaluated with
     q uniform points per site (exact up to aliasing beyond the grid band).
-    Returns (DenseState normalized, aliasing_mass) where aliasing_mass is the
-    squared-amplitude fraction carried by the top grid Fourier shell.
+    Returns (normalized coefficients, aliasing_mass) where aliasing_mass is
+    the squared-amplitude fraction carried by the top grid Fourier shell.
     """
     n = state.n_sites
     if q is None:
         q = max(2 * basis.m_cut + 1, 16)
     if q < 2 * basis.m_cut + 1:
         raise ValueError("need q >= 2 m_cut + 1 grid points per site")
-    tensor, _ = evaluate_on_grid(state, q)
+    logs = log_psi_on_points(state, grid_points(n, q))
+    # psi scaled by exp(-max Re ln psi); the scale cancels in the normalization
+    tensor = np.exp(logs - np.max(logs.real)).reshape((q,) * n)
     # q * ifft gives sum_j psi_j exp(+2 pi i m j / q); the grid starts at -pi,
     # which contributes the (-1)^m phase per axis.
     for axis in range(n):
         tensor = q * np.fft.ifft(tensor, axis=axis)
     power = np.abs(tensor) ** 2
     total = float(np.sum(power))
-    top = q // 2
     alias_mass = 0.0
     if total > 0:
-        any_top = np.zeros(tensor.shape, dtype=bool)
-        for axis in range(n):
-            modes = np.fft.fftfreq(q, d=1.0 / q).astype(int)
-            sel = np.abs(modes) >= top
-            shape = [1] * n
-            shape[axis] = q
-            any_top |= sel.reshape(shape)
-        alias_mass = float(np.sum(power[any_top]) / total)
+        top = np.abs(np.fft.fftfreq(q, d=1.0 / q)) >= q // 2
+        alias_mass = float(np.sum(power[reduce(np.logical_or.outer, [top] * n)]) / total)
 
     m_local = np.arange(-basis.m_cut, basis.m_cut + 1)
-    take = np.mod(m_local, q)
-    phase = (-1.0) ** np.abs(m_local)
-    coeff = tensor
-    for axis in range(n):
-        coeff = np.take(coeff, take, axis=axis)
-        shape = [1] * n
-        shape[axis] = basis.local_dim
-        coeff = coeff * phase.reshape(shape)
-    c = coeff.ravel()
+    phase = reduce(np.multiply.outer, [(-1.0) ** np.abs(m_local)] * n)
+    c = (tensor[np.ix_(*[np.mod(m_local, q)] * n)] * phase).ravel()
     norm = np.linalg.norm(c)
     if norm == 0:
         raise ValueError("variational state projects to the zero vector")
-    return DenseState(c / norm), alias_mass
+    return c / norm, alias_mass
 
 
 def _shifted_overlap(c, shifts: dict) -> complex:
@@ -271,7 +244,7 @@ def _shifted_overlap(c, shifts: dict) -> complex:
     return complex(np.vdot(c[tuple(moved)], c[tuple(kept)]))
 
 
-def exact_observables(state: DenseState, basis: TruncatedBasis, lattice: Lattice,
+def exact_observables(coefficients: np.ndarray, basis: TruncatedBasis, lattice: Lattice,
                       J: float = 1.0) -> dict:
     """Potential energy density, magnetization components and circular variance.
 
@@ -279,7 +252,7 @@ def exact_observables(state: DenseState, basis: TruncatedBasis, lattice: Lattice
     <sin theta_k> = Im z_k; the bond term <n_k . n_l> is Re <L-_k L+_l>.
     """
     n = lattice.n_sites
-    c = state.coefficients.reshape((basis.local_dim,) * n)
+    c = coefficients.reshape((basis.local_dim,) * n)
     norm = float(np.real(np.vdot(c, c)))
     e_bonds = sum(
         _shifted_overlap(c, {int(k): -1, int(l): 1}).real for k, l in lattice.bonds
@@ -295,7 +268,7 @@ def exact_observables(state: DenseState, basis: TruncatedBasis, lattice: Lattice
     }
 
 
-def exact_fidelity(a: DenseState, b: DenseState) -> float:
-    ca = a.coefficients / np.linalg.norm(a.coefficients)
-    cb = b.coefficients / np.linalg.norm(b.coefficients)
+def exact_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    ca = a / np.linalg.norm(a)
+    cb = b / np.linalg.norm(b)
     return float(np.abs(ca.conj() @ cb) ** 2)

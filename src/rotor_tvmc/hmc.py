@@ -228,7 +228,7 @@ def warmup(chains: list[ChainState], config: HmcConfig, target) -> list[ChainSta
             da = _DualAveraging(eps, config.target_accept)
         if kind == "slow":
             # every (chain, site) column is one site's series
-            _, _, variance = circular_site_stats(draws.reshape(window_len, -1))
+            variance = circular_site_stats(draws.reshape(window_len, -1))
             mass = np.clip(variance, MASS_FLOOR, MASS_CEILING).reshape(theta.shape)
     _unstack(chains, theta, da.final(), mass)
     return chains

@@ -137,14 +137,12 @@ def wrap_angle(x):
 
 
 def circular_site_stats(samples: np.ndarray, weights: np.ndarray | None = None):
-    """Per-site circular statistics of a (n_samples, n_sites) angle array.
+    """Per-site circular variance -2 ln R_k of a (n_samples, n_sites) angle array.
 
-    Returns ``(mean_dir, resultant, variance)`` where ``mean_dir`` has shape
-    (n_sites, 2) and holds the normalized mean of (cos, sin) per site,
-    ``resultant`` is R_k = |<n_k>| in [0, 1] and ``variance`` is -2 ln R_k.
-    A site whose resultant vanishes exactly gets ``mean_dir = (0, 0)`` and a
-    +inf variance sentinel (legitimate for antipodal or fully disordered
-    samples, not an error).  Normalized ``weights`` make the means weighted.
+    R_k = |<n_k>| in [0, 1] is the length of the site's mean unit vector.  A
+    site whose R_k vanishes exactly gets a +inf variance sentinel (legitimate
+    for antipodal or fully disordered samples, not an error).  Normalized
+    ``weights`` make the means weighted.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] < 1:
@@ -155,11 +153,5 @@ def circular_site_stats(samples: np.ndarray, weights: np.ndarray | None = None):
     else:
         cx = weights @ np.cos(samples)
         sx = weights @ np.sin(samples)
-    resultant = np.hypot(cx, sx)
-    mean_dir = np.zeros((samples.shape[1], 2))
-    nonzero = resultant > 0
-    mean_dir[nonzero, 0] = cx[nonzero] / resultant[nonzero]
-    mean_dir[nonzero, 1] = sx[nonzero] / resultant[nonzero]
     with np.errstate(divide="ignore"):
-        variance = -2.0 * np.log(resultant)
-    return mean_dir, resultant, variance
+        return -2.0 * np.log(np.hypot(cx, sx))

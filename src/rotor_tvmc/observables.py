@@ -91,8 +91,7 @@ def magnetization(samples, weights=None):
 def circular_variance_mean(samples, weights=None) -> float:
     """Lattice average of the per-site circular variance -2 ln |<n_k>|."""
     flat, _ = _flatten(samples)
-    _, _, variance = circular_site_stats(flat, weights)
-    return float(np.mean(variance))
+    return float(np.mean(circular_site_stats(flat, weights)))
 
 
 def _edge_differences(cur):

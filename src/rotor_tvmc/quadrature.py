@@ -1,7 +1,10 @@
 """Dense-grid torus quadrature: the noiseless counterpart of HMC sampling.
 
-Used as an independent oracle in tests and as the deterministic expectation
-engine for small systems (energy-drift checks, residual ordering runs).
+The grid and its chunked ln psi evaluation are the exact oracle's
+(``exact.grid_points``, ``exact.log_psi_on_points``); here they give a
+variational state's Born weights and its QGT.  Used as an independent
+oracle in tests and as the deterministic expectation engine for small systems
+(energy-drift checks, residual ordering runs).
 """
 
 from __future__ import annotations
@@ -9,16 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .ansatz.base import VariationalState
-from .exact import grid_points
+from .exact import grid_points, log_psi_on_points
 from .tdvp import QgtEstimate, estimate_qgt
 
 
-def born_weights(state: VariationalState, points: np.ndarray,
-                 chunk_size: int = 8192) -> np.ndarray:
+def born_weights(state: VariationalState, points: np.ndarray) -> np.ndarray:
     """Normalized |psi|^2 weights on the given points."""
-    logp = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], chunk_size):
-        logp[lo : lo + chunk_size] = state.log_prob(points[lo : lo + chunk_size])
+    logp = 2.0 * np.real(log_psi_on_points(state, points))  # log_prob, bit for bit
     logp -= np.max(logp)
     w = np.exp(logp)
     return w / np.sum(w)

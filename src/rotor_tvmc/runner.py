@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import sys
+import zipfile
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -93,32 +94,40 @@ def save_checkpoint(path, state, t: float, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path, state):
-    """Verify the descriptor against ``state`` and return (alpha, t, extra)."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise RunnerError(
-                "checkpoint-version",
-                f"checkpoint format {version} != {CHECKPOINT_FORMAT_VERSION}",
+    """Verify the descriptor against ``state`` and return (alpha, t, extra).
+
+    A missing file, a file that is no npz archive and an archive without one
+    of the fields all raise RunnerError("checkpoint-unreadable").
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            version = int(data["format_version"])
+            if version != CHECKPOINT_FORMAT_VERSION:
+                raise RunnerError(
+                    "checkpoint-version",
+                    f"checkpoint format {version} != {CHECKPOINT_FORMAT_VERSION}",
+                )
+            kind = str(data["kind"])
+            names = [str(s) for s in data["layout_names"]]
+            shapes = [
+                tuple(int(tok) for tok in s.split(",") if tok)
+                for s in data["layout_shapes"]
+            ]
+            if kind != state.kind or list(zip(names, shapes)) != [
+                (n, tuple(s)) for n, s in state.layout
+            ]:
+                raise RunnerError(
+                    "checkpoint-mismatch",
+                    f"checkpoint holds a {kind} layout incompatible with {state.kind}",
+                )
+            return (
+                np.asarray(data["alpha"], dtype=np.complex128),
+                float(data["t"]),
+                json.loads(str(data["extra"])),
             )
-        kind = str(data["kind"])
-        names = [str(s) for s in data["layout_names"]]
-        shapes = [
-            tuple(int(tok) for tok in s.split(",") if tok)
-            for s in data["layout_shapes"]
-        ]
-        if kind != state.kind or list(zip(names, shapes)) != [
-            (n, tuple(s)) for n, s in state.layout
-        ]:
-            raise RunnerError(
-                "checkpoint-mismatch",
-                f"checkpoint holds a {kind} layout incompatible with {state.kind}",
-            )
-        return (
-            np.asarray(data["alpha"], dtype=np.complex128),
-            float(data["t"]),
-            json.loads(str(data["extra"])),
-        )
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise RunnerError("checkpoint-unreadable",
+                          f"cannot read checkpoint {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +450,7 @@ def run_oracle_benchmark(config: RunConfig, initial_state=None,
     hamiltonian = exact.build_hamiltonian(
         basis, lattice, config.physics.g_final, config.physics.j
     )
-    evolver = exact.ExactEvolver(hamiltonian, basis.total_m())
+    evolver = exact.ExactEvolver(hamiltonian)
 
     record = run_quench(config, initial_state, out_dir=None)
 

@@ -7,6 +7,7 @@ local energy) is verified against central finite differences.
 
 import numpy as np
 import pytest
+import scipy.special
 
 from rotor_tvmc.ansatz import (
     AnsatzError,
@@ -18,9 +19,6 @@ from rotor_tvmc.ansatz import (
 from rotor_tvmc.ansatz.activations import (
     d2_poly_log_I0_of_square,
     d_poly_log_I0_of_square,
-    poly_I1_over_I0,
-    poly_d2_log_I0,
-    poly_log_I0,
     poly_log_I0_of_square,
 )
 from rotor_tvmc.lattice import build_lattice
@@ -354,26 +352,37 @@ class TestUniformCnn:
         assert np.allclose(state.log_psi(theta), state.log_psi(theta)[0])
 
 
+def _activation(z):
+    """f(z) = g(z^2) and its z-derivatives, by the chain rule the CNN uses."""
+    s = np.square(z)
+    gp = d_poly_log_I0_of_square(s)
+    return (poly_log_I0_of_square(s), 2.0 * z * gp,
+            2.0 * gp + 4.0 * s * d2_poly_log_I0_of_square(s))
+
+
 class TestActivations:
     def test_log_i0_taylor(self):
         z = np.linspace(0, 0.5, 11)
-        assert np.allclose(poly_log_I0(z), z ** 2 / 4 - z ** 4 / 64 + z ** 6 / 576)
+        assert np.allclose(_activation(z)[0], z ** 2 / 4 - z ** 4 / 64 + z ** 6 / 576)
 
     def test_ratio_is_derivative(self):
         z = np.linspace(0.01, 0.5, 20)
         h = 1e-6
-        fd = (poly_log_I0(z + h) - poly_log_I0(z - h)) / (2 * h)
-        assert np.allclose(poly_I1_over_I0(z), fd, atol=1e-8)
+        fd = (_activation(z + h)[0] - _activation(z - h)[0]) / (2 * h)
+        assert np.allclose(_activation(z)[1], fd, atol=1e-8)
 
     def test_second_derivative(self):
         z = np.linspace(0.01, 0.5, 20)
         h = 1e-4
-        fd = (poly_log_I0(z + h) - 2 * poly_log_I0(z) + poly_log_I0(z - h)) / h ** 2
-        assert np.allclose(poly_d2_log_I0(z), fd, atol=1e-6)
+        fd = (_activation(z + h)[0] - 2 * _activation(z)[0] + _activation(z - h)[0]) / h ** 2
+        assert np.allclose(_activation(z)[2], fd, atol=1e-6)
 
     def test_square_argument_form_consistent(self):
+        # the truncation of ln I0 errs by the z^8 term, 11 z^8 / 49152
         z = np.linspace(0, 0.7, 15)
-        assert np.allclose(poly_log_I0_of_square(z ** 2), poly_log_I0(z))
+        log_i0 = np.log(scipy.special.i0(z))
+        assert np.all(np.abs(poly_log_I0_of_square(z ** 2) - log_i0)
+                      <= 1.01 * 11 * z ** 8 / 49152 + 1e-16)
 
     def test_square_form_derivatives(self):
         s = np.linspace(0.01, 0.4, 20)

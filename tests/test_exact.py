@@ -11,6 +11,8 @@ from reference import (
     evolve_exact,
     expectation,
     initial_product_state,
+    kron_bond_coupling,
+    ladder_operators,
     quadrature_energy,
 )
 
@@ -48,7 +50,7 @@ class TestLadderOperators:
     @pytest.mark.parametrize("m_cut", [1, 2, 5])
     def test_single_site_matrix_elements(self, m_cut):
         basis = exact.TruncatedBasis(1, m_cut)
-        raise_op, lower_op = exact.ladder_operators(basis, 0)
+        raise_op, lower_op = ladder_operators(basis, 0)
         raise_dense = raise_op.toarray()
         ms = list(range(-m_cut, m_cut + 1))
         for i, m_row in enumerate(ms):
@@ -75,7 +77,7 @@ class TestLadderOperators:
 
     def test_cos_sin_consistency(self):
         basis = exact.TruncatedBasis(1, 3)
-        raise_op, lower_op = exact.ladder_operators(basis, 0)
+        raise_op, lower_op = ladder_operators(basis, 0)
         cos_op, sin_op = cos_sin_operators(basis, 0)
         assert np.allclose(cos_op.toarray(),
                            0.5 * (raise_op + lower_op).toarray())
@@ -119,7 +121,7 @@ class TestEvolution:
         evolver = exact.ExactEvolver(h)
         for t in (0.1, 1.0, 5.0):
             evolved = evolver.evolve(psi, t)
-            assert np.linalg.norm(evolved.coefficients) == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.norm(evolved) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_time_identity(self):
         lat = build_lattice((2,), (False,))
@@ -127,11 +129,13 @@ class TestEvolution:
         h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
         psi = initial_product_state(basis)
         evolved = evolve_exact(h, psi, 0.0)
-        assert np.allclose(evolved.coefficients, psi.coefficients, atol=1e-12)
+        assert np.allclose(evolved, psi, atol=1e-12)
 
     def test_eigendecomposition_guard(self):
-        # the guard fires before densifying: a dense 6000 x 6000 copy is 288 MB
-        big = sp.eye(6000, format="csr")
+        # the guard fires before densifying: a dense 6000 x 6000 copy is 288 MB;
+        # a tridiagonal H is connected, so it is one block of 6000 states
+        big = sp.diags([np.ones(5999), np.arange(6000.0), np.ones(5999)], [-1, 0, 1],
+                       format="csr")
         tracemalloc.start()
         try:
             with pytest.raises(exact.OracleGuardError):
@@ -163,7 +167,7 @@ class TestConversion:
         state = make_ansatz("jastrow", lat)  # zero parameters: psi = 1
         dense, alias = exact.vqs_to_dense(state, basis)
         expected = initial_product_state(basis)
-        overlap = abs(np.vdot(dense.coefficients, expected.coefficients))
+        overlap = abs(np.vdot(dense, expected))
         assert overlap == pytest.approx(1.0, abs=1e-12)
         assert alias < 1e-12
 
@@ -183,7 +187,7 @@ class TestConversion:
 
         basis = exact.TruncatedBasis(1, 2)
         dense, _ = exact.vqs_to_dense(SingleMode(), basis)
-        weights = np.abs(dense.coefficients) ** 2
+        weights = np.abs(dense) ** 2
         assert weights[basis.flat_index((1,))] == pytest.approx(1.0, abs=1e-12)
 
     def test_energy_agreement_with_quadrature(self):
@@ -234,13 +238,13 @@ class TestAgainstRebuiltOperators:
         basis = exact.TruncatedBasis(3, 3)
         dense0, _ = exact.vqs_to_dense(state, basis)
         h = exact.build_hamiltonian(basis, lat, g=4.5, J=1.0)
-        evolver = exact.ExactEvolver(h, basis.total_m())
+        evolver = exact.ExactEvolver(h)
         assert not any(np.iscomplexobj(modes) for _, _, modes in evolver.blocks)
         reference = dense_evolver(h)
         for t in np.linspace(0.0, 1.0, 9):
             dense_t = evolver.evolve(dense0, t)
             ref = reference(dense0, t)
-            assert np.max(np.abs(dense_t.coefficients - ref)) <= 1e-12
+            assert np.max(np.abs(dense_t - ref)) <= 1e-12
             got = exact.exact_observables(dense_t, basis, lat, J=1.3)
             want = _rebuilt_observables(dense_t, basis, lat, J=1.3)
             assert got.keys() == want.keys()
@@ -254,16 +258,16 @@ class TestAgainstRebuiltOperators:
         evolver = exact.ExactEvolver(h)
         reference = dense_evolver(h)
         c = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        state = exact.DenseState(c / np.linalg.norm(c))
+        state = c / np.linalg.norm(c)
         for t in (0.0, 0.3, 2.0):
-            got = evolver.evolve(state, t).coefficients
+            got = evolver.evolve(state, t)
             assert np.max(np.abs(got - reference(state, t))) <= 1e-12
 
 
 def _random_state(dim, seed):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return exact.DenseState(c / np.linalg.norm(c))
+    return c / np.linalg.norm(c)
 
 
 def _lattices():
@@ -276,6 +280,24 @@ def _lattices():
     }
 
 
+def _total_m(basis):
+    """Total angular momentum sum_k m_k of every basis state: its sector."""
+    return basis.m_values().sum(axis=-1)
+
+
+class TestBondCoupling:
+    @pytest.mark.parametrize("m_cut", [1, 3])
+    @pytest.mark.parametrize("name", sorted(_lattices()))
+    def test_equals_kronecker_reference(self, name, m_cut):
+        lat = _lattices()[name]
+        basis = exact.TruncatedBasis(lat.n_sites, m_cut)
+        for k, l in lat.bonds:
+            got = exact.bond_coupling(basis, int(k), int(l))
+            want = kron_bond_coupling(basis, int(k), int(l))
+            assert (got != want).nnz == 0
+            assert np.all(got.data == 0.5)
+
+
 class TestSectors:
     """One eigendecomposition per total-M sector."""
 
@@ -284,12 +306,12 @@ class TestSectors:
         lat = build_lattice((n_sites,), (True,))
         basis = exact.TruncatedBasis(n_sites, 5)
         h = exact.build_hamiltonian(basis, lat, g=6.0, J=1.0)
-        evolver = exact.ExactEvolver(h, basis.total_m())
+        evolver = exact.ExactEvolver(h)
         assert len(evolver.blocks) == 2 * n_sites * 5 + 1
         reference = dense_evolver(h)
         state = _random_state(basis.dim, n_sites)
         for t in (0.0, 0.05, 0.5, 1.0, 7.3):
-            got = evolver.evolve(state, t).coefficients
+            got = evolver.evolve(state, t)
             assert np.max(np.abs(got - reference(state, t))) <= 1e-12
 
     @pytest.mark.parametrize("n_sites", [2, 3])
@@ -297,7 +319,7 @@ class TestSectors:
         lat = build_lattice((n_sites,), (True,))
         basis = exact.TruncatedBasis(n_sites, 5)
         h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
-        evolver = exact.ExactEvolver(h, basis.total_m())
+        evolver = exact.ExactEvolver(h)
         union = np.sort(np.concatenate([e for _, e, _ in evolver.blocks]))
         dense = np.linalg.eigvalsh(h.toarray())
         assert np.max(np.abs(union - dense)) <= 1e-12
@@ -306,15 +328,26 @@ class TestSectors:
     def test_no_element_between_sectors(self, name):
         lat = _lattices()[name]
         basis = exact.TruncatedBasis(lat.n_sites, 3)
-        labels = basis.total_m()
+        labels = _total_m(basis)
         h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0).tocoo()
         assert h.nnz > basis.dim  # the bonds are there
         assert np.array_equal(labels[h.row], labels[h.col])
 
+    @pytest.mark.parametrize("m_cut", [1, 2])
+    @pytest.mark.parametrize("name", sorted(_lattices()))
+    def test_blocks_are_the_sectors(self, name, m_cut):
+        lat = _lattices()[name]
+        basis = exact.TruncatedBasis(lat.n_sites, m_cut)
+        labels = _total_m(basis)
+        evolver = exact.ExactEvolver(exact.build_hamiltonian(basis, lat, g=3.0, J=1.0))
+        blocks = sorted(idx.tolist() for idx, _, _ in evolver.blocks)
+        sectors = sorted(np.flatnonzero(labels == m).tolist() for m in np.unique(labels))
+        assert blocks == sectors
+
     @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
     @pytest.mark.parametrize("m_cut", [1, 2, 3])
     def test_largest_sector_count(self, n_sites, m_cut):
-        counts = np.bincount(exact.TruncatedBasis(n_sites, m_cut).total_m() + n_sites * m_cut)
+        counts = np.bincount(_total_m(exact.TruncatedBasis(n_sites, m_cut)) + n_sites * m_cut)
         assert exact.largest_sector(n_sites, m_cut) == counts.max()
         assert counts[n_sites * m_cut] == counts.max()  # the M = 0 sector
 
@@ -324,25 +357,21 @@ class TestSectors:
         assert basis.dim == 14641
         assert exact.largest_sector(4, 5) == 891
         h = exact.build_hamiltonian(basis, lat, g=6.0, J=1.0)
-        evolver = exact.ExactEvolver(h, basis.total_m())
+        evolver = exact.ExactEvolver(h)
         assert max(idx.size for idx, _, _ in evolver.blocks) == 891
         psi = initial_product_state(basis)
-        evolved = evolver.evolve(psi, 0.4).coefficients
+        evolved = evolver.evolve(psi, 0.4)
         assert np.linalg.norm(evolved) == pytest.approx(1.0, abs=1e-12)
         # the m = 0 product state lives in the M = 0 sector alone
-        assert np.all(evolved[basis.total_m() != 0] == 0)
-
-    def test_labels_must_be_conserved(self):
-        lat = build_lattice((2,), (True,))
-        basis = exact.TruncatedBasis(2, 2)
-        h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
-        with pytest.raises(ValueError, match="couples different sectors"):
-            exact.ExactEvolver(h, basis.m_values()[:, 0])
+        assert np.all(evolved[_total_m(basis) != 0] == 0)
 
     def test_guard_applies_to_the_largest_sector(self):
-        # 6000 states in one labelled sector are refused like an unlabelled H
-        with pytest.raises(exact.OracleGuardError, match="> 5000"):
-            exact.ExactEvolver(sp.eye(6000, format="csr"), np.zeros(6000, dtype=int))
+        # 5001 connected states among small blocks are refused; 300 states
+        # that H does not connect are 300 blocks of one state each
+        chain = sp.diags([np.ones(5000), np.ones(5000)], [-1, 1])
+        with pytest.raises(exact.OracleGuardError, match="5001 > 5000"):
+            exact.ExactEvolver(sp.block_diag([sp.eye(3), chain, sp.eye(3)]))
+        assert len(exact.ExactEvolver(sp.eye(300, format="csr")).blocks) == 300
 
 
 class TestObservables:

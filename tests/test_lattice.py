@@ -99,19 +99,16 @@ class TestCircularStats:
     def test_concentrated_cloud(self):
         rng = np.random.default_rng(0)
         samples = 0.01 * rng.standard_normal((5000, 3)) + 1.0
-        mean_dir, resultant, variance = circular_site_stats(samples)
-        assert np.allclose(np.arctan2(mean_dir[:, 1], mean_dir[:, 0]), 1.0, atol=1e-3)
-        assert np.all(variance < 1e-3)
+        assert np.all(circular_site_stats(samples) < 1e-3)
 
     def test_uniform_angles_high_variance(self):
         rng = np.random.default_rng(1)
         samples = rng.uniform(-np.pi, np.pi, size=(20000, 2))
-        _, _, variance = circular_site_stats(samples)
-        assert np.all(variance > 5.0)
+        assert np.all(circular_site_stats(samples) > 5.0)
 
     def test_variance_matches_definition(self):
         rng = np.random.default_rng(2)
         samples = rng.vonmises(0.0, 2.0, size=(4000, 1))
-        _, _, variance = circular_site_stats(samples)
+        variance = circular_site_stats(samples)
         r = np.hypot(np.cos(samples).mean(), np.sin(samples).mean())
         assert np.isclose(variance[0], -2 * np.log(r))

@@ -48,7 +48,7 @@ def test_open_two_by_two_tracks_exact_evolution():
     # the exact state's vorticity on the quadrature engine's grid
     basis = exact.TruncatedBasis(lattice.n_sites, M_CUT)
     hamiltonian = exact.build_hamiltonian(basis, lattice, g=6.0, J=J)
-    evolver = exact.ExactEvolver(hamiltonian, basis.total_m())
+    evolver = exact.ExactEvolver(hamiltonian)
     dense0, _ = exact.vqs_to_dense(gs.state, basis)
     points = exact.grid_points(lattice.n_sites, Q)
 

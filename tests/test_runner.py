@@ -322,6 +322,18 @@ class TestCli:
         report = json.loads((out / "failure.json").read_text())
         assert report["reason"] == "ground-state-nonconvergence"
 
+    @pytest.mark.parametrize("content", [None, "alpha = 1\n"], ids=["missing", "text"])
+    def test_unreadable_checkpoint_exits_3(self, tmp_path, content):
+        ckpt = tmp_path / "init.npz"
+        if content is not None:
+            ckpt.write_text(content)
+        out = tmp_path / "out"
+        code = cli.main(["quench", "--config", str(write_ini(tmp_path, BASE_INI)),
+                         "--out", str(out), "--resume", str(ckpt)])
+        assert code == cli.EXIT_NUMERICAL
+        report = json.loads((out / "failure.json").read_text())
+        assert report["reason"] == "checkpoint-unreadable"
+
     def test_guard_exits_4(self, tmp_path):
         # 5 sites at m_cut = 5 have 8801 states with total M = 0, which trips
         # the dense-evolution guard on the resume path too
