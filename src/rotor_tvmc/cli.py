@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Verbs: ground-state, quench, oracle-benchmark, sampler-check.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure, 4 resource guard
-exceeded.  Numerical failures leave a typed reason in the run metadata.
+0 success, 2 configuration error, 3 numerical failure or unusable
+``--resume`` checkpoint, 4 resource guard exceeded.  Exit code 3 leaves a
+typed reason in ``failure.json``.
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ def main(argv=None) -> int:
         return EXIT_GUARD
     except _NUMERICAL as exc:
         reason = getattr(exc, "reason", type(exc).__name__)
-        print(f"numerical failure [{reason}]: {exc}", file=sys.stderr)
+        label = ("checkpoint error" if reason.startswith("checkpoint-")
+                 else "numerical failure")
+        print(f"{label} [{reason}]: {exc}", file=sys.stderr)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             write_metadata(out_dir / "failure.json",

@@ -35,6 +35,8 @@ from .integrator import AdaptiveStepper
 from .tdvp import estimate_qgt, residual_r2, tdvp_rhs
 
 CHECKPOINT_FORMAT_VERSION = 1
+# smallest Kish effective sample size 1 / sum(w^2) of a quadrature draw
+MIN_KISH_ESS = 2.0
 
 # mode codes folded into per-run RNG keys
 _MODE_GROUND_STATE = 0
@@ -93,14 +95,28 @@ def save_checkpoint(path, state, t: float, extra: dict | None = None) -> None:
     )
 
 
+CHECKPOINT_FIELDS = ("format_version", "kind", "alpha", "layout_names",
+                     "layout_shapes", "t", "extra")
+
+
 def load_checkpoint(path, state):
     """Verify the descriptor against ``state`` and return (alpha, t, extra).
 
     A missing file, a file that is no npz archive and an archive without one
-    of the fields all raise RunnerError("checkpoint-unreadable").
+    of the fields raise RunnerError("checkpoint-unreadable") with a message
+    that says which.
     """
+    def unreadable(why: str) -> RunnerError:
+        return RunnerError("checkpoint-unreadable", f"cannot read checkpoint {path}: {why}")
+
     try:
-        with np.load(path, allow_pickle=False) as data:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise ValueError("not an archive")
+        with data:
+            missing = [name for name in CHECKPOINT_FIELDS if name not in data.files]
+            if missing:
+                raise unreadable(f"missing field {missing[0]!r}")
             version = int(data["format_version"])
             if version != CHECKPOINT_FORMAT_VERSION:
                 raise RunnerError(
@@ -125,9 +141,13 @@ def load_checkpoint(path, state):
                 float(data["t"]),
                 json.loads(str(data["extra"])),
             )
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise RunnerError("checkpoint-unreadable",
-                          f"cannot read checkpoint {path}: {exc}") from exc
+    except FileNotFoundError as exc:
+        raise unreadable("no such file") from exc
+    except OSError as exc:
+        raise unreadable(exc.strerror or str(exc)) from exc
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # numpy's own message for a text file is about pickles
+        raise unreadable("not an npz checkpoint") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +203,21 @@ class _QuadratureEngine:
         self.warnings: Counter[str] = Counter()
 
     def draw(self, state):
-        """(grid points, normalized |psi|^2 weights on them)."""
-        return self.grid, quadrature.born_weights(state, self.grid)
+        """(grid points, normalized |psi|^2 weights on them).
+
+        Raises RunnerError("draw-degenerate") when the weights sit on fewer
+        than ``MIN_KISH_ESS`` points: the averages are then those of a few
+        configurations, and X and alpha_dot vanish.
+        """
+        weights = quadrature.born_weights(state, self.grid)
+        ess = 1.0 / float(weights @ weights)
+        if ess < MIN_KISH_ESS:
+            raise RunnerError(
+                "draw-degenerate",
+                f"|psi|^2 sits on {ess:.3g} grid points (Kish ESS); "
+                f"at least {MIN_KISH_ESS:g} are needed",
+            )
+        return self.grid, weights
 
 
 def _engine(config: RunConfig, mode_code: int):
@@ -193,10 +226,10 @@ def _engine(config: RunConfig, mode_code: int):
     return _HmcEngine(config, mode_code)
 
 
-def _qgt(state, draw, g: float, J: float):
+def _qgt(state, draw, g: float, J: float, out=None):
     points, weights = draw
     return estimate_qgt(
-        state, points.reshape(-1, state.n_sites), g, J, weights=weights
+        state, points.reshape(-1, state.n_sites), g, J, weights=weights, out=out
     )
 
 
@@ -252,10 +285,15 @@ def run_ground_state(config: RunConfig, alpha0: np.ndarray | None = None,
     converged = False
     n = lattice.n_sites
     scale = gs.tolerance * config.physics.j * n
+    # X, the largest array of an iteration, is refilled in place: a new X
+    # per iteration after freeing the last one made the allocator return
+    # the heap top to the system and fault it back in, every iteration
+    x = None
     for iteration in range(gs.max_iters):
-        qgt = _qgt(state, engine.draw(state), g, config.physics.j)
-        alpha_dot, _ = tdvp_rhs(qgt, config.regularization, mode="imag")
+        qgt = _qgt(state, engine.draw(state), g, config.physics.j, out=x)
+        alpha_dot = tdvp_rhs(qgt, config.regularization, mode="imag")[0]
         energies.append(float(np.real(qgt.e_mean)))
+        x = qgt.x
         state = state.with_alpha(state.alpha + gs.tau * alpha_dot)
         if len(energies) > gs.window:
             recent = energies[-(gs.window + 1):]

@@ -16,9 +16,17 @@ Hermitian eigendecomposition, of the smaller Gram matrix:
 - n < P: X X^dag = V diag(s) V^dag.  X X^dag and X^dag X share their
   nonzero spectrum, and the remaining P - n eigenvalues of S are zero, which
   f removes.  The eigenvectors of S with s > 0 are X^dag V s^(-1/2), so
-  S_f^+ = (X^dag V) diag(f/s^2) (X^dag V)^dag exactly, and lambda^2, the
+  S_f^+ b = X^dag V diag(f/s^2) V^dag X b exactly, and lambda^2, the
   effective rank and the r^2 residual come out the same as in parameter
   space (minSR; Chen & Heyl, arXiv:2302.01941).
+
+Memory.  X is the largest array of a step.  ``estimate_qgt`` fills it in
+chunks of rows whose log-derivative block fits ``CHUNK_BYTES``, into a new
+array or into the caller's stale one (``out``).  The sample-space solve
+then holds X, n x n matrices and P-vectors only: X X^dag is summed over
+column blocks of X that are no larger than X X^dag itself, and X^dag u is
+applied as (u^dag X)^dag, so neither conj(X) nor the P x n basis X^dag V
+is formed.
 
 Monte Carlo averages use the 1/n convention throughout.
 """
@@ -33,6 +41,9 @@ import numpy as np
 from .ansatz.base import VariationalState
 
 CUTOFF_EXPONENT = 6
+# estimate_qgt's chunks of rows: at most 512, and a (rows, P) complex block
+# of log-derivatives within this many bytes
+CHUNK_BYTES = 4 * 2**20
 
 
 class TdvpError(RuntimeError):
@@ -40,7 +51,9 @@ class TdvpError(RuntimeError):
 
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    out = m + m.conj().T
+    out *= 0.5
+    return out
 
 
 @dataclass
@@ -80,31 +93,42 @@ class RegularizationPolicy:
 
 @dataclass
 class RegularizedInverse:
-    """S_f^+ = W diag(d) W^dag over the nonzero spectrum of S."""
+    """S_f^+ = W diag(d) W^dag, or X^dag W diag(d) W^dag X in sample space."""
 
-    basis: np.ndarray  # W: eigenvectors U of S, or X^dag V in sample space
+    basis: np.ndarray  # W: (P, P) eigenvectors U of S, or (n, n) V of X X^dag
     spectrum: np.ndarray  # clamped eigenvalues of S, or of X X^dag, ascending
     inv_diag: np.ndarray  # d: f(s)/s, or f(s)/s^2 in sample space
     rho: float  # effective rank sum f(s)
     lambda2: float
+    x: np.ndarray | None = None  # the estimate's (n, P) X in sample space, else None
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def _filtered(self, b: np.ndarray) -> np.ndarray:
         w = self.basis
-        x_hat = w.conj().T @ x
-        scale = self.inv_diag.reshape(-1, *([1] * (x_hat.ndim - 1)))
-        return w @ (scale * x_hat)
+        b_hat = w.conj().T @ b
+        scale = self.inv_diag.reshape(-1, *([1] * (b_hat.ndim - 1)))
+        return w @ (scale * b_hat)
+
+    def apply(self, b: np.ndarray) -> np.ndarray:
+        """S_f^+ b for a (P,) vector or a (P, k) matrix."""
+        if self.x is None:
+            return self._filtered(b)
+        u = self._filtered(self.x @ b)
+        return (u.conj().T @ self.x).conj().T  # X^dag u, as gvec forms X^dag y
 
 
 def estimate_qgt(state: VariationalState, samples: np.ndarray, g: float, J: float,
                  weights: np.ndarray | None = None,
-                 chunk_size: int = 512) -> QgtEstimate:
+                 chunk_size: int = 512, out: np.ndarray | None = None) -> QgtEstimate:
     """Sampled (or quadrature-weighted) covariance estimate of S, g and Var H.
 
     ``weights`` defaults to uniform 1/n; a quadrature caller passes the
     normalized |psi|^2 grid weights instead.  The ansatz kernels run on
-    ``chunk_size`` samples at a time, which bounds their temporaries; the
-    log-derivatives fill one preallocated (n, P) array that is then centered
-    and scaled in place.
+    chunks of at most ``chunk_size`` samples, fewer when a chunk's (rows, P)
+    log-derivative block would exceed ``CHUNK_BYTES``, which bounds their
+    temporaries; the log-derivatives fill one preallocated (n, P) array that
+    is then centered and scaled in place.  ``out``, an (n, P) complex array
+    whose contents are no longer needed, such as the last estimate's X, is
+    filled in place of a new one.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n = samples.shape[0]
@@ -116,10 +140,16 @@ def estimate_qgt(state: VariationalState, samples: np.ndarray, g: float, J: floa
         weights = np.asarray(weights, dtype=np.float64)
         weights = weights / np.sum(weights)
 
-    x = np.empty((n, state.n_params), dtype=np.complex128)
+    if out is None:
+        x = np.empty((n, state.n_params), dtype=np.complex128)
+    elif out.shape == (n, state.n_params) and out.dtype == np.complex128:
+        x = out
+    else:
+        raise ValueError(f"out must be a complex (n, P) = ({n}, {state.n_params}) array")
     e = np.empty(n, dtype=np.complex128)
-    for lo in range(0, n, chunk_size):
-        sl = slice(lo, lo + chunk_size)
+    rows = max(1, min(chunk_size, CHUNK_BYTES // x[0].nbytes))
+    for lo in range(0, n, rows):
+        sl = slice(lo, lo + rows)
         x[sl] = state.log_derivatives(samples[sl])
         e[sl] = state.local_energy(samples[sl], g, J)
     e_mean = weights @ e
@@ -155,17 +185,19 @@ def _clamped_eigh(matrix: np.ndarray):
 
 
 def _filtered_inverse(spectrum: np.ndarray, basis: np.ndarray, lambda2: float,
-                      power: int) -> RegularizedInverse:
+                      x: np.ndarray | None = None) -> RegularizedInverse:
+    """The filtered inverse of S, or in sample space (``x`` given) of X X^dag."""
     f = spectral_filter(spectrum, lambda2)
     inv_diag = np.zeros_like(spectrum)
     pos = spectrum > 0
-    inv_diag[pos] = f[pos] / spectrum[pos] ** power
+    inv_diag[pos] = f[pos] / spectrum[pos] ** (1 if x is None else 2)
     return RegularizedInverse(
         basis=basis,
         spectrum=spectrum,
         inv_diag=inv_diag,
         rho=float(np.sum(f)),
         lambda2=float(lambda2),
+        x=x,
     )
 
 
@@ -177,7 +209,18 @@ def regularized_pseudoinverse(s_matrix: np.ndarray, lambda2: float) -> Regulariz
     reference for the solve inside ``tdvp_rhs``.
     """
     spectrum, u = _clamped_eigh(s_matrix)
-    return _filtered_inverse(spectrum, u, lambda2, power=1)
+    return _filtered_inverse(spectrum, u, lambda2)
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """Hermitian (n, n) X X^dag, summed over (n, n) column blocks of X, so that
+    no conjugate copy is larger than the result."""
+    n = x.shape[0]
+    gram = np.zeros((n, n), dtype=x.dtype)
+    for lo in range(0, x.shape[1], n):
+        block = x[:, lo:lo + n]
+        gram += block @ block.conj().T
+    return _hermitian(gram)
 
 
 def effective_rank(spectrum: np.ndarray, lambda2: float) -> float:
@@ -195,17 +238,15 @@ def tdvp_rhs(qgt: QgtEstimate, policy: RegularizationPolicy, mode: str):
     """
     if mode not in ("real", "imag"):
         raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
-    x = qgt.x
-    n, p = x.shape
+    n, p = qgt.x.shape
     if n >= p:
         spectrum, basis = _clamped_eigh(qgt.s_matrix)
-        power = 1
+        x = None
     else:
-        spectrum, v = _clamped_eigh(_hermitian(x @ x.conj().T))
-        basis = x.conj().T @ v
-        power = 2
+        spectrum, basis = _clamped_eigh(_gram(qgt.x))
+        x = qgt.x
     lambda2 = adaptive_lambda(spectrum, policy)
-    pinv = _filtered_inverse(spectrum, basis, lambda2, power)
+    pinv = _filtered_inverse(spectrum, basis, lambda2, x)
     solution = pinv.apply(qgt.gvec)
     alpha_dot = -1j * solution if mode == "real" else -solution
     return alpha_dot, pinv

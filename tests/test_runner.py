@@ -322,17 +322,69 @@ class TestCli:
         report = json.loads((out / "failure.json").read_text())
         assert report["reason"] == "ground-state-nonconvergence"
 
-    @pytest.mark.parametrize("content", [None, "alpha = 1\n"], ids=["missing", "text"])
-    def test_unreadable_checkpoint_exits_3(self, tmp_path, content):
+    @pytest.mark.parametrize("content,why", [
+        (None, "no such file"),
+        ("alpha = 1\n", "not an npz checkpoint"),
+        ("", "not an npz checkpoint"),
+        (np.zeros(3), "not an npz checkpoint"),
+        ({"alpha": np.zeros(1)}, "missing field 'format_version'"),
+    ], ids=["missing", "text", "empty", "npy", "partial"])
+    def test_unreadable_checkpoint_exits_3(self, tmp_path, capsys, content, why):
         ckpt = tmp_path / "init.npz"
-        if content is not None:
+        if isinstance(content, str):
             ckpt.write_text(content)
+        elif isinstance(content, np.ndarray):
+            with open(ckpt, "wb") as fh:
+                np.save(fh, content)
+        elif content is not None:
+            np.savez(ckpt, **content)
         out = tmp_path / "out"
         code = cli.main(["quench", "--config", str(write_ini(tmp_path, BASE_INI)),
                          "--out", str(out), "--resume", str(ckpt)])
         assert code == cli.EXIT_NUMERICAL
         report = json.loads((out / "failure.json").read_text())
         assert report["reason"] == "checkpoint-unreadable"
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error [checkpoint-unreadable]: ")
+        assert err.rstrip().endswith(why)
+        assert "pickle" not in err
+
+    def test_degenerate_quadrature_draw_exits_3(self, tmp_path):
+        # c1's 3-rotor RBM descent at tau = 0.1 instead of 0.02 moves all of
+        # the Born weight onto one grid point within a few iterations; its
+        # energy trace then goes flat at 2.5e7 and would read as converged
+        text = """
+[lattice]
+dims = 3
+periodic = true
+
+[ansatz]
+kind = rbm
+n_hidden = 6
+
+[physics]
+g_initial = 3.0
+g_final = 6.0
+t_max = 1.0
+
+[ground-state]
+tau = 0.1
+tolerance = 1e-7
+window = 20
+max_iters = 4000
+
+[run]
+seed = 7
+sampling = quadrature
+quadrature_points = 16
+"""
+        out = tmp_path / "out"
+        code = cli.main(["ground-state", "--config", str(write_ini(tmp_path, text)),
+                         "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        report = json.loads((out / "failure.json").read_text())
+        assert report["reason"] == "draw-degenerate"
+        assert not (out / "ground_state.npz").exists()
 
     def test_guard_exits_4(self, tmp_path):
         # 5 sites at m_cut = 5 have 8801 states with total M = 0, which trips

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from reference import quadrature_energy
 
+from rotor_tvmc import tdvp
 from rotor_tvmc.ansatz import make_ansatz, random_alpha
 from rotor_tvmc.lattice import build_lattice
 from rotor_tvmc.quadrature import quadrature_qgt
@@ -104,6 +107,49 @@ class TestEstimateQgt:
         assert np.allclose(a.s_matrix, b.s_matrix)
         assert np.allclose(a.gvec, b.gvec)
         assert np.isclose(a.e_var, b.e_var)
+
+    def test_chunks_sized_by_bytes(self, monkeypatch):
+        # a chunk's (rows, P) complex log-derivative block stays within
+        # CHUNK_BYTES; chunk_size remains the upper bound
+        n, p = 40, 50
+        rng = np.random.default_rng(9)
+        rows = []
+
+        class Counting(_TableState):
+            def log_derivatives(self, samples):
+                rows.append(len(samples))
+                return super().log_derivatives(samples)
+
+        state = Counting(rng.standard_normal((n, p)) + 0j, rng.standard_normal(n) + 0j)
+        samples = np.arange(n, dtype=np.float64)[:, None]
+
+        def chunks(**kwargs):
+            rows.clear()
+            return estimate_qgt(state, samples, g=1.0, J=1.0, **kwargs), list(rows)
+
+        monkeypatch.setattr(tdvp, "CHUNK_BYTES", 7 * p * 16 + 5)
+        capped, sizes = chunks()
+        assert sizes == [7] * 5 + [5]
+        assert chunks(chunk_size=3)[1] == [3] * 13 + [1]
+        monkeypatch.setattr(tdvp, "CHUNK_BYTES", 2**30)
+        whole, sizes = chunks()
+        assert sizes == [n]
+        assert np.array_equal(capped.x, whole.x)
+
+    def test_refills_out(self):
+        # the descent hands the last estimate's X back to be overwritten
+        n, p = 30, 50
+        fresh, o, e, weights = _random_estimate(n, p, uniform=False, seed=11)
+        stale = _random_estimate(n, p, uniform=True, seed=12)[0]
+        state = _TableState(o, e)
+        samples = np.arange(n, dtype=np.float64)[:, None]
+        refilled = estimate_qgt(state, samples, g=1.0, J=1.0, weights=weights,
+                                chunk_size=7, out=stale.x)
+        assert refilled.x is stale.x
+        assert np.array_equal(refilled.x, fresh.x)
+        assert np.array_equal(refilled.y, fresh.y)
+        with pytest.raises(ValueError):
+            estimate_qgt(state, samples, g=1.0, J=1.0, out=np.empty((n, p + 1), complex))
 
     def test_needs_two_samples(self):
         state = self._jastrow_pair()
@@ -248,6 +294,31 @@ class TestSmallerSpaceSolve:
 
         vec = np.random.default_rng(99).standard_normal((p, 3)) * (1 + 2j)
         assert rel(pinv.apply(vec), ref.apply(vec)) <= 1e-10
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_sample_space_operator_matches_reference(self, uniform):
+        # apply on the (P, P) identity gives the whole operator S_f^+
+        n, p = SHAPES[0]
+        qgt, _, _, _ = _random_estimate(n, p, uniform, seed=20 + uniform)
+        _, pinv = tdvp_rhs(qgt, RegularizationPolicy(a_c=1e-4, r_c=0.1), mode="real")
+        ref = regularized_pseudoinverse(qgt.s_matrix, pinv.lambda2).apply(np.eye(p))
+        got = pinv.apply(np.eye(p))
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_sample_space_solve_holds_no_copy_of_x(self):
+        # X is the largest array of a step: beyond a few n x n matrices, the
+        # solve and the residual may allocate less than half of X's bytes
+        # (a conjugate copy of X, or the P x n basis X^dag V, is a whole X)
+        n, p = 200, 1200
+        qgt, _, _, _ = _random_estimate(n, p, uniform=True, seed=5)
+        tracemalloc.start()
+        try:
+            _, pinv = tdvp_rhs(qgt, RegularizationPolicy(), mode="real")
+            residual_r2(qgt, pinv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * qgt.x.nbytes + 4 * n * n * 16
 
     @pytest.mark.parametrize("n,p", SHAPES)
     def test_one_eigensolve_per_rhs(self, n, p, monkeypatch):
