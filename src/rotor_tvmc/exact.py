@@ -11,10 +11,10 @@ the bond coupling
 
 Each bond term moves one quantum between two sites, so the Hamiltonian
 conserves the total angular momentum m_1 + ... + m_N and splits into
-2 N M + 1 sectors, one per total.  ``ExactEvolver`` finds these blocks itself,
-as the connected components of H's nonzero pattern, and diagonalizes each on
-its own; the dense limit applies to the largest sector (total 0), not to the
-whole basis.  States are plain coefficient vectors in the flat basis.
+2 N M + 1 sectors, one per total.  ``build_hamiltonian`` makes H directly as
+these dense sector blocks, one at a time, and ``ExactEvolver`` diagonalizes
+each on its own; the dense limit applies to the largest sector (total 0), not
+to the whole basis.  States are plain coefficient vectors in the flat basis.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ansatz.base import VariationalState
 from .lattice import Lattice
@@ -94,51 +93,89 @@ class TruncatedBasis:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def bond_coupling(basis: TruncatedBasis, k: int, l: int) -> sp.spmatrix:
-    """n_k . n_l = (L+_k L-_l + L-_k L+_l) / 2 as a sparse matrix.
+@dataclass(frozen=True)
+class BondCoupling:
+    """n_k . n_l = (L+_k L-_l + L-_k L+_l) / 2 on a basis of ``dim`` states.
+
+    The hop L+_k L-_l maps state src[i] to state dst[i]; the other term is
+    its transpose.  Every element of the coupling is 1/2.
+    """
+
+    dim: int
+    src: np.ndarray
+    dst: np.ndarray
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim))
+        out[self.dst, self.src] = 0.5
+        out[self.src, self.dst] = 0.5
+        return out
+
+
+def bond_coupling(basis: TruncatedBasis, k: int, l: int,
+                  m: np.ndarray | None = None) -> BondCoupling:
+    """The k-l bond coupling, from ``m = basis.m_values()`` when given.
 
     The hop L+_k L-_l maps |m> to |m + e_k - e_l>, a flat-index step of
-    stride_k - stride_l, unless m_k = m_cut or m_l = -m_cut; the other term
-    is its transpose.
+    stride_k - stride_l, unless m_k = m_cut or m_l = -m_cut.
     """
-    m = basis.m_values()
+    if m is None:
+        m = basis.m_values()
     stride_k, stride_l = basis.local_dim ** (basis.n_sites - 1 - np.array([k, l]))
     src = np.flatnonzero((m[:, k] < basis.m_cut) & (m[:, l] > -basis.m_cut))
-    hop = sp.csr_matrix((np.full(src.size, 0.5), (src + stride_k - stride_l, src)),
-                        shape=(basis.dim, basis.dim))
-    return hop + hop.T
+    return BondCoupling(basis.dim, src, src + stride_k - stride_l)
 
 
-def build_hamiltonian(basis: TruncatedBasis, lattice: Lattice, g: float, J: float) -> sp.spmatrix:
+def build_hamiltonian(basis: TruncatedBasis, lattice: Lattice, g: float, J: float):
+    """H = (g J / 2) sum_k m_k^2 - J sum_<kl> n_k . n_l, one dense block per sector.
+
+    Returns an iterator of (flat indices, block) pairs in ascending total M,
+    with block[i, j] = <indices[i]|H|indices[j]> and each sector's indices
+    ascending.  The blocks are made as the iterator is consumed, so a caller
+    that keeps only their eigendecompositions never holds all of H.  The
+    guard and the site count are checked at the call.
+    """
     check_dim(largest_sector(basis.n_sites, basis.m_cut))
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on site count")
-    m2 = np.sum(basis.m_values() ** 2, axis=-1).astype(np.float64)
-    h = sp.diags([(g * J / 2.0) * m2], [0], format="csr")
-    for k, l in lattice.bonds:
-        h = h - J * bond_coupling(basis, int(k), int(l))
-    return h.tocsr()
+    return _sector_blocks(basis, lattice, g, J)
+
+
+def _sector_blocks(basis: TruncatedBasis, lattice: Lattice, g: float, J: float):
+    m = basis.m_values()
+    sector = m.sum(axis=-1) + basis.n_sites * basis.m_cut  # total M, from 0
+    # states grouped by sector, ascending flat indices within each
+    order = np.argsort(sector, kind="stable")
+    sizes = np.bincount(sector)
+    position = np.empty(basis.dim, dtype=np.intp)
+    position[order] = np.arange(basis.dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    diagonal = (g * J / 2.0) * np.sum(m ** 2, axis=-1).astype(np.float64)
+    # every bond's hops, grouped by sector (a hop keeps total M), in bond order
+    hops = [bond_coupling(basis, int(k), int(l), m) for k, l in lattice.bonds]
+    src = np.concatenate([np.empty(0, dtype=np.intp)] + [hop.src for hop in hops])
+    dst = np.concatenate([np.empty(0, dtype=np.intp)] + [hop.dst for hop in hops])
+    by_sector = np.argsort(sector[src], kind="stable")
+    hop_ends = np.cumsum(np.bincount(sector[src], minlength=sizes.size))[:-1]
+    rows = np.split(position[dst[by_sector]], hop_ends)
+    cols = np.split(position[src[by_sector]], hop_ends)
+    value = J * 0.5
+    for indices, r, c in zip(np.split(order, np.cumsum(sizes)[:-1]), rows, cols):
+        block = np.diag(diagonal[indices])
+        np.subtract.at(block, (r, c), value)
+        np.subtract.at(block, (c, r), value)
+        yield indices, block
 
 
 class ExactEvolver:
     """Unitary evolution by one dense Hermitian eigendecomposition per block.
 
-    The blocks are the connected components of H's nonzero pattern: for
-    ``build_hamiltonian``'s H, exactly its total-M sectors.  ``blocks`` holds
-    (basis indices, energies, modes) for each block.
+    ``hamiltonian`` yields (basis indices, dense block) pairs that partition
+    the basis, as ``build_hamiltonian`` does.  ``blocks`` holds (basis
+    indices, energies, modes) for each block.
     """
 
     def __init__(self, hamiltonian):
-        h = sp.csr_matrix(hamiltonian)
-        labels = _components(h != 0)
-        order = np.argsort(labels, kind="stable")
-        _, starts = np.unique(labels[order], return_index=True)
-        indices = np.split(order, starts[1:])
-        check_dim(max(idx.size for idx in indices))
-        self.blocks = []
-        for idx in indices:
-            energies, modes = np.linalg.eigh(h[idx][:, idx].toarray())
-            self.blocks.append((idx, energies, modes))
+        self.blocks = [(idx, *np.linalg.eigh(block)) for idx, block in hamiltonian]
 
     def evolve(self, coefficients: np.ndarray, t: float) -> np.ndarray:
         out = np.empty(coefficients.shape, dtype=np.complex128)
@@ -147,24 +184,6 @@ class ExactEvolver:
             c = _matvec(modes.T, coefficients[idx].conj()).conj()
             out[idx] = _matvec(modes, np.exp(-1j * energies * t) * c)
         return out
-
-
-def _components(pattern) -> np.ndarray:
-    """Smallest state index connected to each state by a symmetric sparse pattern.
-
-    Each pass lowers a label to its neighbours' smallest, then jumps it to
-    its own label's label.  scipy.sparse.csgraph would do the same, but its
-    import adds 10 MB to the process.
-    """
-    pattern = pattern.tocoo()
-    labels = np.arange(pattern.shape[0])
-    while True:
-        lowered = labels.copy()
-        np.minimum.at(lowered, pattern.row, labels[pattern.col])
-        lowered = lowered[lowered]
-        if np.array_equal(lowered, labels):
-            return labels
-        labels = lowered
 
 
 def _matvec(m, c):

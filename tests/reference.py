@@ -61,6 +61,21 @@ def kron_bond_coupling(basis: TruncatedBasis, k: int, l: int):
     return 0.5 * (rk @ ll + lk @ rl)
 
 
+def kron_hamiltonian(basis: TruncatedBasis, lattice, g: float, J: float):
+    """H = (g J / 2) sum_k L_k^2 - J sum_<kl> n_k . n_l, sparse, from Kronecker products."""
+    d = basis.local_dim
+    kinetic = sum(
+        sp.kron(sp.kron(sp.identity(d ** k),
+                        sp.diags([np.arange(-basis.m_cut, basis.m_cut + 1.0) ** 2], [0])),
+                sp.identity(d ** (basis.n_sites - k - 1)), format="csr")
+        for k in range(basis.n_sites)
+    )
+    h = (g * J / 2.0) * kinetic
+    for k, l in lattice.bonds:
+        h = h - J * kron_bond_coupling(basis, int(k), int(l))
+    return h.tocsr()
+
+
 def cos_sin_operators(basis: TruncatedBasis, site: int):
     """(cos theta_k, sin theta_k); exp(i theta) lowers m in this convention."""
     rk, lk = ladder_operators(basis, site)

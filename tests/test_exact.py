@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from reference import (
     cos_sin_operators,
     dense_evolver,
@@ -12,6 +11,7 @@ from reference import (
     expectation,
     initial_product_state,
     kron_bond_coupling,
+    kron_hamiltonian,
     ladder_operators,
     quadrature_energy,
 )
@@ -89,27 +89,27 @@ class TestHamiltonian:
     def test_hermitian(self):
         lat = build_lattice((3,), (True,))
         basis = exact.TruncatedBasis(3, 2)
-        h = exact.build_hamiltonian(basis, lat, g=4.0, J=1.0)
-        assert (h != h.getH()).nnz == 0
+        for _, block in exact.build_hamiltonian(basis, lat, g=4.0, J=1.0):
+            assert block.dtype == np.float64
+            assert np.array_equal(block, block.T)
 
     def test_kinetic_diagonal(self):
         lat = build_lattice((2,), (False,))
         basis = exact.TruncatedBasis(2, 2)
         # the bond coupling is purely off-diagonal, so the diagonal is the
         # kinetic term (g J / 2) sum_k m_k^2 alone
-        h = exact.build_hamiltonian(basis, lat, g=4.0, J=1.0)
-        diag = h.diagonal()
-        for idx in range(basis.dim):
-            multi = basis.multi_index(idx)
-            assert diag[idx] == pytest.approx(2.0 * sum(m * m for m in multi))
+        for indices, block in exact.build_hamiltonian(basis, lat, g=4.0, J=1.0):
+            for idx, diag in zip(indices, np.diag(block)):
+                multi = basis.multi_index(idx)
+                assert diag == pytest.approx(2.0 * sum(m * m for m in multi))
 
     def test_large_g_ground_state_is_m_zero(self):
         lat = build_lattice((2,), (False,))
         basis = exact.TruncatedBasis(2, 2)
-        h = exact.build_hamiltonian(basis, lat, g=500.0, J=1.0).toarray()
-        _, vecs = np.linalg.eigh(h)
-        gs = np.abs(vecs[:, 0])
-        assert gs[basis.flat_index((0, 0))] > 0.999
+        evolver = exact.ExactEvolver(exact.build_hamiltonian(basis, lat, g=500.0, J=1.0))
+        idx, _, modes = min(evolver.blocks, key=lambda block: block[1][0])
+        gs = np.abs(modes[:, 0])
+        assert gs[np.flatnonzero(idx == basis.flat_index((0, 0)))[0]] > 0.999
 
 
 class TestEvolution:
@@ -132,14 +132,15 @@ class TestEvolution:
         assert np.allclose(evolved, psi, atol=1e-12)
 
     def test_eigendecomposition_guard(self):
-        # the guard fires before densifying: a dense 6000 x 6000 copy is 288 MB;
-        # a tridiagonal H is connected, so it is one block of 6000 states
-        big = sp.diags([np.ones(5999), np.arange(6000.0), np.ones(5999)], [-1, 0, 1],
-                       format="csr")
+        # the guard fires before any block is made: 3 rotors at m_cut = 41
+        # have a 5167-state M = 0 sector, whose dense block is 214 MB, in a
+        # basis of 83^3 = 571787 states whose m values alone take 14 MB
+        lat = build_lattice((3,), (True,))
+        basis = exact.TruncatedBasis(3, 41)
         tracemalloc.start()
         try:
-            with pytest.raises(exact.OracleGuardError):
-                exact.ExactEvolver(big)
+            with pytest.raises(exact.OracleGuardError, match="5167 > 5000"):
+                exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -196,8 +197,10 @@ class TestConversion:
         state = state.with_alpha(random_alpha(state, np.random.default_rng(1), 0.2))
         basis = exact.TruncatedBasis(2, 5)
         dense, _ = exact.vqs_to_dense(state, basis, q=32)
-        h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
-        e_dense = np.real(expectation(h, dense))
+        e_dense = sum(
+            np.real(np.vdot(dense[idx], block @ dense[idx]))
+            for idx, block in exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
+        )
         e_quad = np.real(quadrature_energy(state, g=3.0, J=1.0, q=32))
         assert e_dense == pytest.approx(e_quad, abs=1e-8)
 
@@ -212,7 +215,7 @@ class TestConversion:
 def _rebuilt_observables(state, basis, lattice, J):
     """exact_observables from sparse operators built for this one call."""
     e_bonds = sum(
-        np.real(expectation(exact.bond_coupling(basis, int(k), int(l)), state))
+        np.real(expectation(kron_bond_coupling(basis, int(k), int(l)), state))
         for k, l in lattice.bonds
     )
     mx_sites, my_sites = [], []
@@ -237,10 +240,9 @@ class TestAgainstRebuiltOperators:
         state = state.with_alpha(random_alpha(state, np.random.default_rng(3), 0.4))
         basis = exact.TruncatedBasis(3, 3)
         dense0, _ = exact.vqs_to_dense(state, basis)
-        h = exact.build_hamiltonian(basis, lat, g=4.5, J=1.0)
-        evolver = exact.ExactEvolver(h)
+        evolver = exact.ExactEvolver(exact.build_hamiltonian(basis, lat, g=4.5, J=1.0))
         assert not any(np.iscomplexobj(modes) for _, _, modes in evolver.blocks)
-        reference = dense_evolver(h)
+        reference = dense_evolver(kron_hamiltonian(basis, lat, g=4.5, J=1.0))
         for t in np.linspace(0.0, 1.0, 9):
             dense_t = evolver.evolve(dense0, t)
             ref = reference(dense0, t)
@@ -255,7 +257,7 @@ class TestAgainstRebuiltOperators:
         rng = np.random.default_rng(4)
         h = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
         h = h + h.conj().T
-        evolver = exact.ExactEvolver(h)
+        evolver = exact.ExactEvolver([(np.arange(30), h)])
         reference = dense_evolver(h)
         c = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         state = c / np.linalg.norm(c)
@@ -292,23 +294,25 @@ class TestBondCoupling:
         lat = _lattices()[name]
         basis = exact.TruncatedBasis(lat.n_sites, m_cut)
         for k, l in lat.bonds:
-            got = exact.bond_coupling(basis, int(k), int(l))
-            want = kron_bond_coupling(basis, int(k), int(l))
-            assert (got != want).nnz == 0
-            assert np.all(got.data == 0.5)
+            got = exact.bond_coupling(basis, int(k), int(l)).toarray()
+            want = kron_bond_coupling(basis, int(k), int(l)).toarray()
+            assert np.array_equal(got, want)
+            assert np.all(got[got != 0] == 0.5)
 
 
 class TestSectors:
-    """One eigendecomposition per total-M sector."""
+    """One dense block, and one eigendecomposition, per total-M sector.
+
+    The reference is the whole H assembled from Kronecker operators.
+    """
 
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_evolution_matches_dense_eigh(self, n_sites):
         lat = build_lattice((n_sites,), (True,))
         basis = exact.TruncatedBasis(n_sites, 5)
-        h = exact.build_hamiltonian(basis, lat, g=6.0, J=1.0)
-        evolver = exact.ExactEvolver(h)
+        evolver = exact.ExactEvolver(exact.build_hamiltonian(basis, lat, g=6.0, J=1.0))
         assert len(evolver.blocks) == 2 * n_sites * 5 + 1
-        reference = dense_evolver(h)
+        reference = dense_evolver(kron_hamiltonian(basis, lat, g=6.0, J=1.0))
         state = _random_state(basis.dim, n_sites)
         for t in (0.0, 0.05, 0.5, 1.0, 7.3):
             got = evolver.evolve(state, t)
@@ -318,18 +322,18 @@ class TestSectors:
     def test_spectra_union_is_the_dense_spectrum(self, n_sites):
         lat = build_lattice((n_sites,), (True,))
         basis = exact.TruncatedBasis(n_sites, 5)
-        h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)
-        evolver = exact.ExactEvolver(h)
+        evolver = exact.ExactEvolver(exact.build_hamiltonian(basis, lat, g=3.0, J=1.0))
         union = np.sort(np.concatenate([e for _, e, _ in evolver.blocks]))
-        dense = np.linalg.eigvalsh(h.toarray())
+        dense = np.linalg.eigvalsh(kron_hamiltonian(basis, lat, g=3.0, J=1.0).toarray())
         assert np.max(np.abs(union - dense)) <= 1e-12
 
     @pytest.mark.parametrize("name", sorted(_lattices()))
     def test_no_element_between_sectors(self, name):
+        # so H is the direct sum of its sector blocks
         lat = _lattices()[name]
         basis = exact.TruncatedBasis(lat.n_sites, 3)
         labels = _total_m(basis)
-        h = exact.build_hamiltonian(basis, lat, g=3.0, J=1.0).tocoo()
+        h = kron_hamiltonian(basis, lat, g=3.0, J=1.0).tocoo()
         assert h.nnz > basis.dim  # the bonds are there
         assert np.array_equal(labels[h.row], labels[h.col])
 
@@ -339,10 +343,13 @@ class TestSectors:
         lat = _lattices()[name]
         basis = exact.TruncatedBasis(lat.n_sites, m_cut)
         labels = _total_m(basis)
-        evolver = exact.ExactEvolver(exact.build_hamiltonian(basis, lat, g=3.0, J=1.0))
-        blocks = sorted(idx.tolist() for idx, _, _ in evolver.blocks)
-        sectors = sorted(np.flatnonzero(labels == m).tolist() for m in np.unique(labels))
-        assert blocks == sectors
+        blocks = list(exact.build_hamiltonian(basis, lat, g=3.0, J=1.0))
+        # one block per sector, in ascending M, each with ascending indices
+        sectors = [np.flatnonzero(labels == m) for m in np.unique(labels)]
+        assert [idx.tolist() for idx, _ in blocks] == [idx.tolist() for idx in sectors]
+        reference = kron_hamiltonian(basis, lat, g=3.0, J=1.0)
+        for idx, block in blocks:
+            assert np.array_equal(block, reference[idx][:, idx].toarray())
 
     @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
     @pytest.mark.parametrize("m_cut", [1, 2, 3])
@@ -366,12 +373,13 @@ class TestSectors:
         assert np.all(evolved[_total_m(basis) != 0] == 0)
 
     def test_guard_applies_to_the_largest_sector(self):
-        # 5001 connected states among small blocks are refused; 300 states
-        # that H does not connect are 300 blocks of one state each
-        chain = sp.diags([np.ones(5000), np.ones(5000)], [-1, 1])
-        with pytest.raises(exact.OracleGuardError, match="5001 > 5000"):
-            exact.ExactEvolver(sp.block_diag([sp.eye(3), chain, sp.eye(3)]))
-        assert len(exact.ExactEvolver(sp.eye(300, format="csr")).blocks) == 300
+        # 2 rotors at m_cut = 40: 6561 states, more than the guard, in 161
+        # sectors of at most 81
+        lat = build_lattice((2,), (False,))
+        basis = exact.TruncatedBasis(2, 40)
+        assert basis.dim > exact.DIM_GUARD
+        sizes = [idx.size for idx, _ in exact.build_hamiltonian(basis, lat, g=3.0, J=1.0)]
+        assert len(sizes) == 161 and max(sizes) == 81
 
 
 class TestObservables:

@@ -6,7 +6,11 @@ sampler and acceptance suites.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,6 +421,27 @@ quadrature_points = 16
         code = cli.main(["oracle-benchmark", "--config", str(path),
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_GUARD
+
+    def test_oracle_benchmark_never_loads_scipy(self, tmp_path):
+        # the program needs NumPy alone: a whole 2-rotor oracle run, ground
+        # state included, in a fresh interpreter imports no SciPy module
+        path = write_ini(tmp_path, BASE_INI)
+        out = tmp_path / "out"
+        script = (
+            "import json, sys\n"
+            "from rotor_tvmc import cli\n"
+            f"code = cli.main(['oracle-benchmark', '--config', {str(path)!r}, "
+            f"'--out', {str(out)!r}])\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert (out / "exact_reference.csv").is_file()
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
     def test_seed_override_changes_output(self, tmp_path):
         path = write_ini(tmp_path, BASE_INI)
