@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..lattice import Lattice
-from .base import AnsatzError, VariationalState, log_psi_periodicity_check
+from .base import AnsatzError, LogPsiNonFinite, VariationalState, log_psi_periodicity_check
 from .cnn import PeriodicCNN, zero_final_kernel
 from .jastrow import Jastrow
 from .rbm import CircularRBM
@@ -14,6 +14,7 @@ __all__ = [
     "AnsatzError",
     "CircularRBM",
     "Jastrow",
+    "LogPsiNonFinite",
     "PeriodicCNN",
     "VariationalState",
     "log_psi_periodicity_check",

@@ -10,6 +10,14 @@ A subclass implements four batched cores: ``_log_psi``, ``_log_derivatives``,
 for the local energy) and ``_angle_grad`` (the first angle derivative alone,
 or only its real part).  ``_angle_grad`` feeds ``grad_log_prob``, which HMC
 calls on every leapfrog step, so it must not pay for the second derivatives.
+
+``local_kernels`` returns ln psi, O and E_L together, for the quadrature
+engine's one pass over its grid.  Here it makes the three public calls; an
+ansatz whose kernels share one forward pass overrides it with that pass,
+returning the same bits and raising the same errors.
+
+A non-finite ln psi raises ``LogPsiNonFinite``: parameters that overflow
+are a numerical failure of the run, not an error in its configuration.
 """
 
 from __future__ import annotations
@@ -23,6 +31,25 @@ from ..lattice import Lattice
 
 class AnsatzError(ValueError):
     pass
+
+
+class LogPsiNonFinite(ArithmeticError):
+    """ln psi is inf or nan at some configuration."""
+
+    reason = "log-psi-nonfinite"
+
+
+def check_log_psi(theta, log_psi) -> None:
+    """Raise LogPsiNonFinite at the first configuration of the (B, N) batch
+    ``theta`` whose ln psi is not finite."""
+    bad = ~np.isfinite(log_psi)
+    if np.any(bad):
+        raise LogPsiNonFinite(f"non-finite log_psi at theta={theta[np.argmax(bad)]}")
+
+
+def check_couplings(g: float, J: float) -> None:
+    if g <= 0 or J <= 0:
+        raise AnsatzError("couplings g and J must be positive")
 
 
 def _as_batch(theta, n_sites):
@@ -102,9 +129,7 @@ class VariationalState:
     def log_psi(self, theta):
         theta, single = _as_batch(theta, self.n_sites)
         out = self._log_psi(theta)
-        if not np.all(np.isfinite(out)):
-            bad = np.argwhere(~np.isfinite(out))[0]
-            raise AnsatzError(f"non-finite log_psi at theta={theta[bad[0]]}")
+        check_log_psi(theta, out)
         return out[0] if single else out
 
     def log_derivatives(self, theta):
@@ -128,15 +153,22 @@ class VariationalState:
 
     def local_energy(self, theta, g: float, J: float):
         """E_L = -(gJ/2) sum_k [d2_k ln psi + (d1_k ln psi)^2] - J sum_bonds cos."""
-        if g <= 0 or J <= 0:
-            raise AnsatzError("couplings g and J must be positive")
+        check_couplings(g, J)
         theta, single = _as_batch(theta, self.n_sites)
         _, d1, d2 = self._angle_derivatives(theta)
+        out = self._local_energy_of(theta, d1, d2, g, J)
+        return out[0] if single else out
+
+    def _local_energy_of(self, theta, d1, d2, g, J):
         kinetic = -(g * J / 2.0) * np.sum(d2 + np.square(d1), axis=-1)
         bk, bl = self.lattice.bonds[:, 0], self.lattice.bonds[:, 1]
         potential = -J * np.sum(np.cos(theta[:, bk] - theta[:, bl]), axis=-1)
-        out = kinetic + potential
-        return out[0] if single else out
+        return kinetic + potential
+
+    def local_kernels(self, theta, g: float, J: float):
+        """(ln psi, O, E_L) at the same configurations: ``log_psi``,
+        ``log_derivatives`` and ``local_energy`` in one call."""
+        return self.log_psi(theta), self.log_derivatives(theta), self.local_energy(theta, g, J)
 
     def log_prob(self, theta):
         """ln p(theta) = 2 Re ln psi(theta), up to normalization."""

@@ -23,7 +23,7 @@ from .activations import (
     d_poly_log_I0_of_square,
     poly_log_I0_of_square,
 )
-from .base import AnsatzError, VariationalState
+from .base import AnsatzError, VariationalState, _as_batch, check_couplings, check_log_psi
 
 
 def _displacement_table(lattice: Lattice) -> np.ndarray:
@@ -91,8 +91,12 @@ class CircularRBM(VariationalState):
 
     def _log_derivatives(self, theta):
         _, _, cos, sin, x_x, x_y, s = self._forward(theta)
-        batch, n, n_hidden = theta.shape[0], self.n_sites, self.n_hidden
-        gp2 = 2.0 * d_poly_log_I0_of_square(s)  # (B, N_h)
+        return self._log_derivatives_of(cos, sin, x_x, x_y, d_poly_log_I0_of_square(s))
+
+    def _log_derivatives_of(self, cos, sin, x_x, x_y, gp):
+        """O from the forward pass and gp = g'(s)."""
+        batch, n, n_hidden = cos.shape[0], self.n_sites, self.n_hidden
+        gp2 = 2.0 * gp  # (B, N_h)
         out = np.empty((batch, self.n_params), dtype=np.complex128)
         o_a = out[:, : 2 * n].reshape(batch, n, 2)
         o_a[..., 0] = cos
@@ -118,8 +122,12 @@ class CircularRBM(VariationalState):
 
     def _angle_derivatives(self, theta):
         a, w, cos, sin, x_x, x_y, s = self._forward(theta)
+        return self._angle_derivatives_of(a, w, cos, sin, x_x, x_y, s,
+                                          d_poly_log_I0_of_square(s))
+
+    def _angle_derivatives_of(self, a, w, cos, sin, x_x, x_y, s, gp):
+        """ln psi, d1 and d2 from the forward pass and gp = g'(s)."""
         logpsi = self._log_psi_of(a, cos, sin, s)
-        gp = d_poly_log_I0_of_square(s)
         gpp = d2_poly_log_I0_of_square(s)
         wt, w2t = w.T, np.square(w).T
         # with t_j = (-sin, cos): ds_k/dtheta_j = 2 w_jk (x_k . t_j)
@@ -137,3 +145,18 @@ class CircularRBM(VariationalState):
             + 2.0 * (gp @ w2t - cos * uw_x - sin * uw_y)
         )
         return logpsi, d1, d2
+
+    def local_kernels(self, theta, g: float, J: float):
+        """(ln psi, O, E_L) from one ``_forward`` and one g'(s), bit for bit
+        the values of the three separate calls."""
+        theta, single = _as_batch(theta, self.n_sites)
+        a, w, cos, sin, x_x, x_y, s = self._forward(theta)
+        gp = d_poly_log_I0_of_square(s)
+        logpsi, d1, d2 = self._angle_derivatives_of(a, w, cos, sin, x_x, x_y, s, gp)
+        check_log_psi(theta, logpsi)
+        check_couplings(g, J)
+        o = self._log_derivatives_of(cos, sin, x_x, x_y, gp)
+        e = self._local_energy_of(theta, d1, d2, g, J)
+        if single:
+            return logpsi[0], o[0], e[0]
+        return logpsi, o, e

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import AnsatzError, make_ansatz
+from .ansatz import AnsatzError, LogPsiNonFinite, make_ansatz
 from .config import ConfigError, load_config
 from .exact import OracleGuardError
 from .hmc import WarmupError
@@ -35,7 +35,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_GUARD = 4
 
-_NUMERICAL = (RunnerError, StepSizeUnderflow, WarmupError, TdvpError,
+_NUMERICAL = (RunnerError, StepSizeUnderflow, WarmupError, TdvpError, LogPsiNonFinite,
               np.linalg.LinAlgError, FloatingPointError)
 
 

@@ -150,19 +150,34 @@ def fidelity(state_0: VariationalState, state_t: VariationalState,
              samples_0, samples_t, weights_0=None, weights_t=None) -> FidelityResult:
     """Normalization-free overlap estimator
 
-        F = < psi_t/psi_0 >_{|psi_0|^2} * < psi_0/psi_t >_{|psi_t|^2},
+        F = < psi_t/psi_0 >_{|psi_0|^2} * < psi_0/psi_t >_{|psi_t|^2}:
 
-    with both factors accumulated in log space and the real part of the
-    product clamped to [0, 1].  If both factors underflow (log means below
-    -700) the overlap is reported as 0 with ``overlap_lost`` set.  Weights,
-    if any, are given for both sample sets.
+    ``fidelity_of_log_ratios`` of z_0 = ln psi_t - ln psi_0 on ``samples_0``
+    and z_t = ln psi_0 - ln psi_t on ``samples_t``.  Weights, if any, are
+    given for both sample sets.
     """
     flat0, shape0 = _flatten(samples_0)
     flat_t, shape_t = _flatten(samples_t)
     z0 = state_t.log_psi(flat0) - state_0.log_psi(flat0)
     zt = state_0.log_psi(flat_t) - state_t.log_psi(flat_t)
-    log_f0 = _log_mean_exp(z0, weights_0)
-    log_ft = _log_mean_exp(zt, weights_t)
+    if shape0 is not None:
+        z0 = z0.reshape(shape0)
+    if shape_t is not None:
+        zt = zt.reshape(shape_t)
+    return fidelity_of_log_ratios(z0, zt, weights_0, weights_t)
+
+
+def fidelity_of_log_ratios(z0, zt, weights_0=None, weights_t=None) -> FidelityResult:
+    """F from the log ratios z_0 (per sample of psi_0) and z_t (of psi_t).
+
+    Both factors are accumulated in log space and the real part of the
+    product is clamped to [0, 1].  If both factors underflow (log means
+    below -700) the overlap is reported as 0 with ``overlap_lost`` set.
+    Without weights, the error bar resamples the first axis of z_0 and z_t:
+    whole chains when they are (chains, draws).
+    """
+    log_f0 = _log_mean_exp(np.ravel(z0), weights_0)
+    log_ft = _log_mean_exp(np.ravel(zt), weights_t)
     if np.real(log_f0) < _LOG_UNDERFLOW and np.real(log_ft) < _LOG_UNDERFLOW:
         return FidelityResult(0.0, 0.0, 0.0j, False, True)
     raw = np.exp(log_f0 + log_ft)
@@ -173,13 +188,11 @@ def fidelity(state_0: VariationalState, state_t: VariationalState,
         return FidelityResult(value, 0.0, raw, clamped, False)
 
     rng = np.random.default_rng(BOOTSTRAP_SEED)
-    z0b = z0.reshape(shape0) if shape0 is not None else z0
-    ztb = zt.reshape(shape_t) if shape_t is not None else zt
     estimates = np.empty(DEFAULT_RESAMPLES)
     for r in range(DEFAULT_RESAMPLES):
-        pick0 = rng.integers(0, z0b.shape[0], size=z0b.shape[0])
-        pick_t = rng.integers(0, ztb.shape[0], size=ztb.shape[0])
-        f = np.exp(_log_mean_exp(z0b[pick0].ravel()) + _log_mean_exp(ztb[pick_t].ravel()))
+        pick0 = rng.integers(0, z0.shape[0], size=z0.shape[0])
+        pick_t = rng.integers(0, zt.shape[0], size=zt.shape[0])
+        f = np.exp(_log_mean_exp(z0[pick0].ravel()) + _log_mean_exp(zt[pick_t].ravel()))
         estimates[r] = min(1.0, max(0.0, float(np.real(f))))
     return FidelityResult(value, float(np.std(estimates)), raw, clamped, False)
 

@@ -1,10 +1,13 @@
 """Run orchestration: ground-state preparation, quench dynamics, oracle
 benchmarking, sampler diagnostics, and reproducible persistence.
 
-Both expectation engines answer ``draw(state) -> (points, weights)``: HMC
-chains with no weights, or a fixed grid with the state's Born weights.  The
-QGT and every observable are computed from such a draw by one code path.
-A quench draws once per parameter vector: the last right-hand-side
+Both expectation engines answer ``draw(state, g, J, out) -> (Draw, QGT
+estimate)``.  The HMC engine samples chains, which weigh alike, and
+estimates the QGT from them.  The quadrature engine makes one pass over its
+fixed grid that gives ln psi, O and E_L together: the Born weights come from
+that ln psi, are checked, and weigh the estimate, and the draw keeps the ln
+psi for the fidelity.  Every observable is computed from a draw by one code
+path.  A quench draws once per parameter vector: the last right-hand-side
 evaluation keeps its draw and estimates, and the last stage of an accepted
 step sits at the accepted point, so the row there reads them.  The draw at
 alpha_0 serves the t = 0 row, the fidelity reference and the first stage.
@@ -154,6 +157,18 @@ def load_checkpoint(path, state):
 # sampling engines
 
 
+@dataclass
+class Draw:
+    """An engine's configurations and their normalized weights (None: alike).
+
+    A quadrature draw also keeps ln psi at its grid points.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray | None = None
+    log_psi: np.ndarray | None = None
+
+
 class _HmcEngine:
     """Fresh warmed-up chains per evaluation, keyed by an evaluation counter.
 
@@ -168,8 +183,8 @@ class _HmcEngine:
         self.last_diag = None
         self.warnings: Counter[str] = Counter()
 
-    def draw(self, state, counter: int | None = None):
-        """((n_chains, n_samples, N) angles from |psi|^2 at state.alpha, None)."""
+    def sample(self, state, counter: int | None = None) -> np.ndarray:
+        """(n_chains, n_samples, N) angles from |psi|^2 at state.alpha."""
         cfg = self.config
         if counter is None:
             counter = self.counter
@@ -189,7 +204,14 @@ class _HmcEngine:
             if message not in self.warnings:
                 print(f"sampler warning: {message}", file=sys.stderr)
             self.warnings[message] += 1
-        return flat.reshape(cfg.hmc.n_chains, cfg.hmc.n_samples, state.n_sites), None
+        return flat.reshape(cfg.hmc.n_chains, cfg.hmc.n_samples, state.n_sites)
+
+    def draw(self, state, g: float, J: float, out=None):
+        """Fresh chains and the QGT estimate from them (``out``: see
+        ``estimate_qgt``)."""
+        points = self.sample(state)
+        qgt = estimate_qgt(state, points.reshape(-1, state.n_sites), g, J, out=out)
+        return Draw(points), qgt
 
 
 class _QuadratureEngine:
@@ -202,22 +224,30 @@ class _QuadratureEngine:
         self.last_diag = None
         self.warnings: Counter[str] = Counter()
 
-    def draw(self, state):
-        """(grid points, normalized |psi|^2 weights on them).
+    def draw(self, state, g: float, J: float, out=None):
+        """The grid with its normalized |psi|^2 weights, and the QGT estimate,
+        from one pass over the grid: ``estimate_qgt`` hands ln psi on the
+        grid to ``weigh`` before it uses any weight.
 
         Raises RunnerError("draw-degenerate") when the weights sit on fewer
         than ``MIN_KISH_ESS`` points: the averages are then those of a few
         configurations, and X and alpha_dot vanish.
         """
-        weights = quadrature.born_weights(state, self.grid)
-        ess = 1.0 / float(weights @ weights)
-        if ess < MIN_KISH_ESS:
-            raise RunnerError(
-                "draw-degenerate",
-                f"|psi|^2 sits on {ess:.3g} grid points (Kish ESS); "
-                f"at least {MIN_KISH_ESS:g} are needed",
-            )
-        return self.grid, weights
+        draw = Draw(self.grid)
+
+        def weigh(log_psi):
+            weights = quadrature.weights_from_log_psi(log_psi)
+            ess = 1.0 / float(weights @ weights)
+            if ess < MIN_KISH_ESS:
+                raise RunnerError(
+                    "draw-degenerate",
+                    f"|psi|^2 sits on {ess:.3g} grid points (Kish ESS); "
+                    f"at least {MIN_KISH_ESS:g} are needed",
+                )
+            draw.weights, draw.log_psi = weights, log_psi
+            return weights
+
+        return draw, estimate_qgt(state, self.grid, g, J, weights=weigh, out=out)
 
 
 def _engine(config: RunConfig, mode_code: int):
@@ -226,16 +256,9 @@ def _engine(config: RunConfig, mode_code: int):
     return _HmcEngine(config, mode_code)
 
 
-def _qgt(state, draw, g: float, J: float, out=None):
-    points, weights = draw
-    return estimate_qgt(
-        state, points.reshape(-1, state.n_sites), g, J, weights=weights, out=out
-    )
-
-
-def _observables(draw, config: RunConfig, lattice) -> dict:
+def _observables(draw: Draw, config: RunConfig, lattice) -> dict:
     """One trajectory row's observables from an engine draw."""
-    samples, weights = draw
+    samples, weights = draw.points, draw.weights
     e_pot, e_sigma = observables.potential_energy_density(
         samples, lattice, config.physics.j, weights=weights
     )
@@ -290,7 +313,7 @@ def run_ground_state(config: RunConfig, alpha0: np.ndarray | None = None,
     # the heap top to the system and fault it back in, every iteration
     x = None
     for iteration in range(gs.max_iters):
-        qgt = _qgt(state, engine.draw(state), g, config.physics.j, out=x)
+        _, qgt = engine.draw(state, g, config.physics.j, x)
         alpha_dot = tdvp_rhs(qgt, config.regularization, mode="imag")[0]
         energies.append(float(np.real(qgt.e_mean)))
         x = qgt.x
@@ -375,8 +398,7 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
 
     def rhs(t, alpha):
         st = initial_state.with_alpha(alpha)
-        draw = engine.draw(st)
-        qgt = _qgt(st, draw, g, j)
+        draw, qgt = engine.draw(st, g, j)
         alpha_dot, pinv = tdvp_rhs(qgt, config.regularization, mode="real")
         r2, _ = residual_r2(qgt, pinv)
         last.update(
@@ -398,10 +420,14 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
         nonlocal r2_integral, prev_r2, prev_t
         draw_t, diag = last["draw"], last["diag"]
         row = _observables(draw_t, config, lattice)
-        fres = observables.fidelity(
-            state_0, last["state"], draw_0[0], draw_t[0],
-            weights_0=draw_0[1], weights_t=draw_t[1],
-        )
+        if draw_t.log_psi is None:
+            fres = observables.fidelity(state_0, last["state"], draw_0.points, draw_t.points)
+        else:
+            # both draws lie on the one grid, so z_t = -z_0
+            l0, lt = draw_0.log_psi, draw_t.log_psi
+            fres = observables.fidelity_of_log_ratios(
+                lt - l0, l0 - lt, weights_0=draw_0.weights, weights_t=draw_t.weights,
+            )
         if fres.overlap_lost:
             raise RunnerError(
                 "fidelity-overlap-loss",
@@ -555,7 +581,7 @@ def run_sampler_check(config: RunConfig, state=None, out_dir: Path | None = None
 
     def draw(hmc_cfg, counter):
         engine = _HmcEngine(replace(config, hmc=hmc_cfg), _MODE_SAMPLER_CHECK)
-        samples, _ = engine.draw(state, counter)
+        samples = engine.sample(state, counter)
         return samples, engine.last_diag
 
     ns_rows = []

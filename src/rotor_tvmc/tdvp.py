@@ -20,6 +20,11 @@ Hermitian eigendecomposition, of the smaller Gram matrix:
   effective rank and the r^2 residual come out the same as in parameter
   space (minSR; Chen & Heyl, arXiv:2302.01941).
 
+Estimation.  ``estimate_qgt`` makes one pass over the samples.  Weights
+may be given as a function of ln psi, as quadrature's |psi|^2 weights are;
+the pass then gives ln psi too, so a quadrature grid is evaluated once per
+estimate.
+
 Memory.  X is the largest array of a step.  ``estimate_qgt`` fills it in
 chunks of rows whose log-derivative block fits ``CHUNK_BYTES``, into a new
 array or into the caller's stale one (``out``).  The sample-space solve
@@ -117,29 +122,29 @@ class RegularizedInverse:
 
 
 def estimate_qgt(state: VariationalState, samples: np.ndarray, g: float, J: float,
-                 weights: np.ndarray | None = None,
-                 chunk_size: int = 512, out: np.ndarray | None = None) -> QgtEstimate:
+                 weights=None, chunk_size: int = 512,
+                 out: np.ndarray | None = None) -> QgtEstimate:
     """Sampled (or quadrature-weighted) covariance estimate of S, g and Var H.
 
-    ``weights`` defaults to uniform 1/n; a quadrature caller passes the
-    normalized |psi|^2 grid weights instead.  The ansatz kernels run on
-    chunks of at most ``chunk_size`` samples, fewer when a chunk's (rows, P)
-    log-derivative block would exceed ``CHUNK_BYTES``, which bounds their
-    temporaries; the log-derivatives fill one preallocated (n, P) array that
-    is then centered and scaled in place.  ``out``, an (n, P) complex array
-    whose contents are no longer needed, such as the last estimate's X, is
-    filled in place of a new one.
+    ``weights`` defaults to uniform 1/n.  It may be an array, or a function
+    of ln psi at the samples that returns their weights, such as a
+    quadrature caller's |psi|^2 grid weights: each chunk then makes one
+    ``state.local_kernels`` call, which gives ln psi with O and E_L, and
+    the function is called once after the pass, before any weight is used.
+    Without it a chunk makes a ``log_derivatives`` and a ``local_energy``
+    call.  Either way the weights are normalized here.
+
+    The ansatz kernels run on chunks of at most ``chunk_size`` samples,
+    fewer when a chunk's (rows, P) log-derivative block would exceed
+    ``CHUNK_BYTES``, which bounds their temporaries; the log-derivatives
+    fill one preallocated (n, P) array that is then centered and scaled in
+    place.  ``out``, an (n, P) complex array whose contents are no longer
+    needed, such as the last estimate's X, is filled in place of a new one.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n = samples.shape[0]
     if n < 2:
         raise TdvpError("need at least 2 samples to estimate covariances")
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        weights = weights / np.sum(weights)
-
     if out is None:
         x = np.empty((n, state.n_params), dtype=np.complex128)
     elif out.shape == (n, state.n_params) and out.dtype == np.complex128:
@@ -147,11 +152,23 @@ def estimate_qgt(state: VariationalState, samples: np.ndarray, g: float, J: floa
     else:
         raise ValueError(f"out must be a complex (n, P) = ({n}, {state.n_params}) array")
     e = np.empty(n, dtype=np.complex128)
+    log_psi = np.empty(n, dtype=np.complex128) if callable(weights) else None
     rows = max(1, min(chunk_size, CHUNK_BYTES // x[0].nbytes))
     for lo in range(0, n, rows):
         sl = slice(lo, lo + rows)
-        x[sl] = state.log_derivatives(samples[sl])
-        e[sl] = state.local_energy(samples[sl], g, J)
+        if log_psi is None:
+            x[sl] = state.log_derivatives(samples[sl])
+            e[sl] = state.local_energy(samples[sl], g, J)
+        else:
+            log_psi[sl], x[sl], e[sl] = state.local_kernels(samples[sl], g, J)
+
+    if weights is None:
+        weights = np.full(n, 1.0 / n)
+    else:
+        if log_psi is not None:
+            weights = weights(log_psi)
+        weights = np.asarray(weights, dtype=np.float64)
+        weights = weights / np.sum(weights)
     e_mean = weights @ e
     root_w = np.sqrt(weights)
     x -= weights @ x

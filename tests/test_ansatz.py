@@ -11,6 +11,8 @@ import scipy.special
 
 from rotor_tvmc.ansatz import (
     AnsatzError,
+    CircularRBM,
+    LogPsiNonFinite,
     make_ansatz,
     log_psi_periodicity_check,
     random_alpha,
@@ -290,6 +292,65 @@ class TestRbmMatchesEinsumReference:
         state, theta = self._setup(dims, periodic, hyper, batch)
         assert np.array_equal(state.grad_log_prob(theta),
                               _reference_grad_log_prob(state, theta))
+
+
+@pytest.mark.parametrize("kind,lattice,hyper", _cases(),
+                         ids=lambda v: str(v) if isinstance(v, str) else None)
+class TestLocalKernels:
+    """``local_kernels`` is bit for bit the three separate public calls."""
+
+    def test_matches_separate_calls(self, kind, lattice, hyper):
+        state = _random_state(kind, lattice, hyper, scale=0.7)
+        theta = np.random.default_rng(41).uniform(-np.pi, np.pi, size=(37, lattice.n_sites))
+        for batch in (theta, theta[0]):
+            got = state.local_kernels(batch, 4.0, 1.5)
+            ref = (state.log_psi(batch), state.log_derivatives(batch),
+                   state.local_energy(batch, 4.0, 1.5))
+            for g, r in zip(got, ref):
+                assert np.shape(g) == np.shape(r)
+                assert np.array_equal(g, r)
+
+    def test_non_finite_log_psi_is_numerical(self, kind, lattice, hyper):
+        state = _random_state(kind, lattice, hyper)
+        alpha = state.alpha.copy()
+        alpha[0] = np.nan
+        state = state.with_alpha(alpha)
+        theta = np.zeros((2, lattice.n_sites))
+        with np.errstate(all="ignore"):
+            for call in (lambda: state.log_psi(theta),
+                         lambda: state.local_kernels(theta, 3.0, 1.0)):
+                with pytest.raises(LogPsiNonFinite, match="non-finite log_psi") as info:
+                    call()
+                assert not isinstance(info.value, AnsatzError)
+                assert info.value.reason == "log-psi-nonfinite"
+
+
+class TestRbmLocalKernels:
+    @pytest.mark.parametrize("hyper", [{"n_hidden": 3}, {"convolutional": True}])
+    def test_one_forward_pass(self, hyper, monkeypatch):
+        state = _random_state("rbm", build_lattice((4,), (True,)), hyper)
+        calls = []
+        forward = CircularRBM._forward
+
+        def counted(self, theta):
+            calls.append(len(theta))
+            return forward(self, theta)
+
+        monkeypatch.setattr(CircularRBM, "_forward", counted)
+        state.local_kernels(np.zeros((5, 4)), 3.0, 1.0)
+        assert calls == [5]
+
+    def test_overflowing_parameters(self):
+        # every parameter at 1e154 overflows s = x . x
+        state = make_ansatz("rbm", build_lattice((2,), (True,)))
+        state = state.with_alpha(np.full(state.n_params, 1e154))
+        with np.errstate(all="ignore"), pytest.raises(LogPsiNonFinite):
+            state.local_kernels(np.zeros((3, 2)), 3.0, 1.0)
+
+    def test_couplings_checked(self):
+        state = _random_state("rbm", build_lattice((3,), (True,)), {})
+        with pytest.raises(AnsatzError):
+            state.local_kernels(np.zeros((2, 3)), -1.0, 1.0)
 
 
 class TestLocalEnergy:

@@ -8,6 +8,7 @@ from rotor_tvmc.observables import (
     bootstrap_sigma,
     circular_variance_mean,
     fidelity,
+    fidelity_of_log_ratios,
     half_fidelity_time,
     loop_circulation,
     magnetization,
@@ -151,6 +152,17 @@ class TestFidelity:
         result = fidelity(a, b, s0, st)
         assert 0.0 < result.value < 0.99
         assert result.sigma >= 0.0
+
+    def test_log_ratios_on_one_grid(self):
+        # a quadrature quench reads ln psi on the grid from its two draws
+        a, b = self._states()
+        grid = grid_points(3, 10)
+        la, lb = a.log_psi(grid), b.log_psi(grid)
+        w0, wt = np.exp(2.0 * la.real), np.exp(2.0 * lb.real)
+        w0, wt = w0 / w0.sum(), wt / wt.sum()
+        ref = fidelity(a, b, grid, grid, weights_0=w0, weights_t=wt)
+        assert fidelity_of_log_ratios(lb - la, la - lb, w0, wt) == ref
+        assert 0.9 < ref.value < 1.0
 
     def test_value_clamped_to_unit_interval(self):
         a, b = self._states()

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotor_tvmc import cli, runner
-from rotor_tvmc.ansatz import make_ansatz, random_alpha
+from rotor_tvmc import cli, exact, quadrature, runner
+from rotor_tvmc.ansatz import CircularRBM, VariationalState, make_ansatz, random_alpha
 from rotor_tvmc.config import ConfigError, config_echo, load_config
 from rotor_tvmc.exact import OracleGuardError
 from rotor_tvmc.runner import (
@@ -390,6 +390,22 @@ quadrature_points = 16
         assert report["reason"] == "draw-degenerate"
         assert not (out / "ground_state.npz").exists()
 
+    def test_non_finite_log_psi_exits_3(self, tmp_path, capsys):
+        # parameters that overflow ln psi are a numerical failure of the run
+        ini = write_ini(tmp_path, BASE_INI.replace("kind = jastrow", "kind = rbm"))
+        state = make_ansatz("rbm", load_config(ini).lattice)
+        ckpt = tmp_path / "init.npz"
+        save_checkpoint(ckpt, state.with_alpha(np.full(state.n_params, 1e154)), 0.0)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = cli.main(["quench", "--config", str(ini), "--out", str(out),
+                             "--resume", str(ckpt)])
+        assert code == cli.EXIT_NUMERICAL
+        report = json.loads((out / "failure.json").read_text())
+        assert report["reason"] == "log-psi-nonfinite"
+        assert capsys.readouterr().err.startswith(
+            "numerical failure [log-psi-nonfinite]: non-finite log_psi")
+
     def test_guard_exits_4(self, tmp_path):
         # 5 sites at m_cut = 5 have 8801 states with total M = 0, which trips
         # the dense-evolution guard on the resume path too
@@ -579,3 +595,99 @@ class TestDrawCount:
         # t = 0 shares one draw; each step adds its three new stages, the
         # last of which also serves the row
         assert len(draws) == 1 + 3 * (len(record.rows) - 1)
+
+
+CHAIN_INI = """
+[lattice]
+dims = {n}
+periodic = true
+
+[ansatz]
+kind = rbm
+n_hidden = {hidden}
+
+[physics]
+g_initial = 3.0
+g_final = 6.0
+t_max = 0.03
+
+[ode]
+dt0 = 0.015625
+dt_max = 0.015625
+
+[run]
+seed = 7
+sampling = quadrature
+quadrature_points = {q}
+"""
+
+
+def _chain(tmp_path, n, hidden, q, scale=0.3):
+    config = load_config(write_ini(tmp_path, CHAIN_INI.format(n=n, hidden=hidden, q=q)))
+    state = make_ansatz("rbm", config.lattice, n_hidden=hidden)
+    return config, state.with_alpha(random_alpha(state, np.random.default_rng(3), scale))
+
+
+class TestQuadratureOnePass:
+    """The quadrature engine evaluates its grid once per draw."""
+
+    @pytest.mark.parametrize("n, hidden, q", [(2, 4, 16), (3, 6, 12)])
+    def test_matches_the_reference_estimate(self, tmp_path, n, hidden, q):
+        config, state = _chain(tmp_path, n, hidden, q)
+        draw, qgt = runner._QuadratureEngine(config).draw(state, 6.0, 1.0)
+        points = quadrature.grid_points(n, q)
+        ref = quadrature.quadrature_qgt(state, 6.0, 1.0, q=q)
+        assert np.array_equal(draw.points, points)
+        assert np.array_equal(draw.log_psi, exact.log_psi_on_points(state, points))
+        assert np.array_equal(draw.weights, quadrature.born_weights(state, points))
+        assert np.array_equal(qgt.x, ref.x)
+        assert np.array_equal(qgt.y, ref.y)
+        assert qgt.e_mean == ref.e_mean
+
+    def test_matches_the_reference_on_c1_grid(self, tmp_path):
+        # c1's 3-rotor grid: born_weights evaluates all 4096 points in one
+        # batch and the engine in chunks of 512.  NumPy evaluates the
+        # (4096, 6) complex product s * s^2 of ln I0 in place, with its
+        # operands swapped, and the fused multiply-add then rounds some
+        # ln psi differently in the last bit.
+        config, state = _chain(tmp_path, 3, 6, 16)
+        draw, qgt = runner._QuadratureEngine(config).draw(state, 6.0, 1.0)
+        points = quadrature.grid_points(3, 16)
+        ref = quadrature.quadrature_qgt(state, 6.0, 1.0, q=16)
+        log_psi = exact.log_psi_on_points(state, points)
+        assert np.max(np.abs(draw.log_psi - log_psi)) <= 4e-16 * np.max(np.abs(log_psi))
+        weights = quadrature.born_weights(state, points)
+        assert np.allclose(draw.weights, weights, rtol=1e-14, atol=0)
+        assert np.max(np.abs(qgt.x - ref.x)) <= 1e-14 * np.max(np.abs(ref.x))
+        assert np.max(np.abs(qgt.y - ref.y)) <= 1e-14 * np.max(np.abs(ref.y))
+        assert abs(qgt.e_mean - ref.e_mean) <= 1e-14 * abs(ref.e_mean)
+
+    def test_one_forward_per_chunk(self, tmp_path, monkeypatch):
+        config, state = _chain(tmp_path, 3, 6, 16)
+        calls = []
+        forward = CircularRBM._forward
+
+        def counted(self, theta):
+            calls.append(len(theta))
+            return forward(self, theta)
+
+        monkeypatch.setattr(CircularRBM, "_forward", counted)
+        runner._QuadratureEngine(config).draw(state, 6.0, 1.0)
+        # 4096 grid points in chunks of 512 rows
+        assert calls == [512] * 8
+
+    def test_quench_never_calls_log_psi(self, tmp_path, monkeypatch):
+        # the fidelity of each row reads the ln psi of its draw and of draw_0
+        config, state = _chain(tmp_path, 2, 4, 16)
+        calls = []
+        log_psi = VariationalState.log_psi
+
+        def counted(self, theta):
+            calls.append(len(theta))
+            return log_psi(self, theta)
+
+        monkeypatch.setattr(VariationalState, "log_psi", counted)
+        record = run_quench(config, state)
+        assert len(record.rows) >= 3
+        assert calls == []
+        assert record.rows[0]["fidelity"] == 1.0

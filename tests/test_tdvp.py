@@ -151,6 +151,27 @@ class TestEstimateQgt:
         with pytest.raises(ValueError):
             estimate_qgt(state, samples, g=1.0, J=1.0, out=np.empty((n, p + 1), complex))
 
+    def test_weights_from_log_psi(self):
+        # a weight function receives ln psi from the pass that gives O and E_L
+        state = make_ansatz("rbm", build_lattice((3,), (True,)), n_hidden=4)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(6), 0.3))
+        samples = np.random.default_rng(7).uniform(-np.pi, np.pi, size=(300, 3))
+        log_psi = state.log_psi(samples)
+        seen = []
+
+        def weigh(values):
+            seen.append(values.copy())
+            return np.exp(2.0 * values.real)
+
+        got = estimate_qgt(state, samples, g=3.0, J=1.0, weights=weigh, chunk_size=64)
+        ref = estimate_qgt(state, samples, g=3.0, J=1.0, chunk_size=64,
+                           weights=np.exp(2.0 * log_psi.real))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], log_psi)
+        assert np.array_equal(got.x, ref.x)
+        assert np.array_equal(got.y, ref.y)
+        assert got.e_mean == ref.e_mean
+
     def test_needs_two_samples(self):
         state = self._jastrow_pair()
         with pytest.raises(TdvpError):
