@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..lattice import Lattice
-from .base import AnsatzError, LogPsiNonFinite, VariationalState, log_psi_periodicity_check
+from .base import AnsatzError, LogPsiNonFinite, VariationalState
 from .cnn import PeriodicCNN, zero_final_kernel
 from .jastrow import Jastrow
 from .rbm import CircularRBM
@@ -17,7 +17,6 @@ __all__ = [
     "LogPsiNonFinite",
     "PeriodicCNN",
     "VariationalState",
-    "log_psi_periodicity_check",
     "make_ansatz",
     "random_alpha",
     "zero_final_kernel",

@@ -16,7 +16,8 @@ def poly_log_I0_of_square(s):
     Polynomial (holomorphic) in s.  A unit with preactivation z has
     f = g(s), f' = 2 z g'(s) and f'' = 2 g'(s) + 4 s g''(s), with s = z^2.
     """
-    return s / 4.0 - np.square(s) / 64.0 + s * np.square(s) / 576.0
+    sq = np.square(s)  # named, so that NumPy never reuses it in place in s * sq
+    return s / 4.0 - sq / 64.0 + s * sq / 576.0
 
 
 def d_poly_log_I0_of_square(s):

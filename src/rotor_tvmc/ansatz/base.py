@@ -11,10 +11,12 @@ for the local energy) and ``_angle_grad`` (the first angle derivative alone,
 or only its real part).  ``_angle_grad`` feeds ``grad_log_prob``, which HMC
 calls on every leapfrog step, so it must not pay for the second derivatives.
 
-``local_kernels`` returns ln psi, O and E_L together, for the quadrature
-engine's one pass over its grid.  Here it makes the three public calls; an
-ansatz whose kernels share one forward pass overrides it with that pass,
-returning the same bits and raising the same errors.
+``local_kernels`` returns ln psi, O and E_L together, for the one pass of
+``tdvp.estimate_qgt`` over a draw's points.  It takes ln psi from
+``_angle_derivatives``, which every ansatz computes bit for bit as
+``_log_psi`` does, so it evaluates the wavefunction twice, not three times;
+an ansatz whose kernels share one forward pass overrides ``_kernels`` with
+that pass, returning the same bits.
 
 A non-finite ln psi raises ``LogPsiNonFinite``: parameters that overflow
 are a numerical failure of the run, not an error in its configuration.
@@ -137,13 +139,6 @@ class VariationalState:
         out = self._log_derivatives(theta)
         return out[0] if single else out
 
-    def angle_derivatives(self, theta):
-        theta, single = _as_batch(theta, self.n_sites)
-        lp, d1, d2 = self._angle_derivatives(theta)
-        if single:
-            return lp[0], d1[0], d2[0]
-        return lp, d1, d2
-
     def grad_log_prob(self, theta):
         """Gradient of ln p = 2 Re ln psi with respect to the angles."""
         theta, single = _as_batch(theta, self.n_sites)
@@ -165,22 +160,23 @@ class VariationalState:
         potential = -J * np.sum(np.cos(theta[:, bk] - theta[:, bl]), axis=-1)
         return kinetic + potential
 
+    def _kernels(self, theta):  # -> (logpsi (B,), d1 (B, N), d2 (B, N), O (B, P))
+        logpsi, d1, d2 = self._angle_derivatives(theta)
+        return logpsi, d1, d2, self._log_derivatives(theta)
+
     def local_kernels(self, theta, g: float, J: float):
-        """(ln psi, O, E_L) at the same configurations: ``log_psi``,
-        ``log_derivatives`` and ``local_energy`` in one call."""
-        return self.log_psi(theta), self.log_derivatives(theta), self.local_energy(theta, g, J)
+        """(ln psi, O, E_L) at the same configurations, bit for bit the values
+        of ``log_psi``, ``log_derivatives`` and ``local_energy``, with their
+        errors."""
+        check_couplings(g, J)
+        theta, single = _as_batch(theta, self.n_sites)
+        logpsi, d1, d2, o = self._kernels(theta)
+        check_log_psi(theta, logpsi)
+        e = self._local_energy_of(theta, d1, d2, g, J)
+        if single:
+            return logpsi[0], o[0], e[0]
+        return logpsi, o, e
 
     def log_prob(self, theta):
         """ln p(theta) = 2 Re ln psi(theta), up to normalization."""
         return 2.0 * np.real(self.log_psi(theta))
-
-
-def log_psi_periodicity_check(state: VariationalState, theta, k: int, tol=1e-12):
-    """True when shifting angle k by 2 pi leaves the wavefunction unchanged."""
-    theta = np.asarray(theta, dtype=np.float64)
-    shifted = theta.copy()
-    shifted[k] += 2.0 * np.pi
-    a = state.log_psi(theta)
-    b = state.log_psi(shifted)
-    # compare exponentials so a 2 pi i ambiguity in the log cannot trip us up
-    return abs(np.exp(a - b) - 1.0) <= tol

@@ -23,7 +23,7 @@ from .activations import (
     d_poly_log_I0_of_square,
     poly_log_I0_of_square,
 )
-from .base import AnsatzError, VariationalState, _as_batch, check_couplings, check_log_psi
+from .base import AnsatzError, VariationalState
 
 
 def _displacement_table(lattice: Lattice) -> np.ndarray:
@@ -134,29 +134,24 @@ class CircularRBM(VariationalState):
         uw_x = (gp * x_x) @ wt
         uw_y = (gp * x_y) @ wt
         d1 = -sin * (a[:, 0] + 2.0 * uw_x) + cos * (a[:, 1] + 2.0 * uw_y)
+        # named squares: NumPy never reuses them in place with the operands
+        # swapped, which would round differently in large batches
+        xx2, xy2 = np.square(x_x), np.square(x_y)
         # sum_k gpp_k (ds_k/dtheta_j)^2 + gp_k d2s_k/dtheta_j^2, expanded in sin and cos
         d2 = (
             -(cos * a[:, 0] + sin * a[:, 1])
             + 4.0 * (
-                np.square(sin) * ((gpp * np.square(x_x)) @ w2t)
+                np.square(sin) * ((gpp * xx2) @ w2t)
                 - 2.0 * sin * cos * ((gpp * x_x * x_y) @ w2t)
-                + np.square(cos) * ((gpp * np.square(x_y)) @ w2t)
+                + np.square(cos) * ((gpp * xy2) @ w2t)
             )
             + 2.0 * (gp @ w2t - cos * uw_x - sin * uw_y)
         )
         return logpsi, d1, d2
 
-    def local_kernels(self, theta, g: float, J: float):
-        """(ln psi, O, E_L) from one ``_forward`` and one g'(s), bit for bit
-        the values of the three separate calls."""
-        theta, single = _as_batch(theta, self.n_sites)
+    def _kernels(self, theta):
+        """ln psi, d1, d2 and O from one ``_forward`` and one g'(s)."""
         a, w, cos, sin, x_x, x_y, s = self._forward(theta)
         gp = d_poly_log_I0_of_square(s)
         logpsi, d1, d2 = self._angle_derivatives_of(a, w, cos, sin, x_x, x_y, s, gp)
-        check_log_psi(theta, logpsi)
-        check_couplings(g, J)
-        o = self._log_derivatives_of(cos, sin, x_x, x_y, gp)
-        e = self._local_energy_of(theta, d1, d2, g, J)
-        if single:
-            return logpsi[0], o[0], e[0]
-        return logpsi, o, e
+        return logpsi, d1, d2, self._log_derivatives_of(cos, sin, x_x, x_y, gp)

@@ -71,21 +71,6 @@ class TruncatedBasis:
         self.local_dim = 2 * self.m_cut + 1
         self.dim = self.local_dim ** self.n_sites
 
-    def flat_index(self, m_multi) -> int:
-        idx = 0
-        for m in m_multi:
-            if abs(m) > self.m_cut:
-                raise ValueError(f"|m| > {self.m_cut}")
-            idx = idx * self.local_dim + (m + self.m_cut)
-        return idx
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.n_sites):
-            flat, rem = divmod(flat, self.local_dim)
-            out.append(rem - self.m_cut)
-        return tuple(reversed(out))
-
     def m_values(self) -> np.ndarray:
         """(dim, n_sites) array of m_k for every basis state."""
         local = np.arange(-self.m_cut, self.m_cut + 1)

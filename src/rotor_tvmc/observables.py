@@ -123,12 +123,6 @@ def vorticity(samples, lattice: Lattice, ell: int, weights=None):
     return _mean_and_sigma(per_sample, chain_shape, weights)
 
 
-def loop_circulation(theta, loop_sites, ell: int) -> float:
-    """Circulation of a single loop on a single configuration."""
-    theta = np.asarray(theta, dtype=np.float64)
-    return float(np.sum(_edge_differences(theta[np.asarray(loop_sites)])) / ell ** 2)
-
-
 def _log_mean_exp(z: np.ndarray, weights=None) -> complex:
     """Complex log of the (weighted) mean of exp(z), stabilized by max Re z."""
     shift = float(np.max(np.real(z)))
@@ -154,7 +148,10 @@ def fidelity(state_0: VariationalState, state_t: VariationalState,
 
     ``fidelity_of_log_ratios`` of z_0 = ln psi_t - ln psi_0 on ``samples_0``
     and z_t = ln psi_0 - ln psi_t on ``samples_t``.  Weights, if any, are
-    given for both sample sets.
+    given for both sample sets.  This evaluates ln psi of both states on both
+    sample sets; a quench reads the ln psi that its draws already hold and
+    calls ``fidelity_of_log_ratios`` itself, so this is the reference that
+    the tests check it against.
     """
     flat0, shape0 = _flatten(samples_0)
     flat_t, shape_t = _flatten(samples_t)
@@ -195,22 +192,3 @@ def fidelity_of_log_ratios(z0, zt, weights_0=None, weights_t=None) -> FidelityRe
         f = np.exp(_log_mean_exp(z0[pick0].ravel()) + _log_mean_exp(zt[pick_t].ravel()))
         estimates[r] = min(1.0, max(0.0, float(np.real(f))))
     return FidelityResult(value, float(np.std(estimates)), raw, clamped, False)
-
-
-def half_fidelity_time(times, fids) -> float | None:
-    """First crossing of F = 0.5 by linear interpolation; None if never reached."""
-    times = np.asarray(times, dtype=np.float64)
-    fids = np.asarray(fids, dtype=np.float64)
-    if times.size < 2 or np.any(np.diff(times) <= 0):
-        raise ValueError("need a strictly increasing time series")
-    if fids[0] < 0.5:
-        raise ValueError("fidelity series starts below 0.5")
-    if abs(fids[0] - 1.0) > 0.01:
-        raise ValueError("fidelity series must start within 0.01 of 1")
-    below = np.nonzero(fids < 0.5)[0]
-    if below.size == 0:
-        return None
-    i = below[0]
-    t0, t1 = times[i - 1], times[i]
-    f0, f1 = fids[i - 1], fids[i]
-    return float(t0 + (0.5 - f0) * (t1 - t0) / (f1 - f0))

@@ -1,12 +1,11 @@
 """Dense-grid torus quadrature: the noiseless counterpart of HMC sampling.
 
 The grid and its chunked ln psi evaluation are the exact oracle's
-(``exact.grid_points``, ``exact.log_psi_on_points``); here they give a
-variational state's Born weights and its QGT.  The runner's quadrature
-engine gets the same weights, through ``weights_from_log_psi``, from the ln
-psi of its single pass over the grid (``estimate_qgt`` with weights given
-as a function of ln psi); ``born_weights`` and ``quadrature_qgt`` evaluate
-the grid separately, as references for tests and for small-system checks.
+(``exact.grid_points``, ``exact.log_psi_on_points``).  The runner's
+quadrature engine gets its Born weights through ``weights_from_log_psi``
+from the ln psi of ``estimate_qgt``'s one pass over the grid.
+``born_weights`` and ``quadrature_qgt`` evaluate the grid separately: they
+are the references that the tests check the engine against.
 """
 
 from __future__ import annotations

@@ -2,15 +2,19 @@
 benchmarking, sampler diagnostics, and reproducible persistence.
 
 Both expectation engines answer ``draw(state, g, J, out) -> (Draw, QGT
-estimate)``.  The HMC engine samples chains, which weigh alike, and
-estimates the QGT from them.  The quadrature engine makes one pass over its
-fixed grid that gives ln psi, O and E_L together: the Born weights come from
-that ln psi, are checked, and weigh the estimate, and the draw keeps the ln
-psi for the fidelity.  Every observable is computed from a draw by one code
-path.  A quench draws once per parameter vector: the last right-hand-side
-evaluation keeps its draw and estimates, and the last stage of an accepted
-step sits at the accepted point, so the row there reads them.  The draw at
-alpha_0 serves the t = 0 row, the fidelity reference and the first stage.
+estimate)``, and both estimate the QGT from one pass over the draw's points
+that gives ln psi, O and E_L together; the draw keeps that ln psi.  The HMC
+engine samples chains, which weigh alike.  The quadrature engine's points
+are its fixed grid: the Born weights come from the pass's ln psi, are
+checked, and weigh the estimate.  Every observable is computed from a draw
+by one code path.  The fidelity of a quench row needs ln psi_t at the
+points of the draw at alpha_0 and ln psi_0 at those of the row's draw; each
+is read from the other draw when both lie on the same points (the grid)
+and evaluated otherwise.  A quench draws once per parameter vector: the last
+right-hand-side evaluation keeps its draw and estimates, and the last stage
+of an accepted step sits at the accepted point, so the row there reads
+them.  The draw at alpha_0 serves the t = 0 row, the fidelity reference and
+the first stage.
 
 Sampling RNG streams are keyed by (seed, mode code, evaluation counter,
 chain index) through ``numpy``'s seed-sequence spawning, so a rerun with the
@@ -159,14 +163,12 @@ def load_checkpoint(path, state):
 
 @dataclass
 class Draw:
-    """An engine's configurations and their normalized weights (None: alike).
-
-    A quadrature draw also keeps ln psi at its grid points.
-    """
+    """An engine's configurations, ln psi at them (shaped like the points
+    without their site axis) and their normalized weights (None: alike)."""
 
     points: np.ndarray
+    log_psi: np.ndarray
     weights: np.ndarray | None = None
-    log_psi: np.ndarray | None = None
 
 
 class _HmcEngine:
@@ -211,7 +213,7 @@ class _HmcEngine:
         ``estimate_qgt``)."""
         points = self.sample(state)
         qgt = estimate_qgt(state, points.reshape(-1, state.n_sites), g, J, out=out)
-        return Draw(points), qgt
+        return Draw(points, qgt.log_psi.reshape(points.shape[:-1])), qgt
 
 
 class _QuadratureEngine:
@@ -233,7 +235,7 @@ class _QuadratureEngine:
         than ``MIN_KISH_ESS`` points: the averages are then those of a few
         configurations, and X and alpha_dot vanish.
         """
-        draw = Draw(self.grid)
+        draw = Draw(self.grid, None)
 
         def weigh(log_psi):
             weights = quadrature.weights_from_log_psi(log_psi)
@@ -244,10 +246,12 @@ class _QuadratureEngine:
                     f"|psi|^2 sits on {ess:.3g} grid points (Kish ESS); "
                     f"at least {MIN_KISH_ESS:g} are needed",
                 )
-            draw.weights, draw.log_psi = weights, log_psi
+            draw.weights = weights
             return weights
 
-        return draw, estimate_qgt(state, self.grid, g, J, weights=weigh, out=out)
+        qgt = estimate_qgt(state, self.grid, g, J, weights=weigh, out=out)
+        draw.log_psi = qgt.log_psi
+        return draw, qgt
 
 
 def _engine(config: RunConfig, mode_code: int):
@@ -384,6 +388,15 @@ class TrajectoryRecord:
         return np.array([row[name] for row in self.rows], dtype=np.float64)
 
 
+def _log_psi_at(state, draw: Draw, other: Draw) -> np.ndarray:
+    """ln psi of ``state``, the state that drew ``other``, at ``draw``'s
+    points: read from ``other`` when both draws lie on the same points."""
+    if draw.points is other.points:
+        return other.log_psi
+    points = draw.points
+    return state.log_psi(points.reshape(-1, points.shape[-1])).reshape(points.shape[:-1])
+
+
 def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
                g_final: float | None = None) -> TrajectoryRecord:
     """Real-time variational dynamics under g_final from ``initial_state``."""
@@ -420,14 +433,11 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
         nonlocal r2_integral, prev_r2, prev_t
         draw_t, diag = last["draw"], last["diag"]
         row = _observables(draw_t, config, lattice)
-        if draw_t.log_psi is None:
-            fres = observables.fidelity(state_0, last["state"], draw_0.points, draw_t.points)
-        else:
-            # both draws lie on the one grid, so z_t = -z_0
-            l0, lt = draw_0.log_psi, draw_t.log_psi
-            fres = observables.fidelity_of_log_ratios(
-                lt - l0, l0 - lt, weights_0=draw_0.weights, weights_t=draw_t.weights,
-            )
+        fres = observables.fidelity_of_log_ratios(
+            _log_psi_at(last["state"], draw_0, draw_t) - draw_0.log_psi,
+            _log_psi_at(state_0, draw_t, draw_0) - draw_t.log_psi,
+            weights_0=draw_0.weights, weights_t=draw_t.weights,
+        )
         if fres.overlap_lost:
             raise RunnerError(
                 "fidelity-overlap-loss",

@@ -20,10 +20,11 @@ Hermitian eigendecomposition, of the smaller Gram matrix:
   effective rank and the r^2 residual come out the same as in parameter
   space (minSR; Chen & Heyl, arXiv:2302.01941).
 
-Estimation.  ``estimate_qgt`` makes one pass over the samples.  Weights
-may be given as a function of ln psi, as quadrature's |psi|^2 weights are;
-the pass then gives ln psi too, so a quadrature grid is evaluated once per
-estimate.
+Estimation.  ``estimate_qgt`` makes one pass over the samples, one
+``local_kernels`` call per chunk, which gives ln psi with O and E_L.  The
+estimate keeps that ln psi: weights may be given as a function of it, as
+quadrature's |psi|^2 weights are, and the fidelity of a quench row reads it,
+so a draw's points are evaluated once per draw.
 
 Memory.  X is the largest array of a step.  ``estimate_qgt`` fills it in
 chunks of rows whose log-derivative block fits ``CHUNK_BYTES``, into a new
@@ -46,8 +47,9 @@ import numpy as np
 from .ansatz.base import VariationalState
 
 CUTOFF_EXPONENT = 6
-# estimate_qgt's chunks of rows: at most 512, and a (rows, P) complex block
-# of log-derivatives within this many bytes
+# estimate_qgt's chunks of rows: at most CHUNK_ROWS, and a (rows, P) complex
+# block of log-derivatives within CHUNK_BYTES
+CHUNK_ROWS = 512
 CHUNK_BYTES = 4 * 2**20
 
 
@@ -67,6 +69,7 @@ class QgtEstimate:
     y: np.ndarray  # (n,) sqrt(w) (E_L - <E_L>)
     e_mean: complex
     n_samples: int
+    log_psi: np.ndarray | None = None  # (n,) ln psi at the samples
 
     @cached_property
     def s_matrix(self) -> np.ndarray:
@@ -122,24 +125,22 @@ class RegularizedInverse:
 
 
 def estimate_qgt(state: VariationalState, samples: np.ndarray, g: float, J: float,
-                 weights=None, chunk_size: int = 512,
-                 out: np.ndarray | None = None) -> QgtEstimate:
+                 weights=None, out: np.ndarray | None = None) -> QgtEstimate:
     """Sampled (or quadrature-weighted) covariance estimate of S, g and Var H.
 
-    ``weights`` defaults to uniform 1/n.  It may be an array, or a function
-    of ln psi at the samples that returns their weights, such as a
-    quadrature caller's |psi|^2 grid weights: each chunk then makes one
-    ``state.local_kernels`` call, which gives ln psi with O and E_L, and
-    the function is called once after the pass, before any weight is used.
-    Without it a chunk makes a ``log_derivatives`` and a ``local_energy``
-    call.  Either way the weights are normalized here.
+    Each chunk of samples makes one ``state.local_kernels`` call, which gives
+    ln psi with O and E_L; the estimate keeps ln psi.  ``weights`` defaults
+    to uniform 1/n.  It may be an array, or a function of ln psi at the
+    samples that returns their weights, such as a quadrature caller's
+    |psi|^2 grid weights, called once after the pass, before any weight is
+    used.  Either way the weights are normalized here.
 
-    The ansatz kernels run on chunks of at most ``chunk_size`` samples,
-    fewer when a chunk's (rows, P) log-derivative block would exceed
-    ``CHUNK_BYTES``, which bounds their temporaries; the log-derivatives
-    fill one preallocated (n, P) array that is then centered and scaled in
-    place.  ``out``, an (n, P) complex array whose contents are no longer
-    needed, such as the last estimate's X, is filled in place of a new one.
+    The chunks have at most ``CHUNK_ROWS`` samples, fewer when a chunk's
+    (rows, P) log-derivative block would exceed ``CHUNK_BYTES``, which
+    bounds the kernels' temporaries; the log-derivatives fill one
+    preallocated (n, P) array that is then centered and scaled in place.
+    ``out``, an (n, P) complex array whose contents are no longer needed,
+    such as the last estimate's X, is filled in place of a new one.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n = samples.shape[0]
@@ -152,20 +153,16 @@ def estimate_qgt(state: VariationalState, samples: np.ndarray, g: float, J: floa
     else:
         raise ValueError(f"out must be a complex (n, P) = ({n}, {state.n_params}) array")
     e = np.empty(n, dtype=np.complex128)
-    log_psi = np.empty(n, dtype=np.complex128) if callable(weights) else None
-    rows = max(1, min(chunk_size, CHUNK_BYTES // x[0].nbytes))
+    log_psi = np.empty(n, dtype=np.complex128)
+    rows = max(1, min(CHUNK_ROWS, CHUNK_BYTES // x[0].nbytes))
     for lo in range(0, n, rows):
         sl = slice(lo, lo + rows)
-        if log_psi is None:
-            x[sl] = state.log_derivatives(samples[sl])
-            e[sl] = state.local_energy(samples[sl], g, J)
-        else:
-            log_psi[sl], x[sl], e[sl] = state.local_kernels(samples[sl], g, J)
+        log_psi[sl], x[sl], e[sl] = state.local_kernels(samples[sl], g, J)
 
     if weights is None:
         weights = np.full(n, 1.0 / n)
     else:
-        if log_psi is not None:
+        if callable(weights):
             weights = weights(log_psi)
         weights = np.asarray(weights, dtype=np.float64)
         weights = weights / np.sum(weights)
@@ -173,7 +170,8 @@ def estimate_qgt(state: VariationalState, samples: np.ndarray, g: float, J: floa
     root_w = np.sqrt(weights)
     x -= weights @ x
     x *= root_w[:, None]
-    return QgtEstimate(x=x, y=root_w * (e - e_mean), e_mean=complex(e_mean), n_samples=n)
+    return QgtEstimate(x=x, y=root_w * (e - e_mean), e_mean=complex(e_mean), n_samples=n,
+                       log_psi=log_psi)
 
 
 def spectral_filter(spectrum: np.ndarray, lambda2: float) -> np.ndarray:

@@ -16,10 +16,20 @@ from rotor_tvmc.exact import TruncatedBasis, angle_grid, grid_points
 from rotor_tvmc.quadrature import born_weights
 
 
+def flat_index(basis: TruncatedBasis, m_multi) -> int:
+    """Flat index of the basis state |m_0 ... m_{N-1}>, site 0 most significant."""
+    idx = 0
+    for m in m_multi:
+        if abs(m) > basis.m_cut:
+            raise ValueError(f"|m| > {basis.m_cut}")
+        idx = idx * basis.local_dim + (m + basis.m_cut)
+    return idx
+
+
 def initial_product_state(basis: TruncatedBasis) -> np.ndarray:
     """Coherent superposition of all |theta>: the m = 0 product state."""
     c = np.zeros(basis.dim, dtype=np.complex128)
-    c[basis.flat_index((0,) * basis.n_sites)] = 1.0
+    c[flat_index(basis, (0,) * basis.n_sites)] = 1.0
     return c
 
 
@@ -115,3 +125,26 @@ def quadrature_mean(state, values_fn, q: int = 16):
 
 def quadrature_energy(state, g: float, J: float, q: int = 16) -> complex:
     return complex(quadrature_mean(state, lambda pts: state.local_energy(pts, g, J), q))
+
+
+def loop_circulation(theta, loop_sites, ell: int) -> float:
+    """Circulation of one loop on one configuration, edge by edge: the sum of
+    the minimal-image angle differences along the directed edges, over
+    ell^2.  A difference of +-pi (within 1e-9) has no minimal image and
+    counts as 0."""
+    sites = list(loop_sites)
+    total = 0.0
+    for a, b in zip(sites, sites[1:] + sites[:1]):
+        diff = (theta[b] - theta[a] + np.pi) % (2 * np.pi) - np.pi
+        if abs(diff) < np.pi - 1e-9:
+            total += diff
+    return total / ell ** 2
+
+
+def log_psi_periodicity_check(state, theta, k: int, tol=1e-12) -> bool:
+    """True when shifting angle k by 2 pi leaves the wavefunction unchanged."""
+    theta = np.asarray(theta, dtype=np.float64)
+    shifted = theta.copy()
+    shifted[k] += 2.0 * np.pi
+    # compare exponentials so a 2 pi i ambiguity in the log cannot trip us up
+    return abs(np.exp(state.log_psi(theta) - state.log_psi(shifted)) - 1.0) <= tol

@@ -8,13 +8,13 @@ local energy) is verified against central finite differences.
 import numpy as np
 import pytest
 import scipy.special
+from reference import log_psi_periodicity_check
 
 from rotor_tvmc.ansatz import (
     AnsatzError,
     CircularRBM,
     LogPsiNonFinite,
     make_ansatz,
-    log_psi_periodicity_check,
     random_alpha,
     zero_final_kernel,
 )
@@ -43,6 +43,12 @@ def _cases():
         ("cnn", square, {"depth": 3, "n_modes": 1}),
         ("cnn", mixed, {"depth": 2, "n_modes": 2}),
     ]
+
+
+def angle_derivatives(state, theta):
+    """(ln psi, d1, d2) of a (B, N) batch, from the ansatz's core (there is
+    no public wrapper)."""
+    return state._angle_derivatives(theta)
 
 
 def _random_state(kind, lattice, hyper, seed=11, scale=0.1):
@@ -85,7 +91,7 @@ class TestGradients:
         state = _random_state(kind, lattice, hyper)
         rng = np.random.default_rng(6)
         theta = rng.uniform(-np.pi, np.pi, size=(1, lattice.n_sites))
-        _, d1, _ = state.angle_derivatives(theta)
+        _, d1, _ = angle_derivatives(state, theta)
         for k in range(lattice.n_sites):
             step = np.zeros_like(theta)
             step[0, k] = FD_EPS
@@ -96,7 +102,7 @@ class TestGradients:
         state = _random_state(kind, lattice, hyper)
         rng = np.random.default_rng(7)
         theta = rng.uniform(-np.pi, np.pi, size=(1, lattice.n_sites))
-        _, _, d2 = state.angle_derivatives(theta)
+        _, _, d2 = angle_derivatives(state, theta)
         h = 1e-4
         for k in range(lattice.n_sites):
             step = np.zeros_like(theta)
@@ -146,7 +152,7 @@ class TestFirstOrderGradient:
         state = _random_state("jastrow", lattice, {}, seed=21, scale=0.7)
         rng = np.random.default_rng(22)
         theta = rng.uniform(-np.pi, np.pi, size=(9, lattice.n_sites))
-        _, d1, _ = state.angle_derivatives(theta)
+        _, d1, _ = angle_derivatives(state, theta)
         assert np.array_equal(state.grad_log_prob(theta), 2.0 * np.real(d1))
 
     @pytest.mark.parametrize("dims,periodic,hyper", [
@@ -160,7 +166,7 @@ class TestFirstOrderGradient:
         state = _random_state("rbm", lattice, hyper, seed=23, scale=0.7)
         rng = np.random.default_rng(24)
         theta = rng.uniform(-np.pi, np.pi, size=(9, lattice.n_sites))
-        _, d1, _ = state.angle_derivatives(theta)
+        _, d1, _ = angle_derivatives(state, theta)
         expected = 2.0 * np.real(d1)
         grad = state.grad_log_prob(theta)
         assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -284,7 +290,7 @@ class TestRbmMatchesEinsumReference:
 
     def test_angle_derivatives(self, dims, periodic, hyper, batch):
         state, theta = self._setup(dims, periodic, hyper, batch)
-        new = state.angle_derivatives(theta)
+        new = angle_derivatives(state, theta)
         for got, ref in zip(new, _einsum_angle_derivatives(state, theta)):
             assert _relative_error(got, ref) <= 1e-12
 
@@ -294,10 +300,20 @@ class TestRbmMatchesEinsumReference:
                               _reference_grad_log_prob(state, theta))
 
 
-@pytest.mark.parametrize("kind,lattice,hyper", _cases(),
+def _kernel_cases():
+    """``_cases()``, and two RBMs whose large batches rounded ln psi and E_L
+    differently from small ones while NumPy reused their squares in place."""
+    return _cases() + [
+        ("rbm", build_lattice((4, 4), (True, True)), {"convolutional": True}),
+        ("rbm", build_lattice((3,), (True,)), {"n_hidden": 6}),
+    ]
+
+
+@pytest.mark.parametrize("kind,lattice,hyper", _kernel_cases(),
                          ids=lambda v: str(v) if isinstance(v, str) else None)
 class TestLocalKernels:
-    """``local_kernels`` is bit for bit the three separate public calls."""
+    """``local_kernels`` is bit for bit the three separate public calls, and
+    does not depend on the batch it is evaluated in."""
 
     def test_matches_separate_calls(self, kind, lattice, hyper):
         state = _random_state(kind, lattice, hyper, scale=0.7)
@@ -309,6 +325,22 @@ class TestLocalKernels:
             for g, r in zip(got, ref):
                 assert np.shape(g) == np.shape(r)
                 assert np.array_equal(g, r)
+
+    def test_independent_of_the_batch(self, kind, lattice, hyper):
+        # one call against eight chunks: a (4096, 6) complex temporary is
+        # beyond the 256 KiB at which NumPy reuses one in place, and the
+        # CNN's (rows, channels, N) temporaries are at 1024 rows
+        rows = 1024 if kind == "cnn" else 4096
+        state = _random_state(kind, lattice, hyper, seed=3, scale=0.3)
+        theta = np.random.default_rng(4).uniform(-np.pi, np.pi, size=(rows, lattice.n_sites))
+        whole = state.local_kernels(theta, 4.0, 1.0)
+        parts = [state.local_kernels(theta[lo:lo + rows // 8], 4.0, 1.0)
+                 for lo in range(0, rows, rows // 8)]
+        log_psi, o, e = (np.concatenate(values) for values in zip(*parts))
+        assert np.array_equal(whole[0], log_psi)
+        assert np.array_equal(whole[2], e)
+        # the CNN's backward pass still rounds O differently in large batches
+        assert kind == "cnn" or np.array_equal(whole[1], o)
 
     def test_non_finite_log_psi_is_numerical(self, kind, lattice, hyper):
         state = _random_state(kind, lattice, hyper)

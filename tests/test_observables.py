@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import loop_circulation
 
 from rotor_tvmc.ansatz import make_ansatz, random_alpha
 from rotor_tvmc.exact import grid_points
@@ -9,8 +10,6 @@ from rotor_tvmc.observables import (
     circular_variance_mean,
     fidelity,
     fidelity_of_log_ratios,
-    half_fidelity_time,
-    loop_circulation,
     magnetization,
     potential_energy_density,
     vorticity,
@@ -69,10 +68,22 @@ class TestVorticity:
         v, sigma = vorticity(samples, lat, 1)
         assert v == pytest.approx(0.0)
 
+    @staticmethod
+    def _one_loop(angles):
+        """vort_1 of the open 2x2 lattice, whose one plaquette visits
+        ``angles`` in order."""
+        lat = build_lattice((2, 2), (False, False))
+        (loop,) = lat.plaquettes(1)
+        theta = np.empty(4)
+        theta[loop] = angles
+        v, _ = vorticity(theta[None], lat, 1, weights=np.ones(1))
+        return v
+
     def test_single_vortex_loop(self):
         # four sites winding once around the circle: circulation 2 pi / ell^2
-        theta = np.array([0.0, np.pi / 2, np.pi, -np.pi / 2])
-        assert loop_circulation(theta, [0, 1, 2, 3], 1) == pytest.approx(2 * np.pi)
+        angles = np.array([0.0, np.pi / 2, np.pi, -np.pi / 2])
+        assert self._one_loop(angles) == pytest.approx(2 * np.pi)
+        assert loop_circulation(angles, [0, 1, 2, 3], 1) == pytest.approx(2 * np.pi)
 
     def test_requires_2d(self):
         lat = build_lattice((5,), (True,))
@@ -82,13 +93,12 @@ class TestVorticity:
     def test_pi_edge_counts_zero(self):
         # every edge differs by pi: no minimal image, so no circulation (each
         # edge would otherwise wrap to -pi in both directions, giving -4 pi)
-        theta = np.array([0.0, np.pi, 0.0, np.pi])
-        assert loop_circulation(theta, [0, 1, 2, 3], 1) == 0.0
+        assert self._one_loop(np.array([0.0, np.pi, 0.0, np.pi])) == 0.0
         # a tie up to rounding: reversing the loop negates the circulation
-        theta = np.array([0.3, 0.3 + np.pi, 0.3 + np.pi / 2, -0.2])
-        forward = loop_circulation(theta, [0, 1, 2, 3], 1)
+        angles = np.array([0.3, 0.3 + np.pi, 0.3 + np.pi / 2, -0.2])
+        forward = self._one_loop(angles)
         assert forward == pytest.approx(-np.pi)
-        assert loop_circulation(theta, [3, 2, 1, 0], 1) == pytest.approx(-forward)
+        assert self._one_loop(angles[::-1]) == pytest.approx(-forward)
 
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("q", [12, 16])
@@ -170,22 +180,6 @@ class TestFidelity:
         s = rng.uniform(-np.pi, np.pi, size=(50, 3))
         result = fidelity(a, b, s, s)
         assert 0.0 <= result.value <= 1.0
-
-
-class TestHalfFidelityTime:
-    def test_linear_interpolation(self):
-        times = np.array([0.0, 1.0, 2.0])
-        fids = np.array([1.0, 0.6, 0.4])
-        assert half_fidelity_time(times, fids) == pytest.approx(1.5)
-
-    def test_no_crossing(self):
-        times = np.array([0.0, 1.0])
-        fids = np.array([1.0, 0.8])
-        assert half_fidelity_time(times, fids) is None
-
-    def test_rejects_bad_start(self):
-        with pytest.raises(ValueError):
-            half_fidelity_time(np.array([0.0, 1.0]), np.array([0.4, 0.3]))
 
 
 class TestWeightedExpectations:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotor_tvmc import cli, exact, quadrature, runner
+from rotor_tvmc import cli, exact, observables, quadrature, runner
 from rotor_tvmc.ansatz import CircularRBM, VariationalState, make_ansatz, random_alpha
 from rotor_tvmc.config import ConfigError, config_echo, load_config
 from rotor_tvmc.exact import OracleGuardError
@@ -645,22 +645,15 @@ class TestQuadratureOnePass:
         assert qgt.e_mean == ref.e_mean
 
     def test_matches_the_reference_on_c1_grid(self, tmp_path):
-        # c1's 3-rotor grid: born_weights evaluates all 4096 points in one
-        # batch and the engine in chunks of 512.  NumPy evaluates the
-        # (4096, 6) complex product s * s^2 of ln I0 in place, with its
-        # operands swapped, and the fused multiply-add then rounds some
-        # ln psi differently in the last bit.
         config, state = _chain(tmp_path, 3, 6, 16)
         draw, qgt = runner._QuadratureEngine(config).draw(state, 6.0, 1.0)
         points = quadrature.grid_points(3, 16)
         ref = quadrature.quadrature_qgt(state, 6.0, 1.0, q=16)
-        log_psi = exact.log_psi_on_points(state, points)
-        assert np.max(np.abs(draw.log_psi - log_psi)) <= 4e-16 * np.max(np.abs(log_psi))
-        weights = quadrature.born_weights(state, points)
-        assert np.allclose(draw.weights, weights, rtol=1e-14, atol=0)
-        assert np.max(np.abs(qgt.x - ref.x)) <= 1e-14 * np.max(np.abs(ref.x))
-        assert np.max(np.abs(qgt.y - ref.y)) <= 1e-14 * np.max(np.abs(ref.y))
-        assert abs(qgt.e_mean - ref.e_mean) <= 1e-14 * abs(ref.e_mean)
+        assert np.array_equal(draw.log_psi, exact.log_psi_on_points(state, points))
+        assert np.array_equal(draw.weights, quadrature.born_weights(state, points))
+        assert np.array_equal(qgt.x, ref.x)
+        assert np.array_equal(qgt.y, ref.y)
+        assert qgt.e_mean == ref.e_mean
 
     def test_one_forward_per_chunk(self, tmp_path, monkeypatch):
         config, state = _chain(tmp_path, 3, 6, 16)
@@ -691,3 +684,49 @@ class TestQuadratureOnePass:
         assert len(record.rows) >= 3
         assert calls == []
         assert record.rows[0]["fidelity"] == 1.0
+
+
+class TestHmcFidelity:
+    """An HMC row's fidelity reads the ln psi that its two draws hold."""
+
+    def test_row_evaluates_only_the_cross_sets(self, tmp_path, monkeypatch):
+        # loose tolerances: every attempt is accepted
+        text = HMC_INI.replace("dt_max = 0.05", "dt_max = 0.05\natol = 10.0\nrtol = 10.0")
+        config = load_config(write_ini(tmp_path, text))
+        state = make_ansatz("jastrow", config.lattice)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(5), 0.2))
+        draws, calls, drawing = [], [], []
+        real_draw, log_psi = runner._HmcEngine.draw, VariationalState.log_psi
+
+        def counted_draw(self, st, *args):
+            drawing.append(True)
+            try:
+                draw, qgt = real_draw(self, st, *args)
+            finally:
+                drawing.pop()
+            draws.append((st.alpha, draw))
+            return draw, qgt
+
+        def counted(self, theta):
+            if not drawing:  # the sampler's own calls are not the row's
+                calls.append((self.alpha, theta))
+            return log_psi(self, theta)
+
+        monkeypatch.setattr(runner._HmcEngine, "draw", counted_draw)
+        monkeypatch.setattr(VariationalState, "log_psi", counted)
+        record = run_quench(config, state)
+        assert len(record.rows) >= 3
+        # t = 0 evaluates nothing; each later row ln psi_t at the points of
+        # draw_0 and ln psi_0 at its own draw's points, and nothing else
+        assert len(calls) == 2 * (len(record.rows) - 1)
+        n_sites = state.n_sites
+        x_0 = draws[0][1].points.reshape(-1, n_sites)
+        for i, row in enumerate(record.rows[1:], start=1):
+            alpha_t, draw_t = draws[3 * i]
+            (alpha_a, at_a), (alpha_b, at_b) = calls[2 * i - 2: 2 * i]
+            assert np.array_equal(alpha_a, alpha_t) and np.array_equal(at_a, x_0)
+            assert np.array_equal(alpha_b, state.alpha)
+            assert np.array_equal(at_b, draw_t.points.reshape(-1, n_sites))
+            ref = observables.fidelity(state, state.with_alpha(alpha_t),
+                                       draws[0][1].points, draw_t.points)
+            assert (row["fidelity"], row["fidelity_sigma"]) == (ref.value, ref.sigma)

@@ -96,41 +96,45 @@ class TestEstimateQgt:
         assert np.min(np.linalg.eigvalsh(qgt.s_matrix)) > -1e-12
         assert qgt.e_var >= 0
 
-    def test_chunked_equals_unchunked(self):
+    def test_chunked_equals_unchunked(self, monkeypatch):
         lat = build_lattice((3,), (True,))
         state = make_ansatz("jastrow", lat)
         state = state.with_alpha(random_alpha(state, np.random.default_rng(4), 0.2))
         rng = np.random.default_rng(5)
         samples = rng.uniform(-np.pi, np.pi, size=(333, 3))
-        a = estimate_qgt(state, samples, g=3.0, J=1.0, chunk_size=50)
-        b = estimate_qgt(state, samples, g=3.0, J=1.0, chunk_size=10000)
+        monkeypatch.setattr(tdvp, "CHUNK_ROWS", 50)
+        a = estimate_qgt(state, samples, g=3.0, J=1.0)
+        monkeypatch.setattr(tdvp, "CHUNK_ROWS", 10000)
+        b = estimate_qgt(state, samples, g=3.0, J=1.0)
         assert np.allclose(a.s_matrix, b.s_matrix)
         assert np.allclose(a.gvec, b.gvec)
         assert np.isclose(a.e_var, b.e_var)
 
     def test_chunks_sized_by_bytes(self, monkeypatch):
         # a chunk's (rows, P) complex log-derivative block stays within
-        # CHUNK_BYTES; chunk_size remains the upper bound
+        # CHUNK_BYTES; CHUNK_ROWS remains the upper bound
         n, p = 40, 50
         rng = np.random.default_rng(9)
         rows = []
 
         class Counting(_TableState):
-            def log_derivatives(self, samples):
+            def local_kernels(self, samples, g, J):
                 rows.append(len(samples))
-                return super().log_derivatives(samples)
+                return super().local_kernels(samples, g, J)
 
         state = Counting(rng.standard_normal((n, p)) + 0j, rng.standard_normal(n) + 0j)
         samples = np.arange(n, dtype=np.float64)[:, None]
 
-        def chunks(**kwargs):
+        def chunks():
             rows.clear()
-            return estimate_qgt(state, samples, g=1.0, J=1.0, **kwargs), list(rows)
+            return estimate_qgt(state, samples, g=1.0, J=1.0), list(rows)
 
         monkeypatch.setattr(tdvp, "CHUNK_BYTES", 7 * p * 16 + 5)
         capped, sizes = chunks()
         assert sizes == [7] * 5 + [5]
-        assert chunks(chunk_size=3)[1] == [3] * 13 + [1]
+        monkeypatch.setattr(tdvp, "CHUNK_ROWS", 3)
+        assert chunks()[1] == [3] * 13 + [1]
+        monkeypatch.undo()
         monkeypatch.setattr(tdvp, "CHUNK_BYTES", 2**30)
         whole, sizes = chunks()
         assert sizes == [n]
@@ -143,15 +147,14 @@ class TestEstimateQgt:
         stale = _random_estimate(n, p, uniform=True, seed=12)[0]
         state = _TableState(o, e)
         samples = np.arange(n, dtype=np.float64)[:, None]
-        refilled = estimate_qgt(state, samples, g=1.0, J=1.0, weights=weights,
-                                chunk_size=7, out=stale.x)
+        refilled = estimate_qgt(state, samples, g=1.0, J=1.0, weights=weights, out=stale.x)
         assert refilled.x is stale.x
         assert np.array_equal(refilled.x, fresh.x)
         assert np.array_equal(refilled.y, fresh.y)
         with pytest.raises(ValueError):
             estimate_qgt(state, samples, g=1.0, J=1.0, out=np.empty((n, p + 1), complex))
 
-    def test_weights_from_log_psi(self):
+    def test_weights_from_log_psi(self, monkeypatch):
         # a weight function receives ln psi from the pass that gives O and E_L
         state = make_ansatz("rbm", build_lattice((3,), (True,)), n_hidden=4)
         state = state.with_alpha(random_alpha(state, np.random.default_rng(6), 0.3))
@@ -163,11 +166,14 @@ class TestEstimateQgt:
             seen.append(values.copy())
             return np.exp(2.0 * values.real)
 
-        got = estimate_qgt(state, samples, g=3.0, J=1.0, weights=weigh, chunk_size=64)
-        ref = estimate_qgt(state, samples, g=3.0, J=1.0, chunk_size=64,
-                           weights=np.exp(2.0 * log_psi.real))
+        monkeypatch.setattr(tdvp, "CHUNK_ROWS", 64)
+        got = estimate_qgt(state, samples, g=3.0, J=1.0, weights=weigh)
+        ref = estimate_qgt(state, samples, g=3.0, J=1.0, weights=np.exp(2.0 * log_psi.real))
         assert len(seen) == 1
         assert np.array_equal(seen[0], log_psi)
+        # the estimate keeps ln psi, whatever its weights
+        assert np.array_equal(got.log_psi, log_psi)
+        assert np.array_equal(ref.log_psi, log_psi)
         assert np.array_equal(got.x, ref.x)
         assert np.array_equal(got.y, ref.y)
         assert got.e_mean == ref.e_mean
@@ -250,17 +256,16 @@ class TestTdvpRhs:
 
 
 class _TableState:
-    """Stub ansatz whose "samples" index rows of fixed O and E_L tables."""
+    """Stub ansatz whose "samples" index rows of fixed O and E_L tables;
+    ln psi is 0 everywhere."""
 
     def __init__(self, o, e):
         self.o, self.e = o, e
         self.n_params = o.shape[1]
 
-    def log_derivatives(self, samples):
-        return self.o[samples[:, 0].astype(int)]
-
-    def local_energy(self, samples, g, J):
-        return self.e[samples[:, 0].astype(int)]
+    def local_kernels(self, samples, g, J):
+        rows = samples[:, 0].astype(int)
+        return np.zeros(len(rows), dtype=np.complex128), self.o[rows], self.e[rows]
 
 
 def _random_estimate(n, p, uniform, seed):
@@ -270,7 +275,7 @@ def _random_estimate(n, p, uniform, seed):
     weights = None if uniform else rng.uniform(0.1, 2.0, size=n)
     state = _TableState(o, e)
     samples = np.arange(n, dtype=np.float64)[:, None]
-    return estimate_qgt(state, samples, g=1.0, J=1.0, weights=weights, chunk_size=7), o, e, weights
+    return estimate_qgt(state, samples, g=1.0, J=1.0, weights=weights), o, e, weights
 
 
 SHAPES = [(30, 50), (50, 30)]  # n < P solves in sample space, n > P in parameter space
