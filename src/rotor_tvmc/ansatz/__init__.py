@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from ..lattice import Lattice
@@ -26,11 +28,15 @@ _KINDS = {"jastrow": Jastrow, "rbm": CircularRBM, "cnn": PeriodicCNN}
 
 
 def make_ansatz(kind: str, lattice: Lattice, **hyper) -> VariationalState:
-    """Construct an ansatz by kind name ('jastrow', 'rbm' or 'cnn')."""
+    """Construct an ansatz by kind name ('jastrow', 'rbm' or 'cnn'); a
+    keyword that the kind's constructor does not take is an error."""
     try:
         cls = _KINDS[kind.lower()]
     except KeyError:
         raise AnsatzError(f"unknown ansatz kind {kind!r}") from None
+    unknown = sorted(set(hyper) - set(inspect.signature(cls).parameters))
+    if unknown:
+        raise AnsatzError(f"ansatz kind {kind!r} takes no key {', '.join(unknown)}")
     return cls(lattice, **hyper)
 
 

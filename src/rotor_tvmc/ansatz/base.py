@@ -69,15 +69,18 @@ class VariationalState:
     """Base class; subclasses set ``kind``, ``layout`` and the evaluation core.
 
     ``layout`` is a list of (name, shape) blocks describing how the flat
-    complex vector ``alpha`` decomposes, in storage order.
+    complex vector ``alpha`` decomposes, in storage order; ``alpha=None``
+    gives all zeros.
     """
 
     kind: str = ""
 
-    def __init__(self, lattice: Lattice, alpha: np.ndarray, layout):
+    def __init__(self, lattice: Lattice, alpha: np.ndarray | None, layout):
         self.lattice = lattice
         self.layout = list(layout)
         expected = sum(int(np.prod(shape)) for _, shape in self.layout)
+        if alpha is None:
+            alpha = np.zeros(expected, dtype=np.complex128)
         alpha = np.asarray(alpha, dtype=np.complex128).ravel()
         if alpha.size != expected:
             raise AnsatzError(

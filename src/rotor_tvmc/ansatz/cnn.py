@@ -7,7 +7,9 @@ and a final single-channel convolution summed over sites:
     ln psi = (2 K N)^(-1/2) sum_{c,k} [w_final^c * h_{D-1}^c]_k .
 
 Convolutions are centered cross-correlations over lattice sites using circular
-padding along periodic directions and zero padding along open ones.  All
+padding along periodic directions and zero padding along open ones; each
+site's window is ``Lattice.shift`` at the kernel offsets, masked where an
+offset leaves the lattice.  All
 gradients (parameters and angles) are hand-derived passes through this fixed
 graph; parameters are complex and every operation is holomorphic.
 
@@ -18,8 +20,6 @@ enumerated row-major over the centered window.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -42,35 +42,13 @@ class ConvTable:
         if any(s < 1 or s % 2 == 0 for s in kernel_shape):
             raise AnsatzError("kernel extents must be odd and >= 1")
         self.kernel_shape = kernel_shape
-        offsets = list(
-            itertools.product(*[range(-(s // 2), s // 2 + 1) for s in kernel_shape])
-        )
-        self.n_offsets = len(offsets)
-        n = lattice.n_sites
-        idx = np.zeros((n, self.n_offsets), dtype=np.int64)
-        mask = np.ones((n, self.n_offsets), dtype=np.float64)
-        for site in range(n):
-            coords = lattice.site_coords(site)
-            for j, off in enumerate(offsets):
-                target = []
-                valid = True
-                for axis in range(lattice.ndim):
-                    c = coords[axis] + off[axis]
-                    if lattice.periodic[axis]:
-                        c %= lattice.dims[axis]
-                    elif not 0 <= c < lattice.dims[axis]:
-                        valid = False
-                        c = 0
-                    target.append(c)
-                idx[site, j] = lattice.site_index(target)
-                if not valid:
-                    mask[site, j] = 0.0
-        self.idx = idx
-        self.mask = mask
-        # permutation sending each offset to its negation (transposed conv)
-        self.flip = np.array(
-            [offsets.index(tuple(-o for o in off)) for off in offsets], dtype=np.int64
-        )
+        window = np.indices(kernel_shape).reshape(lattice.ndim, -1).T
+        self.n_offsets = len(window)
+        self.idx, inside = lattice.shift(window - np.array(kernel_shape) // 2)
+        self.mask = inside.astype(np.float64)
+        # permutation sending each offset to its negation (transposed conv): the
+        # window is centered and enumerated row-major, so that reverses it
+        self.flip = np.arange(self.n_offsets - 1, -1, -1)
 
     def gather(self, h):
         """(..., C, N) -> (..., C, N, J) window view with zero padding applied."""
@@ -104,6 +82,8 @@ class PeriodicCNN(VariationalState):
             raise AnsatzError("depth must be >= 2 (hidden layers plus output)")
         if n_modes is None:
             n_modes = 4 if lattice.n_sites >= 64 else 1
+        if n_modes < 1:
+            raise AnsatzError("n_modes must be >= 1")
         if kernel_shape is None:
             kernel_shape = (3,) * lattice.ndim
         self.depth = int(depth)
@@ -116,8 +96,6 @@ class PeriodicCNN(VariationalState):
             layout.append((f"w{d}", (channels, channels, self.table.n_offsets)))
             layout.append((f"b{d}", (channels,)))
         layout.append(("w_final", (channels, self.table.n_offsets)))
-        if alpha is None:
-            alpha = np.zeros(sum(int(np.prod(s)) for _, s in layout), dtype=np.complex128)
         super().__init__(lattice, alpha, layout)
         self.prefactor = 1.0 / np.sqrt(channels * lattice.n_sites)
 
@@ -225,11 +203,6 @@ class PeriodicCNN(VariationalState):
 
 def zero_final_kernel(state: PeriodicCNN) -> PeriodicCNN:
     """Copy of the state with the output kernel zeroed (uniform wavefunction)."""
-    alpha = state.alpha.copy()
-    offset = 0
-    for name, shape in state.layout:
-        size = int(np.prod(shape))
-        if name == "w_final":
-            alpha[offset : offset + size] = 0.0
-        offset += size
-    return state.with_alpha(alpha)
+    zeroed = state.with_alpha(state.alpha.copy())
+    zeroed.blocks()["w_final"][...] = 0.0
+    return zeroed

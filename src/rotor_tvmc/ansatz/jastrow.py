@@ -19,8 +19,6 @@ class Jastrow(VariationalState):
         self.pair_i = np.array([p[0] for p in pairs], dtype=np.int64)
         self.pair_j = np.array([p[1] for p in pairs], dtype=np.int64)
         n_pairs = len(pairs)
-        if alpha is None:
-            alpha = np.zeros(n_pairs, dtype=np.complex128)
         super().__init__(lattice, alpha, [("w", (n_pairs,))])
         # one-hot pair-to-site incidence used to accumulate angle derivatives:
         # real for the HMC gradient, which needs only Re d1, and complex so the

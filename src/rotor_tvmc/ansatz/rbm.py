@@ -10,7 +10,8 @@ Parameter layout (flat, in order): ``a`` with shape (N, 2) row-major, ``b``
 with shape (N_h, 2), then the visible-hidden coupling.  The dense variant
 stores ``w`` as (N, N_h); the convolutional variant (periodic lattices only)
 stores one kernel entry per lattice displacement, so w_jk = kernel[disp(j,k)]
-and N_h = N.
+and N_h = N; disp(j, k) is the flat index of the lattice vector d for which
+``Lattice.shift`` by d sends site j to site k.
 """
 
 from __future__ import annotations
@@ -26,19 +27,6 @@ from .activations import (
 from .base import AnsatzError, VariationalState
 
 
-def _displacement_table(lattice: Lattice) -> np.ndarray:
-    """disp[j, k] = flat index of the lattice vector from site j to site k."""
-    n = lattice.n_sites
-    table = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        cj = lattice.site_coords(j)
-        for k in range(n):
-            ck = lattice.site_coords(k)
-            rel = tuple((ck[a] - cj[a]) % lattice.dims[a] for a in range(lattice.ndim))
-            table[j, k] = lattice.site_index(rel)
-    return table
-
-
 class CircularRBM(VariationalState):
     kind = "rbm"
 
@@ -52,7 +40,8 @@ class CircularRBM(VariationalState):
             if n_hidden is not None and n_hidden != n:
                 raise AnsatzError("convolutional RBM fixes n_hidden = n_sites")
             n_hidden = n
-            self._disp = _displacement_table(lattice)
+            # row j of shift is the permutation d -> k = j + d; disp[j, k] = d inverts it
+            self._disp = np.argsort(lattice.shift(lattice.coords)[0], axis=1)
             # row d: the flat indices j * N + k of the pairs at displacement d
             self._by_disp = np.argsort(self._disp, axis=None, kind="stable").reshape(n, n)
             layout = [("a", (n, 2)), ("b", (n_hidden, 2)), ("kernel", (n,))]
@@ -62,8 +51,6 @@ class CircularRBM(VariationalState):
                 raise AnsatzError("n_hidden must be >= 1")
             layout = [("a", (n, 2)), ("b", (n_hidden, 2)), ("w", (n, n_hidden))]
         self.n_hidden = n_hidden
-        if alpha is None:
-            alpha = np.zeros(sum(int(np.prod(s)) for _, s in layout), dtype=np.complex128)
         super().__init__(lattice, alpha, layout)
 
     def _weights(self, blocks):

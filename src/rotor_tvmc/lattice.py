@@ -1,12 +1,15 @@
 """Lattice geometry and circular statistics for planar-rotor configurations.
 
 Site indexing is row-major: on a 2D lattice with ``dims = [rows, cols]`` the
-site at ``(r, c)`` has flat index ``r * cols + c``.  All other modules
-(convolution kernels, the exact oracle) rely on this convention.
+site at ``(r, c)`` has flat index ``r * cols + c``.  ``Lattice.shift`` is the
+one place that turns lattice coordinates into flat indices; the bonds, the
+plaquette loops and the other modules (RBM displacements, convolution
+windows) take their indices from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,45 +26,65 @@ class Lattice:
     """Nearest-neighbor geometry of a 1D chain or 2D square lattice.
 
     ``bonds`` holds one entry per (site, positive direction) pair, stored as
-    ``(k, l)`` with ``k < l``.  On periodic lattices of extent 2 the same
-    unordered pair therefore appears twice, which is the physically correct
-    double coupling.  Self-bonds (extent 1) are never emitted.
+    ``(k, l)`` with ``k < l`` in sorted order.  On periodic lattices of extent
+    2 the same unordered pair therefore appears twice, which is the physically
+    correct double coupling.  Self-bonds (extent 1) are never emitted.
     """
 
     dims: tuple[int, ...]
     periodic: tuple[bool, ...]
-    n_sites: int
-    bonds: np.ndarray  # (n_bonds, 2) int
+    n_sites: int = field(init=False)
+    bonds: np.ndarray = field(init=False)  # (n_bonds, 2) int
     _plaquettes: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.n_sites = math.prod(self.dims)
+        site = np.arange(self.n_sites)[:, None]
+        index, inside = self.shift(np.eye(self.ndim, dtype=np.int64))
+        keep = inside & (index != site)  # a periodic extent-1 axis wraps onto the site
+        lo, hi = np.minimum(site, index)[keep], np.maximum(site, index)[keep]
+        self.bonds = np.stack([lo, hi], axis=1)[np.lexsort((hi, lo))]
 
     @property
     def ndim(self) -> int:
         return len(self.dims)
 
-    def site_index(self, coords) -> int:
-        coords = tuple(coords)
-        if self.ndim == 1:
-            return coords[0]
-        return coords[0] * self.dims[1] + coords[1]
+    @property
+    def coords(self) -> np.ndarray:
+        """(n_sites, ndim) coordinates of every site, in flat-index order."""
+        return np.indices(self.dims).reshape(self.ndim, -1).T
 
-    def site_coords(self, index: int) -> tuple[int, ...]:
-        if self.ndim == 1:
-            return (index,)
-        return divmod(index, self.dims[1])
+    def shift(self, offsets):
+        """The site at each lattice vector of ``offsets`` (n_offsets, ndim)
+        from every site: its flat index, and whether it lies on the lattice,
+        both of shape (n_sites, n_offsets).  Periodic axes wrap; an open axis
+        that an offset leaves reads coordinate 0."""
+        target = self.coords[:, None, :] + np.asarray(offsets)
+        inside = np.asarray(self.periodic) | ((target >= 0) & (target < self.dims))
+        target = np.moveaxis(np.where(inside, target, 0), -1, 0)
+        return np.ravel_multi_index(target, self.dims, mode="wrap"), inside.all(axis=-1)
 
     def plaquettes(self, ell: int) -> np.ndarray:
         """Site loops around all ell x ell squares, shape (n_loops, 4*ell).
 
         Each row lists the perimeter sites in positive orientation starting
         from the lower-left corner; consecutive entries (cyclically) are the
-        4*ell directed edges of the loop.  Enumerated lazily and cached.
+        4*ell directed edges of the loop.  A corner starts a loop when every
+        step of it lies on the lattice, in flat order of the corners; loops
+        longer than the lattice (ell > max(dims)) are not enumerated.
+        Enumerated lazily and cached.
         """
         if self.ndim != 2:
             raise LatticeError("plaquettes require a 2D lattice")
         if ell < 1:
             raise LatticeError("plaquette edge length must be >= 1")
         if ell not in self._plaquettes:
-            self._plaquettes[ell] = _enumerate_plaquettes(self, ell)
+            s = np.arange(ell)
+            # rows of the +col, +row, -col, -row edges; the columns run one edge ahead
+            rows = np.concatenate([np.zeros_like(s), s, np.full(ell, ell), ell - s])
+            index, inside = self.shift(np.stack([rows, np.roll(rows, -ell)], axis=1))
+            loops = index[inside.all(axis=1)]
+            self._plaquettes[ell] = loops if ell <= max(self.dims) else loops[:0]
         return self._plaquettes[ell]
 
 
@@ -75,54 +98,7 @@ def build_lattice(dims, periodic) -> Lattice:
         raise LatticeError("periodic flags must match the number of dimensions")
     if any(d < 1 for d in dims):
         raise LatticeError(f"extents must be >= 1, got {dims}")
-
-    n_sites = int(np.prod(dims))
-    bonds = []
-    for flat in range(n_sites):
-        coords = (flat,) if len(dims) == 1 else divmod(flat, dims[1])
-        for axis in range(len(dims)):
-            extent = dims[axis]
-            nxt = list(coords)
-            nxt[axis] += 1
-            if nxt[axis] >= extent:
-                if not periodic[axis] or extent < 2:
-                    continue
-                nxt[axis] = 0
-            if len(dims) == 1:
-                other = nxt[0]
-            else:
-                other = nxt[0] * dims[1] + nxt[1]
-            bonds.append((min(flat, other), max(flat, other)))
-    bond_arr = np.array(sorted(bonds), dtype=np.int64).reshape(-1, 2)
-    return Lattice(dims=dims, periodic=periodic, n_sites=n_sites, bonds=bond_arr)
-
-
-def _enumerate_plaquettes(lat: Lattice, ell: int) -> np.ndarray:
-    rows, cols = lat.dims
-    max_r = rows if lat.periodic[0] else rows - ell
-    max_c = cols if lat.periodic[1] else cols - ell
-    if max_r <= 0 or max_c <= 0 or ell >= max(rows, cols) + 1:
-        return np.zeros((0, 4 * ell), dtype=np.int64)
-
-    loops = []
-    for r0 in range(max_r):
-        for c0 in range(max_c):
-            path = []
-            # bottom edge, +col direction
-            for s in range(ell):
-                path.append((r0, c0 + s))
-            # right edge, +row direction
-            for s in range(ell):
-                path.append((r0 + s, c0 + ell))
-            # top edge, -col direction
-            for s in range(ell):
-                path.append((r0 + ell, c0 + ell - s))
-            # left edge, -row direction
-            for s in range(ell):
-                path.append((r0 + ell - s, c0))
-            idx = [((r % rows) * cols + (c % cols)) for r, c in path]
-            loops.append(idx)
-    return np.array(loops, dtype=np.int64)
+    return Lattice(dims=dims, periodic=periodic)
 
 
 def wrap_angle(x):

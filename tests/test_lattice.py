@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from rotor_tvmc.ansatz import CircularRBM
+from rotor_tvmc.ansatz.cnn import ConvTable
 from rotor_tvmc.lattice import (
     Lattice,
     LatticeError,
@@ -72,6 +74,44 @@ class TestPlaquettes:
         for loop in lat.plaquettes(1):
             for a, b in zip(loop, np.roll(loop, -1)):
                 assert tuple(sorted((a, b))) in bond_set
+
+
+class TestRowMajorTables:
+    """Index tables written out by hand from the definition: site (r, c) of a
+    lattice with ``cols`` columns has flat index r * cols + c."""
+
+    def test_bonds_periodic_along_rows(self):
+        # sites 0 1 2 / 3 4 5; the row axis has extent 2, so each column
+        # bond is there twice (interior and wrap)
+        lat = build_lattice((2, 3), (True, False))
+        expected = [[0, 1], [0, 3], [0, 3], [1, 2], [1, 4], [1, 4],
+                    [2, 5], [2, 5], [3, 4], [4, 5]]
+        assert np.array_equal(lat.bonds, expected)
+
+    def test_unit_plaquettes_periodic_along_rows(self):
+        lat = build_lattice((2, 3), (True, False))
+        expected = [[0, 1, 4, 3], [1, 2, 5, 4], [3, 4, 1, 0], [4, 5, 2, 1]]
+        assert np.array_equal(lat.plaquettes(1), expected)
+
+    def test_conv_window_at_corners_of_open_lattice(self):
+        # 3x4 open lattice, offsets (-1,-1), (-1,0), ..., (1,1); an offset
+        # that leaves an open axis reads coordinate 0 there and is masked
+        table = ConvTable(build_lattice((3, 4), (False, False)), (3, 3))
+        assert np.array_equal(table.idx[0], [0, 0, 1, 0, 0, 1, 4, 4, 5])
+        assert np.array_equal(table.mask[0], [0, 0, 0, 0, 1, 1, 0, 1, 1])
+        assert np.array_equal(table.idx[11], [6, 7, 4, 10, 11, 8, 2, 3, 0])
+        assert np.array_equal(table.mask[11], [1, 1, 0, 1, 1, 0, 0, 0, 0])
+
+    def test_displacement_table_periodic(self):
+        # disp[j, k] = flat index of (coords(k) - coords(j)) mod (2, 3)
+        state = CircularRBM(build_lattice((2, 3), (True, True)), convolutional=True)
+        expected = [[0, 1, 2, 3, 4, 5],
+                    [2, 0, 1, 5, 3, 4],
+                    [1, 2, 0, 4, 5, 3],
+                    [3, 4, 5, 0, 1, 2],
+                    [5, 3, 4, 2, 0, 1],
+                    [4, 5, 3, 1, 2, 0]]
+        assert np.array_equal(state._disp, expected)
 
 
 class TestWrapAngle:

@@ -308,6 +308,24 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_modes", [0, -1])
+    def test_cnn_without_modes_exits_2(self, tmp_path, capsys, n_modes):
+        text = BASE_INI.replace("kind = jastrow", f"kind = cnn\nn_modes = {n_modes}")
+        code = cli.main(["ground-state", "--config", str(write_ini(tmp_path, text)),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "n_modes must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,key", [("jastrow", "n_hidden = 4"),
+                                          ("rbm", "depth = 2")])
+    def test_key_the_kind_does_not_take_exits_2(self, tmp_path, capsys, kind, key):
+        text = BASE_INI.replace("kind = jastrow", f"kind = {kind}\n{key}")
+        code = cli.main(["ground-state", "--config", str(write_ini(tmp_path, text)),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert repr(kind) in err and key.split()[0] in err
+
     def test_ground_state_exits_0(self, tmp_path, capsys):
         path = write_ini(tmp_path, BASE_INI)
         out = tmp_path / "out"
