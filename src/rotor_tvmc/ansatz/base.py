@@ -3,7 +3,9 @@
 Every ansatz evaluates ln psi(theta) as a holomorphic function of a flat
 complex parameter vector ``alpha`` with a documented layout.  All evaluation
 methods are pure functions of (alpha, theta) and accept either a single
-configuration of shape (N,) or a batch of shape (B, N).
+configuration of shape (N,) or a batch of shape (B, N).  The views of alpha
+that the kernels read (``blocks()``, and an ansatz's derived weights) are
+built where alpha is set, in ``__init__`` and ``with_alpha``, not per call.
 
 A subclass implements four batched cores: ``_log_psi``, ``_log_derivatives``,
 ``_angle_derivatives`` (ln psi with its first and second angle derivatives,
@@ -16,7 +18,10 @@ calls on every leapfrog step, so it must not pay for the second derivatives.
 ``_angle_derivatives``, which every ansatz computes bit for bit as
 ``_log_psi`` does, so it evaluates the wavefunction twice, not three times;
 an ansatz whose kernels share one forward pass overrides ``_kernels`` with
-that pass, returning the same bits.
+that pass, returning the same bits.  It also takes an ``Angles`` batch: the
+configurations with their angle-only arrays (cos, sin and the bond-cosine
+sum), which a caller builds once for all chunks of a draw, or once per run
+for a fixed grid.
 
 A non-finite ln psi raises ``LogPsiNonFinite``: parameters that overflow
 are a numerical failure of the run, not an error in its configuration.
@@ -25,6 +30,7 @@ are a numerical failure of the run, not an error in its configuration.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +50,9 @@ class LogPsiNonFinite(ArithmeticError):
 def check_log_psi(theta, log_psi) -> None:
     """Raise LogPsiNonFinite at the first configuration of the (B, N) batch
     ``theta`` whose ln psi is not finite."""
-    bad = ~np.isfinite(log_psi)
-    if np.any(bad):
-        raise LogPsiNonFinite(f"non-finite log_psi at theta={theta[np.argmax(bad)]}")
+    finite = np.isfinite(log_psi)
+    if not finite.all():
+        raise LogPsiNonFinite(f"non-finite log_psi at theta={theta[np.argmin(finite)]}")
 
 
 def check_couplings(g: float, J: float) -> None:
@@ -55,9 +61,14 @@ def check_couplings(g: float, J: float) -> None:
 
 
 def _as_batch(theta, n_sites):
-    theta = np.asarray(theta, dtype=np.float64)
-    single = theta.ndim == 1
-    theta = np.atleast_2d(theta)
+    """(B, N) float64 angles and whether one (N,) configuration was given; a
+    float64 (B, N) array is returned untouched."""
+    if type(theta) is np.ndarray and theta.dtype == np.float64 and theta.ndim == 2:
+        single = False
+    else:
+        theta = np.asarray(theta, dtype=np.float64)
+        single = theta.ndim == 1
+        theta = np.atleast_2d(theta)
     if theta.shape[-1] != n_sites:
         raise AnsatzError(
             f"configuration has {theta.shape[-1]} sites, lattice has {n_sites}"
@@ -65,12 +76,55 @@ def _as_batch(theta, n_sites):
     return theta, single
 
 
+def _bond_cosines(theta, lattice: Lattice):
+    """(B,) sum over the lattice's bonds of cos(theta_k - theta_l)."""
+    bk, bl = lattice.bonds[:, 0], lattice.bonds[:, 1]
+    return np.sum(np.cos(theta[:, bk] - theta[:, bl]), axis=-1)
+
+
+class Angles:
+    """A (B, N) batch of configurations with its angle-only arrays: each
+    configuration's bond-cosine sum, the potential part of E_L, and cos and
+    sin of every angle, which the RBM's forward pass reads.
+
+    The bond-cosine sums are built with the batch, cos and sin when first
+    read, so an ansatz that never reads them never pays for them.
+    ``angles[rows]`` is a chunk of the batch that reads its rows of the
+    arrays built for the whole batch.  Each array is elementwise or a
+    reduction within a row, so a chunk holds the bits that it alone would
+    give.
+    """
+
+    def __init__(self, theta, lattice: Lattice):
+        self.theta, _ = _as_batch(theta, lattice.n_sites)  # (B, N)
+        self.bond_cos = _bond_cosines(self.theta, lattice)  # (B,)
+        self._of = None  # (batch, rows) of a chunk
+
+    @cached_property
+    def cos(self) -> np.ndarray:
+        return np.cos(self.theta) if self._of is None else self._of[0].cos[self._of[1]]
+
+    @cached_property
+    def sin(self) -> np.ndarray:
+        return np.sin(self.theta) if self._of is None else self._of[0].sin[self._of[1]]
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def __getitem__(self, rows) -> "Angles":
+        chunk = object.__new__(Angles)
+        chunk.theta, chunk.bond_cos = self.theta[rows], self.bond_cos[rows]
+        chunk._of = (self, rows)
+        return chunk
+
+
 class VariationalState:
     """Base class; subclasses set ``kind``, ``layout`` and the evaluation core.
 
     ``layout`` is a list of (name, shape) blocks describing how the flat
     complex vector ``alpha`` decomposes, in storage order; ``alpha=None``
-    gives all zeros.
+    gives all zeros.  A subclass whose kernels read views derived from alpha
+    builds them in ``_set_alpha``.
     """
 
     kind: str = ""
@@ -86,7 +140,17 @@ class VariationalState:
             raise AnsatzError(
                 f"{self.kind}: expected {expected} parameters, got {alpha.size}"
             )
+        self._set_alpha(alpha)
+
+    def _set_alpha(self, alpha: np.ndarray) -> None:
+        """Set alpha and build the views of it that the kernels read."""
         self.alpha = alpha
+        self._blocks = {}
+        offset = 0
+        for name, shape in self.layout:
+            size = math.prod(shape)
+            self._blocks[name] = alpha[offset : offset + size].reshape(shape)
+            offset += size
 
     @property
     def n_params(self) -> int:
@@ -97,14 +161,8 @@ class VariationalState:
         return self.lattice.n_sites
 
     def blocks(self) -> dict[str, np.ndarray]:
-        """Views of alpha reshaped per layout block."""
-        out = {}
-        offset = 0
-        for name, shape in self.layout:
-            size = math.prod(shape)
-            out[name] = self.alpha[offset : offset + size].reshape(shape)
-            offset += size
-        return out
+        """Views of alpha reshaped per layout block (one dict per alpha)."""
+        return self._blocks
 
     def with_alpha(self, alpha: np.ndarray) -> "VariationalState":
         clone = object.__new__(type(self))
@@ -112,7 +170,7 @@ class VariationalState:
         alpha = np.asarray(alpha, dtype=np.complex128).ravel()
         if alpha.size != self.alpha.size:
             raise AnsatzError("parameter length mismatch in with_alpha")
-        clone.alpha = alpha
+        clone._set_alpha(alpha)
         return clone
 
     # -- evaluation core, implemented by subclasses (batched (B, N) input) --
@@ -154,28 +212,43 @@ class VariationalState:
         check_couplings(g, J)
         theta, single = _as_batch(theta, self.n_sites)
         _, d1, d2 = self._angle_derivatives(theta)
-        out = self._local_energy_of(theta, d1, d2, g, J)
+        out = self._local_energy_of(_bond_cosines(theta, self.lattice), d1, d2, g, J)
         return out[0] if single else out
 
-    def _local_energy_of(self, theta, d1, d2, g, J):
+    @staticmethod
+    def _local_energy_of(bond_cos, d1, d2, g, J):
         kinetic = -(g * J / 2.0) * np.sum(d2 + np.square(d1), axis=-1)
-        bk, bl = self.lattice.bonds[:, 0], self.lattice.bonds[:, 1]
-        potential = -J * np.sum(np.cos(theta[:, bk] - theta[:, bl]), axis=-1)
+        potential = -J * bond_cos
         return kinetic + potential
 
-    def _kernels(self, theta):  # -> (logpsi (B,), d1 (B, N), d2 (B, N), O (B, P))
-        logpsi, d1, d2 = self._angle_derivatives(theta)
-        return logpsi, d1, d2, self._log_derivatives(theta)
+    def _kernels(self, angles: Angles, out):
+        """(logpsi (B,), d1 (B, N), d2 (B, N), O (B, P)); O is written into
+        ``out`` when it is given."""
+        logpsi, d1, d2 = self._angle_derivatives(angles.theta)
+        o = self._log_derivatives(angles.theta)
+        if out is not None:
+            out[...] = o
+            o = out
+        return logpsi, d1, d2, o
 
-    def local_kernels(self, theta, g: float, J: float):
+    def local_kernels(self, theta, g: float, J: float, out=None):
         """(ln psi, O, E_L) at the same configurations, bit for bit the values
         of ``log_psi``, ``log_derivatives`` and ``local_energy``, with their
-        errors."""
+        errors.
+
+        ``theta`` is an (N,) or (B, N) array, or an ``Angles`` batch whose
+        arrays are read instead of computed.  ``out``, a complex (B, P)
+        array, receives O and is returned in its place.
+        """
         check_couplings(g, J)
-        theta, single = _as_batch(theta, self.n_sites)
-        logpsi, d1, d2, o = self._kernels(theta)
-        check_log_psi(theta, logpsi)
-        e = self._local_energy_of(theta, d1, d2, g, J)
+        if isinstance(theta, Angles):
+            angles, single = theta, False
+        else:
+            theta, single = _as_batch(theta, self.n_sites)
+            angles = Angles(theta, self.lattice)
+        logpsi, d1, d2, o = self._kernels(angles, out)
+        check_log_psi(angles.theta, logpsi)
+        e = self._local_energy_of(angles.bond_cos, d1, d2, g, J)
         if single:
             return logpsi[0], o[0], e[0]
         return logpsi, o, e

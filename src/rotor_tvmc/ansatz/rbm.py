@@ -24,7 +24,7 @@ from .activations import (
     d_poly_log_I0_of_square,
     poly_log_I0_of_square,
 )
-from .base import AnsatzError, VariationalState
+from .base import Angles, AnsatzError, VariationalState
 
 
 class CircularRBM(VariationalState):
@@ -54,37 +54,52 @@ class CircularRBM(VariationalState):
         super().__init__(lattice, alpha, layout)
 
     def _weights(self, blocks):
+        """The (N, N_h) coupling matrix w_jk built from the layout blocks."""
         if self.convolutional:
             return blocks["kernel"][self._disp]
         return blocks["w"]
 
-    def _forward(self, theta):
-        """a, w, cos and sin (B, N), the hidden inputs x_x, x_y (B, N_h) and s = x . x."""
+    def _set_alpha(self, alpha):
+        """Set alpha and build what the kernels read of it: a, b, w, w^T and
+        (w^2)^T."""
+        super()._set_alpha(alpha)
         blocks = self.blocks()
-        a, b = blocks["a"], blocks["b"]
-        w = self._weights(blocks)
-        cos, sin = np.cos(theta), np.sin(theta)
-        x_x = b[:, 0] + cos @ w  # (B, N_h)
-        x_y = b[:, 1] + sin @ w
-        return a, w, cos, sin, x_x, x_y, np.square(x_x) + np.square(x_y)
+        self._a, self._b = blocks["a"], blocks["b"]
+        self._w = self._weights(blocks)
+        self._wt, self._w2t = self._w.T, np.square(self._w).T
 
-    @staticmethod
-    def _log_psi_of(a, cos, sin, s):
+    def _forward(self, theta):
+        """cos and sin (B, N), the hidden inputs x_x, x_y (B, N_h) and s = x . x.
+
+        ``theta`` is a (B, N) array, or an ``Angles`` batch whose cos and sin
+        are read."""
+        if isinstance(theta, Angles):
+            cos, sin = theta.cos, theta.sin
+        else:
+            cos, sin = np.cos(theta), np.sin(theta)
+        x_x = self._b[:, 0] + cos @ self._w  # (B, N_h)
+        x_y = self._b[:, 1] + sin @ self._w
+        return cos, sin, x_x, x_y, np.square(x_x) + np.square(x_y)
+
+    def _log_psi_of(self, cos, sin, s):
+        a = self._a
         return cos @ a[:, 0] + sin @ a[:, 1] + np.sum(poly_log_I0_of_square(s), axis=-1)
 
     def _log_psi(self, theta):
-        a, _, cos, sin, _, _, s = self._forward(theta)
-        return self._log_psi_of(a, cos, sin, s)
+        cos, sin, _, _, s = self._forward(theta)
+        return self._log_psi_of(cos, sin, s)
 
     def _log_derivatives(self, theta):
-        _, _, cos, sin, x_x, x_y, s = self._forward(theta)
+        cos, sin, x_x, x_y, s = self._forward(theta)
         return self._log_derivatives_of(cos, sin, x_x, x_y, d_poly_log_I0_of_square(s))
 
-    def _log_derivatives_of(self, cos, sin, x_x, x_y, gp):
-        """O from the forward pass and gp = g'(s)."""
+    def _log_derivatives_of(self, cos, sin, x_x, x_y, gp, out=None):
+        """O from the forward pass and gp = g'(s), written into ``out``, a
+        complex (B, P) array, when it is given."""
         batch, n, n_hidden = cos.shape[0], self.n_sites, self.n_hidden
         gp2 = 2.0 * gp  # (B, N_h)
-        out = np.empty((batch, self.n_params), dtype=np.complex128)
+        if out is None:
+            out = np.empty((batch, self.n_params), dtype=np.complex128)
         o_a = out[:, : 2 * n].reshape(batch, n, 2)
         o_a[..., 0] = cos
         o_a[..., 1] = sin
@@ -101,22 +116,21 @@ class CircularRBM(VariationalState):
         return out
 
     def _angle_grad(self, theta):
-        a, w, cos, sin, x_x, x_y, s = self._forward(theta)
+        cos, sin, x_x, x_y, s = self._forward(theta)
         gp = 2.0 * d_poly_log_I0_of_square(s)
         # d1_j = a_j . t_j + sum_k gp_k w_jk (x_k . t_j), t_j = (-sin, cos)
-        wt = w.T
+        a, wt = self._a, self._wt
         return -sin * (a[:, 0] + (gp * x_x) @ wt) + cos * (a[:, 1] + (gp * x_y) @ wt)
 
     def _angle_derivatives(self, theta):
-        a, w, cos, sin, x_x, x_y, s = self._forward(theta)
-        return self._angle_derivatives_of(a, w, cos, sin, x_x, x_y, s,
-                                          d_poly_log_I0_of_square(s))
+        cos, sin, x_x, x_y, s = self._forward(theta)
+        return self._angle_derivatives_of(cos, sin, x_x, x_y, s, d_poly_log_I0_of_square(s))
 
-    def _angle_derivatives_of(self, a, w, cos, sin, x_x, x_y, s, gp):
+    def _angle_derivatives_of(self, cos, sin, x_x, x_y, s, gp):
         """ln psi, d1 and d2 from the forward pass and gp = g'(s)."""
-        logpsi = self._log_psi_of(a, cos, sin, s)
+        logpsi = self._log_psi_of(cos, sin, s)
         gpp = d2_poly_log_I0_of_square(s)
-        wt, w2t = w.T, np.square(w).T
+        a, wt, w2t = self._a, self._wt, self._w2t
         # with t_j = (-sin, cos): ds_k/dtheta_j = 2 w_jk (x_k . t_j)
         uw_x = (gp * x_x) @ wt
         uw_y = (gp * x_y) @ wt
@@ -136,9 +150,9 @@ class CircularRBM(VariationalState):
         )
         return logpsi, d1, d2
 
-    def _kernels(self, theta):
+    def _kernels(self, angles, out):
         """ln psi, d1, d2 and O from one ``_forward`` and one g'(s)."""
-        a, w, cos, sin, x_x, x_y, s = self._forward(theta)
+        cos, sin, x_x, x_y, s = self._forward(angles)
         gp = d_poly_log_I0_of_square(s)
-        logpsi, d1, d2 = self._angle_derivatives_of(a, w, cos, sin, x_x, x_y, s, gp)
-        return logpsi, d1, d2, self._log_derivatives_of(cos, sin, x_x, x_y, gp)
+        logpsi, d1, d2 = self._angle_derivatives_of(cos, sin, x_x, x_y, s, gp)
+        return logpsi, d1, d2, self._log_derivatives_of(cos, sin, x_x, x_y, gp, out)

@@ -5,16 +5,16 @@ Both expectation engines answer ``draw(state, g, J, out) -> (Draw, QGT
 estimate)``, and both estimate the QGT from one pass over the draw's points
 that gives ln psi, O and E_L together; the draw keeps that ln psi.  The HMC
 engine samples chains, which weigh alike.  The quadrature engine's points
-are its fixed grid: the Born weights come from the pass's ln psi, are
-checked, and weigh the estimate.  Every observable is computed from a draw
-by one code path.  The fidelity of a quench row needs ln psi_t at the
-points of the draw at alpha_0 and ln psi_0 at those of the row's draw; each
-is read from the other draw when both lie on the same points (the grid)
-and evaluated otherwise.  A quench draws once per parameter vector: the last
-right-hand-side evaluation keeps its draw and estimates, and the last stage
-of an accepted step sits at the accepted point, so the row there reads
-them.  The draw at alpha_0 serves the t = 0 row, the fidelity reference and
-the first stage.
+are its fixed grid, whose ``Angles`` it builds once per run: the Born
+weights come from the pass's ln psi, are checked, and weigh the estimate.
+Every observable is computed from a draw by one code path.  The fidelity of
+a quench row needs ln psi_t at the points of the draw at alpha_0 and ln
+psi_0 at those of the row's draw; each is read from the other draw when
+both lie on the same points (the grid) and evaluated otherwise.  A quench
+draws once per parameter vector: the last right-hand-side evaluation keeps
+its draw and estimates, and the last stage of an accepted step sits at the
+accepted point, so the row there reads them.  The draw at alpha_0 serves
+the t = 0 row, the fidelity reference and the first stage.
 
 Sampling RNG streams are keyed by (seed, mode code, evaluation counter,
 chain index) through ``numpy``'s seed-sequence spawning, so a rerun with the
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exact, observables, quadrature
-from .ansatz import make_ansatz, random_alpha
+from .ansatz import Angles, make_ansatz, random_alpha
 from .config import RunConfig, config_echo
 from .hmc import init_chain, sample, warmup
 from .integrator import AdaptiveStepper
@@ -210,19 +210,25 @@ class _HmcEngine:
 
     def draw(self, state, g: float, J: float, out=None):
         """Fresh chains and the QGT estimate from them (``out``: see
-        ``estimate_qgt``)."""
+        ``estimate_qgt``), whose chunks read the draw's ``Angles``."""
         points = self.sample(state)
-        qgt = estimate_qgt(state, points.reshape(-1, state.n_sites), g, J, out=out)
+        angles = Angles(points.reshape(-1, state.n_sites), state.lattice)
+        qgt = estimate_qgt(state, angles, g, J, out=out)
         return Draw(points, qgt.log_psi.reshape(points.shape[:-1])), qgt
 
 
 class _QuadratureEngine:
-    """Noiseless grid-weighted averages; the deterministic reference engine."""
+    """Noiseless grid-weighted averages; the deterministic reference engine.
+
+    The grid and its ``Angles`` (cos, sin and bond-cosine sums) are built
+    once per run; every draw's ``estimate_qgt`` reads them.
+    """
 
     def __init__(self, config: RunConfig):
         self.grid = quadrature.grid_points(
             config.lattice.n_sites, config.quadrature_points
         )
+        self.angles = Angles(self.grid, config.lattice)
         self.last_diag = None
         self.warnings: Counter[str] = Counter()
 
@@ -249,7 +255,7 @@ class _QuadratureEngine:
             draw.weights = weights
             return weights
 
-        qgt = estimate_qgt(state, self.grid, g, J, weights=weigh, out=out)
+        qgt = estimate_qgt(state, self.angles, g, J, weights=weigh, out=out)
         draw.log_psi = qgt.log_psi
         return draw, qgt
 

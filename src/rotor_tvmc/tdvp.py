@@ -21,10 +21,13 @@ Hermitian eigendecomposition, of the smaller Gram matrix:
   space (minSR; Chen & Heyl, arXiv:2302.01941).
 
 Estimation.  ``estimate_qgt`` makes one pass over the samples, one
-``local_kernels`` call per chunk, which gives ln psi with O and E_L.  The
-estimate keeps that ln psi: weights may be given as a function of it, as
-quadrature's |psi|^2 weights are, and the fidelity of a quench row reads it,
-so a draw's points are evaluated once per draw.
+``local_kernels`` call per chunk, which gives ln psi with O and E_L and
+writes O straight into its rows of X.  The samples may come as an
+``Angles`` batch, whose cos, sin and bond-cosine sums each chunk reads as
+its slice: the engines build them once per HMC draw and once per run for
+the quadrature grid.  The estimate keeps the ln psi: weights may be given as
+a function of it, as quadrature's |psi|^2 weights are, and the fidelity of a
+quench row reads it, so a draw's points are evaluated once per draw.
 
 Memory.  X is the largest array of a step.  ``estimate_qgt`` fills it in
 chunks of rows whose log-derivative block fits ``CHUNK_BYTES``, into a new
@@ -44,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ansatz.base import VariationalState
+from .ansatz.base import Angles, VariationalState
 
 CUTOFF_EXPONENT = 6
 # estimate_qgt's chunks of rows: at most CHUNK_ROWS, and a (rows, P) complex
@@ -128,22 +131,25 @@ def estimate_qgt(state: VariationalState, samples: np.ndarray, g: float, J: floa
                  weights=None, out: np.ndarray | None = None) -> QgtEstimate:
     """Sampled (or quadrature-weighted) covariance estimate of S, g and Var H.
 
-    Each chunk of samples makes one ``state.local_kernels`` call, which gives
-    ln psi with O and E_L; the estimate keeps ln psi.  ``weights`` defaults
-    to uniform 1/n.  It may be an array, or a function of ln psi at the
+    ``samples`` is an (n, N) array or an ``Angles`` batch.  Each chunk of
+    samples makes one ``state.local_kernels`` call, which gives ln psi with
+    O and E_L; the estimate keeps ln psi.  ``weights`` defaults to uniform
+    1/n.  It may be an array, or a function of ln psi at the
     samples that returns their weights, such as a quadrature caller's
     |psi|^2 grid weights, called once after the pass, before any weight is
     used.  Either way the weights are normalized here.
 
     The chunks have at most ``CHUNK_ROWS`` samples, fewer when a chunk's
     (rows, P) log-derivative block would exceed ``CHUNK_BYTES``, which
-    bounds the kernels' temporaries; the log-derivatives fill one
-    preallocated (n, P) array that is then centered and scaled in place.
+    bounds the kernels' temporaries; each chunk writes its log-derivatives
+    into its rows of one preallocated (n, P) array, which is then centered
+    and scaled in place.
     ``out``, an (n, P) complex array whose contents are no longer needed,
     such as the last estimate's X, is filled in place of a new one.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    n = samples.shape[0]
+    if not isinstance(samples, Angles):
+        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    n = len(samples)
     if n < 2:
         raise TdvpError("need at least 2 samples to estimate covariances")
     if out is None:
@@ -157,7 +163,7 @@ def estimate_qgt(state: VariationalState, samples: np.ndarray, g: float, J: floa
     rows = max(1, min(CHUNK_ROWS, CHUNK_BYTES // x[0].nbytes))
     for lo in range(0, n, rows):
         sl = slice(lo, lo + rows)
-        log_psi[sl], x[sl], e[sl] = state.local_kernels(samples[sl], g, J)
+        log_psi[sl], _, e[sl] = state.local_kernels(samples[sl], g, J, out=x[sl])
 
     if weights is None:
         weights = np.full(n, 1.0 / n)

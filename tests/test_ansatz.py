@@ -444,6 +444,55 @@ class TestUniformCnn:
         theta = rng.uniform(-np.pi, np.pi, size=(20, 9))
         assert np.allclose(state.log_psi(theta), state.log_psi(theta)[0])
 
+    def test_zero_final_kernel_zeroes_only_the_copy(self):
+        lat = build_lattice((3, 3), (True, True))
+        state = _random_state("cnn", lat, {"depth": 2, "n_modes": 2}, seed=2, scale=0.3)
+        alpha, blocks = state.alpha.copy(), {k: v.copy() for k, v in state.blocks().items()}
+        zeroed = zero_final_kernel(state)
+        assert np.array_equal(state.alpha, alpha)
+        for name, block in state.blocks().items():
+            assert np.array_equal(block, blocks[name])
+            assert np.shares_memory(block, state.alpha)
+            zero_block = zeroed.blocks()[name]
+            assert np.shares_memory(zero_block, zeroed.alpha)
+            assert np.array_equal(zero_block, 0 * block if name == "w_final" else block)
+        theta = np.random.default_rng(1).uniform(-np.pi, np.pi, size=(4, 9))
+        assert not np.array_equal(state.log_psi(theta), zeroed.log_psi(theta))
+
+
+@pytest.mark.parametrize("kind,hyper", [("rbm", {"n_hidden": 3}),
+                                        ("rbm", {"convolutional": True}),
+                                        ("cnn", {"n_modes": 2}),
+                                        ("jastrow", {})])
+class TestParameterViews:
+    """The views of alpha that the kernels read are built where alpha is set,
+    and follow it through ``with_alpha``."""
+
+    def test_views_follow_alpha(self, kind, hyper):
+        lat = build_lattice((4,), (True,))
+        state = _random_state(kind, lat, hyper, seed=5, scale=0.3)
+        before = {k: v.copy() for k, v in state.blocks().items()}
+        weights = state._weights(state.blocks()).copy() if kind == "rbm" else None
+        alpha = random_alpha(state, np.random.default_rng(6), 0.3)
+        clone = state.with_alpha(alpha)
+        fresh = make_ansatz(kind, lat, **hyper).with_alpha(alpha.copy())
+        assert clone.blocks().keys() == fresh.blocks().keys()
+        for name, block in clone.blocks().items():
+            assert np.array_equal(block, fresh.blocks()[name])
+            assert np.shares_memory(block, clone.alpha)
+            assert np.array_equal(state.blocks()[name], before[name])
+        if kind == "rbm":
+            w = clone._weights(clone.blocks())
+            for got, ref in ((clone._w, w), (clone._wt, w.T), (clone._w2t, np.square(w).T),
+                             (clone._a, fresh._a), (clone._b, fresh._b)):
+                assert np.array_equal(got, ref)
+            assert np.array_equal(state._w, weights)
+            assert not np.array_equal(clone._w, state._w)
+        theta = np.random.default_rng(7).uniform(-np.pi, np.pi, size=(6, 4))
+        for got, ref in zip(clone.local_kernels(theta, 3.0, 1.0),
+                            fresh.local_kernels(theta, 3.0, 1.0)):
+            assert np.array_equal(got, ref)
+
 
 def _activation(z):
     """f(z) = g(z^2) and its z-derivatives, by the chain rule the CNN uses."""
@@ -453,7 +502,35 @@ def _activation(z):
             2.0 * gp + 4.0 * s * d2_poly_log_I0_of_square(s))
 
 
+def _division_forms(s):
+    """The ln I0 polynomial and its derivatives with their coefficients
+    written as divisions."""
+    sq = np.square(s)
+    return (s / 4.0 - sq / 64.0 + s * sq / 576.0,
+            0.25 - s / 32.0 + np.square(s) / 192.0,
+            -1.0 / 32.0 + s / 96.0)
+
+
 class TestActivations:
+    def test_reciprocals_equal_the_divisions(self):
+        # complex s from 1e-150 to 1e150 in magnitude, with exact zeros and
+        # purely real and imaginary entries; beyond about 1e102, s^3 overflows
+        # to the same inf and nan entries in both forms
+        rng = np.random.default_rng(18)
+        n = 20000
+        s = 10.0 ** rng.uniform(-150, 150, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        s[::50] = 0.0
+        s[1::50] = s[1::50].real
+        s[2::50] = 1j * s[2::50].imag
+        s[3::50] = -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch in (s, s[:1], s[:3], s[:17]):
+                got = (poly_log_I0_of_square(batch), d_poly_log_I0_of_square(batch),
+                       d2_poly_log_I0_of_square(batch))
+                for g, r in zip(got, _division_forms(batch)):
+                    assert np.array_equal(g, r, equal_nan=True)
+        assert np.isfinite(poly_log_I0_of_square(s[np.abs(s) < 1e100])).all()
+
     def test_log_i0_taylor(self):
         z = np.linspace(0, 0.5, 11)
         assert np.allclose(_activation(z)[0], z ** 2 / 4 - z ** 4 / 64 + z ** 6 / 576)

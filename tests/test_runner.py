@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotor_tvmc import cli, exact, observables, quadrature, runner
+from rotor_tvmc import cli, exact, observables, quadrature, runner, tdvp
 from rotor_tvmc.ansatz import CircularRBM, VariationalState, make_ansatz, random_alpha
 from rotor_tvmc.config import ConfigError, config_echo, load_config
 from rotor_tvmc.exact import OracleGuardError
@@ -317,14 +317,16 @@ class TestCli:
         assert "n_modes must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,key", [("jastrow", "n_hidden = 4"),
-                                          ("rbm", "depth = 2")])
+                                          ("rbm", "depth = 2"),
+                                          ("rbm", "kernel = 3")])
     def test_key_the_kind_does_not_take_exits_2(self, tmp_path, capsys, kind, key):
         text = BASE_INI.replace("kind = jastrow", f"kind = {kind}\n{key}")
         code = cli.main(["ground-state", "--config", str(write_ini(tmp_path, text)),
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert repr(kind) in err and key.split()[0] in err
+        # the message names the key as the INI file writes it
+        assert re.search(rf"kind {kind!r} takes no key {key.split()[0]}\b", err)
 
     def test_ground_state_exits_0(self, tmp_path, capsys):
         path = write_ini(tmp_path, BASE_INI)
@@ -646,6 +648,28 @@ def _chain(tmp_path, n, hidden, q, scale=0.3):
     return config, state.with_alpha(random_alpha(state, np.random.default_rng(3), scale))
 
 
+def _chunked(method, points, *args):
+    """``method`` evaluated on consecutive chunks of CHUNK_ROWS points."""
+    rows = tdvp.CHUNK_ROWS
+    return np.concatenate([method(points[lo:lo + rows], *args)
+                           for lo in range(0, len(points), rows)])
+
+
+def _assert_estimate_is(qgt, o, e, weights):
+    """X and y of ``qgt`` are, bit for bit, those of O and E_L under the
+    weights (None: uniform), as ``estimate_qgt`` forms them."""
+    n = len(e)
+    weights = np.full(n, 1.0 / n) if weights is None else weights / np.sum(weights)
+    root_w = np.sqrt(weights)
+    x = o.copy()
+    x -= weights @ x
+    x *= root_w[:, None]
+    e_mean = weights @ e
+    assert np.array_equal(qgt.x, x)
+    assert np.array_equal(qgt.y, root_w * (e - e_mean))
+    assert qgt.e_mean == e_mean
+
+
 class TestQuadratureOnePass:
     """The quadrature engine evaluates its grid once per draw."""
 
@@ -687,6 +711,19 @@ class TestQuadratureOnePass:
         # 4096 grid points in chunks of 512 rows
         assert calls == [512] * 8
 
+    def test_draws_at_two_alphas_match_the_public_calls(self, tmp_path):
+        # the grid's cos, sin and bond-cosine sums are built once per run; a
+        # second draw at another alpha must not read anything of the first
+        config, state = _chain(tmp_path, 3, 6, 12)
+        engine = runner._QuadratureEngine(config)
+        points = quadrature.grid_points(3, 12)
+        for seed in (21, 22):
+            st = state.with_alpha(random_alpha(state, np.random.default_rng(seed), 0.3))
+            draw, qgt = engine.draw(st, 6.0, 1.0)
+            assert np.array_equal(draw.log_psi, _chunked(st.log_psi, points))
+            _assert_estimate_is(qgt, _chunked(st.log_derivatives, points),
+                                _chunked(st.local_energy, points, 6.0, 1.0), draw.weights)
+
     def test_quench_never_calls_log_psi(self, tmp_path, monkeypatch):
         # the fidelity of each row reads the ln psi of its draw and of draw_0
         config, state = _chain(tmp_path, 2, 4, 16)
@@ -702,6 +739,22 @@ class TestQuadratureOnePass:
         assert len(record.rows) >= 3
         assert calls == []
         assert record.rows[0]["fidelity"] == 1.0
+
+
+class TestHmcDraw:
+    def test_kernels_match_the_public_calls(self, tmp_path):
+        # the draw's cos, sin and bond-cosine sums are built once per draw;
+        # 600 samples make two chunks
+        text = HMC_INI.replace("kind = jastrow", "kind = rbm\nn_hidden = 3")
+        text = text.replace("n_chains = 2\nn_samples = 50", "n_chains = 2\nn_samples = 300")
+        config = load_config(write_ini(tmp_path, text.replace("dims = 2", "dims = 3")))
+        state = make_ansatz("rbm", config.lattice, n_hidden=3)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(5), 0.3))
+        draw, qgt = runner._HmcEngine(config, 1).draw(state, 6.0, 1.0)
+        points = draw.points.reshape(-1, 3)
+        assert np.array_equal(draw.log_psi.ravel(), _chunked(state.log_psi, points))
+        _assert_estimate_is(qgt, _chunked(state.log_derivatives, points),
+                            _chunked(state.local_energy, points, 6.0, 1.0), None)
 
 
 class TestHmcFidelity:

@@ -118,9 +118,9 @@ class TestEstimateQgt:
         rows = []
 
         class Counting(_TableState):
-            def local_kernels(self, samples, g, J):
+            def local_kernels(self, samples, g, J, out=None):
                 rows.append(len(samples))
-                return super().local_kernels(samples, g, J)
+                return super().local_kernels(samples, g, J, out)
 
         state = Counting(rng.standard_normal((n, p)) + 0j, rng.standard_normal(n) + 0j)
         samples = np.arange(n, dtype=np.float64)[:, None]
@@ -263,9 +263,12 @@ class _TableState:
         self.o, self.e = o, e
         self.n_params = o.shape[1]
 
-    def local_kernels(self, samples, g, J):
+    def local_kernels(self, samples, g, J, out=None):
         rows = samples[:, 0].astype(int)
-        return np.zeros(len(rows), dtype=np.complex128), self.o[rows], self.e[rows]
+        o = self.o[rows]
+        if out is not None:
+            out[...] = o
+        return np.zeros(len(rows), dtype=np.complex128), o, self.e[rows]
 
 
 def _random_estimate(n, p, uniform, seed):
