@@ -26,20 +26,17 @@ __all__ = [
 ]
 
 _KINDS = {"jastrow": Jastrow, "rbm": CircularRBM, "cnn": PeriodicCNN}
-# constructor keywords that the INI's [ansatz] section names otherwise
-_INI_KEYS = {"kernel_shape": "kernel"}
 
 
 def make_ansatz(kind: str, lattice: Lattice, **hyper) -> VariationalState:
     """Construct an ansatz by kind name ('jastrow', 'rbm' or 'cnn'); a
-    keyword that the kind's constructor does not take is an error, which
-    names it by its [ansatz] key."""
+    keyword that the kind's constructor does not take is an error; the
+    keywords are the [ansatz] keys."""
     try:
         cls = _KINDS[kind.lower()]
     except KeyError:
         raise AnsatzError(f"unknown ansatz kind {kind!r}") from None
-    unknown = sorted(_INI_KEYS.get(key, key)
-                     for key in set(hyper) - set(inspect.signature(cls).parameters))
+    unknown = sorted(set(hyper) - set(inspect.signature(cls).parameters))
     if unknown:
         raise AnsatzError(f"ansatz kind {kind!r} takes no key {', '.join(unknown)}")
     return cls(lattice, **hyper)

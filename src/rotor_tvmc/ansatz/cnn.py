@@ -35,16 +35,16 @@ from .base import AnsatzError, VariationalState
 class ConvTable:
     """Gather indices realizing a centered convolution window on the lattice."""
 
-    def __init__(self, lattice: Lattice, kernel_shape):
-        kernel_shape = tuple(int(s) for s in kernel_shape)
-        if len(kernel_shape) != lattice.ndim:
+    def __init__(self, lattice: Lattice, kernel):
+        kernel = tuple(int(s) for s in kernel)
+        if len(kernel) != lattice.ndim:
             raise AnsatzError("kernel rank must match lattice dimensionality")
-        if any(s < 1 or s % 2 == 0 for s in kernel_shape):
+        if any(s < 1 or s % 2 == 0 for s in kernel):
             raise AnsatzError("kernel extents must be odd and >= 1")
-        self.kernel_shape = kernel_shape
-        window = np.indices(kernel_shape).reshape(lattice.ndim, -1).T
+        self.kernel = kernel
+        window = np.indices(kernel).reshape(lattice.ndim, -1).T
         self.n_offsets = len(window)
-        self.idx, inside = lattice.shift(window - np.array(kernel_shape) // 2)
+        self.idx, inside = lattice.shift(window - np.array(kernel) // 2)
         self.mask = inside.astype(np.float64)
         # permutation sending each offset to its negation (transposed conv): the
         # window is centered and enumerated row-major, so that reverses it
@@ -77,18 +77,18 @@ class PeriodicCNN(VariationalState):
     kind = "cnn"
 
     def __init__(self, lattice: Lattice, alpha=None, depth: int = 2,
-                 n_modes: int | None = None, kernel_shape=None):
+                 n_modes: int | None = None, kernel=None):
         if depth < 2:
             raise AnsatzError("depth must be >= 2 (hidden layers plus output)")
         if n_modes is None:
             n_modes = 4 if lattice.n_sites >= 64 else 1
         if n_modes < 1:
             raise AnsatzError("n_modes must be >= 1")
-        if kernel_shape is None:
-            kernel_shape = (3,) * lattice.ndim
+        if kernel is None:
+            kernel = (3,) * lattice.ndim
         self.depth = int(depth)
         self.n_modes = int(n_modes)
-        self.table = ConvTable(lattice, kernel_shape)
+        self.table = ConvTable(lattice, kernel)
         channels = 2 * self.n_modes
         self.channels = channels
         layout = []

@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Verbs: ground-state, quench, oracle-benchmark, sampler-check.  Exit codes:
+Verbs: ground-state, quench, oracle-benchmark, sampler-check.  Each builds
+its start state (``runner.start_state``) before any other work.  Exit codes:
 0 success, 2 configuration error, 3 numerical failure or unusable
 ``--resume`` checkpoint, 4 resource guard exceeded.  Exit code 3 leaves a
 typed reason in ``failure.json``.
@@ -14,18 +15,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import AnsatzError, LogPsiNonFinite, make_ansatz
+from .ansatz import AnsatzError, LogPsiNonFinite
 from .config import ConfigError, load_config
 from .exact import OracleGuardError
 from .hmc import WarmupError
 from .integrator import StepSizeUnderflow
 from .runner import (
     RunnerError,
-    load_checkpoint,
     run_ground_state,
     run_oracle_benchmark,
     run_quench,
     run_sampler_check,
+    start_state,
     write_metadata,
 )
 from .tdvp import TdvpError
@@ -60,14 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _initial_state(config, resume):
-    state = make_ansatz(config.ansatz_kind, config.lattice, **config.ansatz_hyper)
-    if resume is None:
-        return None
-    alpha, _, _ = load_checkpoint(resume, state)
-    return state.with_alpha(alpha)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -83,28 +76,27 @@ def main(argv=None) -> int:
 
     out_dir = config.out_dir
     try:
-        resumed = _initial_state(config, args.resume)
+        # built before any verb starts, so a bad [ansatz] exits 2 first
+        state = start_state(config, args.resume)
+        resumed = args.resume is not None
         if args.verb == "ground-state":
-            alpha0 = resumed.alpha if resumed is not None else None
-            result = run_ground_state(config, alpha0=alpha0, out_dir=out_dir)
+            result = run_ground_state(config, state, out_dir)
             print(f"converged in {result.iterations} iterations; "
                   f"E/N = {result.energies[-1] / config.lattice.n_sites:.6f}")
         elif args.verb == "quench":
-            if resumed is None:
-                resumed = run_ground_state(
-                    config, out_dir=out_dir / "ground-state"
-                ).state
-            record = run_quench(config, resumed, out_dir=out_dir)
+            if not resumed:
+                state = run_ground_state(config, state, out_dir / "ground-state").state
+            record = run_quench(config, state, out_dir=out_dir)
             print(f"{len(record.rows) - 1} accepted steps to "
                   f"t = {record.rows[-1]['t']:.4f}")
         elif args.verb == "oracle-benchmark":
             record, _, summary = run_oracle_benchmark(
-                config, initial_state=resumed, out_dir=out_dir
+                config, initial_state=state if resumed else None, out_dir=out_dir
             )
             print(f"max potential-energy deviation {summary['max_e_pot_error']:.3e}, "
                   f"max fidelity deviation {summary['max_fidelity_error']:.3e}")
         else:
-            report = run_sampler_check(config, state=resumed, out_dir=out_dir)
+            report = run_sampler_check(config, state, out_dir)
             print(f"sigma_M scaling slope {report['sigma_slope']:.3f}; "
                   f"variance reduction confident: "
                   f"{report['variance_reduction_confident']}")

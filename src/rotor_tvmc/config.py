@@ -124,8 +124,8 @@ def _bool(token: str) -> bool:
         raise ValueError(f"cannot parse {token!r} as a boolean") from None
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split())
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split()]
 
 
 def _bools(text: str) -> tuple[bool, ...]:
@@ -190,8 +190,6 @@ def _parse_ansatz(parser) -> tuple[str, dict]:
         "depth": int, "n_modes": int, "kernel": _ints,
     })
     _require(hyper, "ansatz", "kind")
-    if "kernel" in hyper:
-        hyper["kernel_shape"] = hyper.pop("kernel")
     return hyper.pop("kind").lower(), hyper
 
 
@@ -249,8 +247,6 @@ def config_echo(config: RunConfig) -> dict:
         },
         "ansatz": {"kind": config.ansatz_kind, **config.ansatz_hyper},
     }
-    if "kernel_shape" in echo["ansatz"]:  # the make_ansatz keyword of [ansatz] kernel
-        echo["ansatz"]["kernel"] = list(echo["ansatz"].pop("kernel_shape"))
     for name, (attr, _) in _SECTIONS.items():
         echo[name.replace("-", "_")] = asdict(getattr(config, attr))
     echo["ode"]["dt0"] = config.dt0

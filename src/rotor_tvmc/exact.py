@@ -47,6 +47,17 @@ def check_dim(dim: int) -> None:
         )
 
 
+def check_grid(n_sites: int, q: int) -> None:
+    """Raise OracleGuardError for a q^n_sites grid beyond the guard."""
+    if q ** n_sites > GRID_GUARD:
+        raise OracleGuardError(f"grid size {q}^{n_sites} exceeds guard {GRID_GUARD}")
+
+
+def projection_points(m_cut: int) -> int:
+    """Points per site of ``vqs_to_dense``'s default grid."""
+    return max(2 * m_cut + 1, 16)
+
+
 def largest_sector(n_sites: int, m_cut: int) -> int:
     """Size of the largest sector (total 0), without enumerating the basis.
 
@@ -184,8 +195,7 @@ def angle_grid(q: int) -> np.ndarray:
 
 def grid_points(n_sites: int, q: int) -> np.ndarray:
     """(q^N, N) points of the uniform product grid, site 0 most significant."""
-    if q ** n_sites > GRID_GUARD:
-        raise OracleGuardError(f"grid size {q}^{n_sites} exceeds guard {GRID_GUARD}")
+    check_grid(n_sites, q)
     grid = angle_grid(q)
     meshes = np.meshgrid(*([grid] * n_sites), indexing="ij")
     return np.stack([m.ravel() for m in meshes], axis=-1)
@@ -209,7 +219,7 @@ def vqs_to_dense(state: VariationalState, basis: TruncatedBasis, q: int | None =
     """
     n = state.n_sites
     if q is None:
-        q = max(2 * basis.m_cut + 1, 16)
+        q = projection_points(basis.m_cut)
     if q < 2 * basis.m_cut + 1:
         raise ValueError("need q >= 2 m_cut + 1 grid points per site")
     logs = log_psi_on_points(state, grid_points(n, q))

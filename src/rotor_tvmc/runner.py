@@ -14,7 +14,12 @@ both lie on the same points (the grid) and evaluated otherwise.  A quench
 draws once per parameter vector: the last right-hand-side evaluation keeps
 its draw and estimates, and the last stage of an accepted step sits at the
 accepted point, so the row there reads them.  The draw at alpha_0 serves
-the t = 0 row, the fidelity reference and the first stage.
+the t = 0 row, the fidelity reference and the first stage.  An HMC draw
+carries its sampler diagnostics.
+
+Every run starts from ``start_state`` and ends in ``write_outputs``.  A
+quench writes once, also when it fails after its t = 0 row: the rows so
+far, with the failure's reason as the status.
 
 Sampling RNG streams are keyed by (seed, mode code, evaluation counter,
 chain index) through ``numpy``'s seed-sequence spawning, so a rerun with the
@@ -37,7 +42,7 @@ import numpy as np
 from . import exact, observables, quadrature
 from .ansatz import Angles, make_ansatz, random_alpha
 from .config import RunConfig, config_echo
-from .hmc import init_chain, sample, warmup
+from .hmc import SampleDiagnostics, init_chain, sample, warmup
 from .integrator import AdaptiveStepper
 from .tdvp import estimate_qgt, residual_r2, tdvp_rhs
 
@@ -82,6 +87,19 @@ def write_csv(path, columns: list[str], rows: list[dict]) -> None:
 
 def write_metadata(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_outputs(out_dir, mode: str, config: RunConfig, tables, **fields) -> Path:
+    """Make ``out_dir``, write each (file name, columns, rows) of ``tables``
+    as CSV and ``metadata.json`` with the mode, the config echo and
+    ``fields``; return the directory."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, columns, rows in tables:
+        write_csv(out_dir / name, columns, rows)
+    write_metadata(out_dir / "metadata.json",
+                   {"mode": mode, "config": config_echo(config), **fields})
+    return out_dir
 
 
 def save_checkpoint(path, state, t: float, extra: dict | None = None) -> None:
@@ -157,6 +175,17 @@ def load_checkpoint(path, state):
         raise unreadable("not an npz checkpoint") from exc
 
 
+def start_state(config: RunConfig, resume=None):
+    """The configured ansatz at the parameters of the ``resume`` checkpoint,
+    or else at small random ones seeded by [seed, 97]."""
+    state = make_ansatz(config.ansatz_kind, config.lattice, **config.ansatz_hyper)
+    if resume is None:
+        alpha = random_alpha(state, np.random.default_rng([config.seed, 97]))
+    else:
+        alpha, _, _ = load_checkpoint(resume, state)
+    return state.with_alpha(alpha)
+
+
 # ---------------------------------------------------------------------------
 # sampling engines
 
@@ -164,11 +193,13 @@ def load_checkpoint(path, state):
 @dataclass
 class Draw:
     """An engine's configurations, ln psi at them (shaped like the points
-    without their site axis) and their normalized weights (None: alike)."""
+    without their site axis), their normalized weights (None: alike) and
+    the sampler's diagnostics (None: no sampler)."""
 
     points: np.ndarray
     log_psi: np.ndarray
     weights: np.ndarray | None = None
+    diag: SampleDiagnostics | None = None
 
 
 class _HmcEngine:
@@ -182,11 +213,11 @@ class _HmcEngine:
         self.config = config
         self.mode_code = mode_code
         self.counter = 0
-        self.last_diag = None
         self.warnings: Counter[str] = Counter()
 
-    def sample(self, state, counter: int | None = None) -> np.ndarray:
-        """(n_chains, n_samples, N) angles from |psi|^2 at state.alpha."""
+    def sample(self, state, counter: int | None = None):
+        """(n_chains, n_samples, N) angles from |psi|^2 at state.alpha, and
+        the sampler's diagnostics."""
         cfg = self.config
         if counter is None:
             counter = self.counter
@@ -201,20 +232,19 @@ class _HmcEngine:
         ]
         warmup(chains, cfg.hmc, state)
         flat, diag = sample(chains, cfg.hmc.n_samples, state, cfg.hmc)
-        self.last_diag = diag
         for message in diag.warnings:
             if message not in self.warnings:
                 print(f"sampler warning: {message}", file=sys.stderr)
             self.warnings[message] += 1
-        return flat.reshape(cfg.hmc.n_chains, cfg.hmc.n_samples, state.n_sites)
+        return flat.reshape(cfg.hmc.n_chains, cfg.hmc.n_samples, state.n_sites), diag
 
     def draw(self, state, g: float, J: float, out=None):
         """Fresh chains and the QGT estimate from them (``out``: see
         ``estimate_qgt``), whose chunks read the draw's ``Angles``."""
-        points = self.sample(state)
+        points, diag = self.sample(state)
         angles = Angles(points.reshape(-1, state.n_sites), state.lattice)
         qgt = estimate_qgt(state, angles, g, J, out=out)
-        return Draw(points, qgt.log_psi.reshape(points.shape[:-1])), qgt
+        return Draw(points, qgt.log_psi.reshape(points.shape[:-1]), diag=diag), qgt
 
 
 class _QuadratureEngine:
@@ -229,7 +259,6 @@ class _QuadratureEngine:
             config.lattice.n_sites, config.quadrature_points
         )
         self.angles = Angles(self.grid, config.lattice)
-        self.last_diag = None
         self.warnings: Counter[str] = Counter()
 
     def draw(self, state, g: float, J: float, out=None):
@@ -302,14 +331,13 @@ class GroundStateResult:
     iterations: int
 
 
-def run_ground_state(config: RunConfig, alpha0: np.ndarray | None = None,
+def run_ground_state(config: RunConfig, state=None,
                      out_dir: Path | None = None) -> GroundStateResult:
-    """Imaginary-time descent at g_initial until the energy trace flattens."""
+    """Imaginary-time descent at g_initial until the energy trace flattens,
+    from ``state`` (default: ``start_state(config)``)."""
     lattice = config.lattice
-    state = make_ansatz(config.ansatz_kind, lattice, **config.ansatz_hyper)
-    if alpha0 is None:
-        alpha0 = random_alpha(state, np.random.default_rng([config.seed, 97]))
-    state = state.with_alpha(alpha0)
+    if state is None:
+        state = start_state(config)
 
     gs = config.ground_state
     g = config.physics.g_initial
@@ -336,28 +364,17 @@ def run_ground_state(config: RunConfig, alpha0: np.ndarray | None = None,
 
     result = GroundStateResult(state, energies, converged, len(energies))
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(
-            out_dir / "ground_state.npz", state, 0.0,
-            extra={"converged": converged, "g": g},
+        rows = [{"iteration": i, "energy": e, "energy_per_site": e / n}
+                for i, e in enumerate(energies)]
+        out_dir = write_outputs(
+            out_dir, "ground-state", config,
+            [("ground_state.csv", ["iteration", "energy", "energy_per_site"], rows)],
+            converged=converged, iterations=len(energies),
+            final_energy=energies[-1] if energies else None,
+            sampler_warnings=dict(engine.warnings),
         )
-        write_csv(
-            out_dir / "ground_state.csv",
-            ["iteration", "energy", "energy_per_site"],
-            [
-                {"iteration": i, "energy": e, "energy_per_site": e / n}
-                for i, e in enumerate(energies)
-            ],
-        )
-        write_metadata(out_dir / "metadata.json", {
-            "mode": "ground-state",
-            "config": config_echo(config),
-            "converged": converged,
-            "iterations": len(energies),
-            "final_energy": energies[-1] if energies else None,
-            "sampler_warnings": dict(engine.warnings),
-        })
+        save_checkpoint(out_dir / "ground_state.npz", state, 0.0,
+                        extra={"converged": converged, "g": g})
     if not converged:
         raise RunnerError(
             "ground-state-nonconvergence",
@@ -421,7 +438,7 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
         alpha_dot, pinv = tdvp_rhs(qgt, config.regularization, mode="real")
         r2, _ = residual_r2(qgt, pinv)
         last.update(
-            state=st, draw=draw, diag=engine.last_diag, rho=pinv.rho,
+            state=st, draw=draw, rho=pinv.rho,
             lambda2=pinv.lambda2, r2=r2, energy=float(np.real(qgt.e_mean)),
         )
         return alpha_dot
@@ -437,7 +454,8 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
 
     def emit(t_now, dt_now):
         nonlocal r2_integral, prev_r2, prev_t
-        draw_t, diag = last["draw"], last["diag"]
+        draw_t = last["draw"]
+        diag = draw_t.diag
         row = _observables(draw_t, config, lattice)
         fres = observables.fidelity_of_log_ratios(
             _log_psi_at(last["state"], draw_0, draw_t) - draw_0.log_psi,
@@ -475,37 +493,27 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
     # later row carries the size of the accepted step that produced it
     emit(0.0, 0.0)
 
+    # a failure after the t = 0 row, an interrupt included, keeps the rows so
+    # far with its reason
     try:
         while t < config.physics.t_max - 1e-12:
             dt = min(dt, config.physics.t_max - t)
             alpha, t, dt = stepper.advance(rhs, alpha, t, dt)
             emit(t, stepper.attempts[-1].dt)
-    except Exception as exc:
+    except BaseException as exc:
         record.status = getattr(exc, "reason", type(exc).__name__)
-        if out_dir is not None:
-            _persist_trajectory(config, record, initial_state, alpha, t, out_dir)
         raise
-    if out_dir is not None:
-        _persist_trajectory(config, record, initial_state, alpha, t, out_dir)
+    finally:
+        if out_dir is not None:
+            out_dir = write_outputs(
+                out_dir, "quench", config,
+                [("trajectory.csv", TRAJECTORY_COLUMNS, record.rows)],
+                status=record.status, steps=len(record.rows) - 1, final_time=t,
+                sampler_warnings=record.sampler_warnings,
+            )
+            save_checkpoint(out_dir / "final_state.npz", initial_state.with_alpha(alpha),
+                            t, extra={"status": record.status})
     return record
-
-
-def _persist_trajectory(config, record, initial_state, alpha, t, out_dir):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, record.rows)
-    save_checkpoint(
-        out_dir / "final_state.npz", initial_state.with_alpha(alpha), t,
-        extra={"status": record.status},
-    )
-    write_metadata(out_dir / "metadata.json", {
-        "mode": "quench",
-        "config": config_echo(config),
-        "status": record.status,
-        "steps": len(record.rows) - 1,
-        "final_time": t,
-        "sampler_warnings": record.sampler_warnings,
-    })
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +531,7 @@ def run_oracle_benchmark(config: RunConfig, initial_state=None,
     lattice = config.lattice
     basis = exact.TruncatedBasis(lattice.n_sites, config.m_cut)
     exact.check_dim(exact.largest_sector(basis.n_sites, basis.m_cut))
+    exact.check_grid(basis.n_sites, exact.projection_points(basis.m_cut))
     if initial_state is None:
         gs = run_ground_state(config)
         initial_state = gs.state
@@ -558,19 +567,11 @@ def run_oracle_benchmark(config: RunConfig, initial_state=None,
         ),
     }
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_csv(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, record.rows)
-        write_csv(
-            out_dir / "exact_reference.csv",
-            ["t", "e_pot", "mag_x", "mag_y", "var_mean", "fidelity"],
-            exact_rows,
-        )
-        write_metadata(out_dir / "metadata.json", {
-            "mode": "oracle-benchmark",
-            "config": config_echo(config),
-            "summary": summary,
-        })
+        write_outputs(out_dir, "oracle-benchmark", config, [
+            ("trajectory.csv", TRAJECTORY_COLUMNS, record.rows),
+            ("exact_reference.csv",
+             ["t", "e_pot", "mag_x", "mag_y", "var_mean", "fidelity"], exact_rows),
+        ], summary=summary)
     return record, exact_rows, summary
 
 
@@ -590,15 +591,11 @@ def run_sampler_check(config: RunConfig, state=None, out_dir: Path | None = None
     dict with both tables and the fitted scaling slope.
     """
     if state is None:
-        state = make_ansatz(config.ansatz_kind, config.lattice, **config.ansatz_hyper)
-        state = state.with_alpha(
-            random_alpha(state, np.random.default_rng([config.seed, 97]))
-        )
+        state = start_state(config)
 
     def draw(hmc_cfg, counter):
-        engine = _HmcEngine(replace(config, hmc=hmc_cfg), _MODE_SAMPLER_CHECK)
-        samples = engine.sample(state, counter)
-        return samples, engine.last_diag
+        return _HmcEngine(replace(config, hmc=hmc_cfg), _MODE_SAMPLER_CHECK).sample(
+            state, counter)
 
     ns_rows = []
     for idx, n_samples in enumerate(SAMPLER_NS_SWEEP):
@@ -647,16 +644,8 @@ def run_sampler_check(config: RunConfig, state=None, out_dir: Path | None = None
         "variance_reduction_confident": variance_reduction_confident,
     }
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_csv(out_dir / "ns_sweep.csv",
-                  ["n_samples", "mag", "sigma_mag", "acceptance"], ns_rows)
-        write_csv(out_dir / "l_sweep.csv",
-                  ["l0", "mag", "sigma_mag", "acceptance"], l_rows)
-        write_metadata(out_dir / "metadata.json", {
-            "mode": "sampler-check",
-            "config": config_echo(config),
-            "sigma_slope": slope,
-            "variance_reduction_confident": variance_reduction_confident,
-        })
+        write_outputs(out_dir, "sampler-check", config, [
+            ("ns_sweep.csv", ["n_samples", "mag", "sigma_mag", "acceptance"], ns_rows),
+            ("l_sweep.csv", ["l0", "mag", "sigma_mag", "acceptance"], l_rows),
+        ], sigma_slope=slope, variance_reduction_confident=variance_reduction_confident)
     return report

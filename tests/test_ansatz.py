@@ -431,7 +431,7 @@ class TestFactory:
     def test_cnn_kernel_must_be_odd(self):
         lat = build_lattice((4, 4), (True, True))
         with pytest.raises(AnsatzError):
-            make_ansatz("cnn", lat, kernel_shape=(2, 2))
+            make_ansatz("cnn", lat, kernel=(2, 2))
 
 
 class TestUniformCnn:

@@ -25,6 +25,7 @@ from rotor_tvmc.runner import (
     run_ground_state,
     run_oracle_benchmark,
     run_quench,
+    run_sampler_check,
     save_checkpoint,
     write_csv,
 )
@@ -291,6 +292,48 @@ class TestQuench:
             out_b / "trajectory.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("error, status", [
+        (RunnerError("draw-degenerate", "forced failure"), "draw-degenerate"),
+        (KeyboardInterrupt(), "KeyboardInterrupt"),
+    ], ids=["typed", "interrupt"])
+    def test_failure_after_a_step_keeps_the_rows_so_far(self, base_config, gs_state,
+                                                         tmp_path, monkeypatch,
+                                                         error, status):
+        clean = tmp_path / "clean"
+        run_quench(base_config, gs_state, out_dir=clean)
+        # the second step's right-hand side fails
+        real_advance, calls = runner.AdaptiveStepper.advance, []
+
+        def advance(self, rhs, *args):
+            calls.append(rhs)
+
+            def failing(t, alpha):
+                raise error
+
+            return real_advance(self, failing if len(calls) == 2 else rhs, *args)
+
+        monkeypatch.setattr(runner.AdaptiveStepper, "advance", advance)
+        out = tmp_path / "failed"
+        with pytest.raises(type(error)):
+            run_quench(base_config, gs_state, out_dir=out)
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert rows == (clean / "trajectory.csv").read_text().splitlines()[:3]
+        _, t, extra = load_checkpoint(out / "final_state.npz", gs_state)
+        assert extra == {"status": status}
+        assert t == float(rows[-1].split(",")[0]) > 0.0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert (meta["mode"], meta["status"], meta["steps"]) == ("quench", status, 1)
+
+    def test_failure_at_t0_writes_nothing(self, base_config, gs_state, tmp_path,
+                                          monkeypatch):
+        def draw(self, *args, **kwargs):
+            raise RunnerError("draw-degenerate", "forced failure")
+
+        monkeypatch.setattr(runner._QuadratureEngine, "draw", draw)
+        with pytest.raises(RunnerError, match="forced failure"):
+            run_quench(base_config, gs_state, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_oracle_benchmark_pairs_rows(self, base_config, gs_state, tmp_path):
         out = tmp_path / "bench"
         record, exact_rows, summary = run_oracle_benchmark(
@@ -299,6 +342,9 @@ class TestQuench:
         assert len(exact_rows) == len(record.rows)
         assert summary["alias_mass"] < 1e-6
         assert (out / "exact_reference.csv").is_file()
+
+
+VERBS = ["ground-state", "quench", "oracle-benchmark", "sampler-check"]
 
 
 class TestCli:
@@ -362,16 +408,20 @@ class TestCli:
                 np.save(fh, content)
         elif content is not None:
             np.savez(ckpt, **content)
-        out = tmp_path / "out"
-        code = cli.main(["quench", "--config", str(write_ini(tmp_path, BASE_INI)),
-                         "--out", str(out), "--resume", str(ckpt)])
-        assert code == cli.EXIT_NUMERICAL
-        report = json.loads((out / "failure.json").read_text())
-        assert report["reason"] == "checkpoint-unreadable"
-        err = capsys.readouterr().err
-        assert err.startswith("checkpoint error [checkpoint-unreadable]: ")
-        assert err.rstrip().endswith(why)
-        assert "pickle" not in err
+        path = write_ini(tmp_path, BASE_INI)
+        for verb in VERBS:
+            out = tmp_path / verb
+            code = cli.main([verb, "--config", str(path), "--out", str(out),
+                             "--resume", str(ckpt)])
+            assert code == cli.EXIT_NUMERICAL
+            report = json.loads((out / "failure.json").read_text())
+            assert report["reason"] == "checkpoint-unreadable"
+            # every verb reads the checkpoint before it starts any work
+            assert [p.name for p in out.iterdir()] == ["failure.json"]
+            err = capsys.readouterr().err
+            assert err.startswith("checkpoint error [checkpoint-unreadable]: ")
+            assert err.rstrip().endswith(why)
+            assert "pickle" not in err
 
     def test_degenerate_quadrature_draw_exits_3(self, tmp_path):
         # c1's 3-rotor RBM descent at tau = 0.1 instead of 0.02 moves all of
@@ -445,18 +495,27 @@ quadrature_points = 16
         ])
         assert code == cli.EXIT_GUARD
 
-    def test_guard_precedes_ground_state(self, tmp_path, monkeypatch):
-        # 5 rotors at m_cut = 5 (8801 states with M = 0) cannot be evolved
-        # densely, so the oracle stops before it spends any time on its
-        # ground-state stage
+    def test_guard_precedes_ground_state(self, tmp_path, monkeypatch, capsys):
+        # the oracle stops before it spends any time on its ground-state stage
         def ground_state(*args, **kwargs):
             raise AssertionError("the ground-state stage ran")
 
         monkeypatch.setattr(runner, "run_ground_state", ground_state)
-        path = write_ini(tmp_path, BASE_INI.replace("dims = 2", "dims = 5"))
-        code = cli.main(["oracle-benchmark", "--config", str(path),
-                         "--out", str(tmp_path / "out")])
-        assert code == cli.EXIT_GUARD
+        for edits, message in [
+            # 5 rotors at m_cut = 5: 8801 states with M = 0 cannot be evolved densely
+            ([("dims = 2", "dims = 5")], "sector of dim 8801 > 5000"),
+            # 2 x 3 rotors at m_cut = 2: the largest sector (1751 states) is
+            # admitted, but the state's projection grid has 16^6 points
+            ([("dims = 2", "dims = 2 3"), ("sampling = quadrature", "sampling = hmc\nm_cut = 2")],
+             "grid size 16^6 exceeds guard 10000000"),
+        ]:
+            text = BASE_INI
+            for old, new in edits:
+                text = text.replace(old, new)
+            code = cli.main(["oracle-benchmark", "--config", str(write_ini(tmp_path, text)),
+                             "--out", str(tmp_path / "out")])
+            assert code == cli.EXIT_GUARD
+            assert message in capsys.readouterr().err
 
     def test_oracle_benchmark_never_loads_scipy(self, tmp_path):
         # the program needs NumPy alone: a whole 2-rotor oracle run, ground
@@ -489,6 +548,21 @@ quadrature_points = 16
         a = np.load(out_a / "ground_state.npz")["alpha"]
         b = np.load(out_b / "ground_state.npz")["alpha"]
         assert not np.array_equal(a, b)
+
+    def test_sampler_check_resume_is_the_state_call(self, tmp_path):
+        path = write_ini(tmp_path, HMC_INI)
+        config = load_config(path)
+        state = make_ansatz("jastrow", config.lattice)
+        alpha = random_alpha(state, np.random.default_rng(5), 0.2)
+        ckpt = tmp_path / "init.npz"
+        save_checkpoint(ckpt, state.with_alpha(alpha), 0.0)
+        out, direct = tmp_path / "cli", tmp_path / "direct"
+        assert cli.main(["sampler-check", "--config", str(path), "--out", str(out),
+                         "--resume", str(ckpt)]) == cli.EXIT_OK
+        state = state.with_alpha(load_checkpoint(ckpt, state)[0])
+        run_sampler_check(config, state=state, out_dir=direct)
+        for name in ("ns_sweep.csv", "l_sweep.csv"):
+            assert (out / name).read_bytes() == (direct / name).read_bytes()
 
     def test_quench_resume_skips_ground_state(self, base_config, tmp_path):
         gs = run_ground_state(base_config)
