@@ -7,19 +7,14 @@ that gives ln psi, O and E_L together; the draw keeps that ln psi.  The HMC
 engine samples chains, which weigh alike.  The quadrature engine's points
 are its fixed grid, whose ``Angles`` it builds once per run: the Born
 weights come from the pass's ln psi, are checked, and weigh the estimate.
-Every observable is computed from a draw by one code path.  The fidelity of
-a quench row needs ln psi_t at the points of the draw at alpha_0 and ln
-psi_0 at those of the row's draw; each is read from the other draw when
-both lie on the same points (the grid) and evaluated otherwise.  A quench
-draws once per parameter vector: the last right-hand-side evaluation keeps
-its draw and estimates, and the last stage of an accepted step sits at the
-accepted point, so the row there reads them.  The draw at alpha_0 serves
-the t = 0 row, the fidelity reference and the first stage.  An HMC draw
+Every observable is computed from a draw by one code path, and an HMC draw
 carries its sampler diagnostics.
 
 Every run starts from ``start_state`` and ends in ``write_outputs``.  A
-quench writes once, also when it fails after its t = 0 row: the rows so
-far, with the failure's reason as the status.
+quench is one ``Quench``, advanced one accepted step at a time, which
+commits alpha with the step's row.  It writes once, also when it fails
+after its t = 0 row: the rows so far with the failure's reason as the
+status, the last row's alpha and t as the final state, and every RK attempt.
 
 Sampling RNG streams are keyed by (seed, mode code, evaluation counter,
 chain index) through ``numpy``'s seed-sequence spawning, so a rerun with the
@@ -33,7 +28,7 @@ from __future__ import annotations
 import json
 import sys
 import zipfile
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -310,6 +305,7 @@ def _observables(draw: Draw, config: RunConfig, lattice) -> dict:
         "mag_y": mag_y,
         "mag_sigma": mag_sigma,
         "var_mean": observables.circular_variance_mean(samples, weights=weights),
+        "vort_1": None, "vort_sigma": None,
     }
     # an open 1 x L strip is 2D but has no plaquette: vort_1 is left empty
     if lattice.ndim == 2 and lattice.plaquettes(1).shape[0]:
@@ -378,9 +374,8 @@ def run_ground_state(config: RunConfig, state=None,
     if not converged:
         raise RunnerError(
             "ground-state-nonconvergence",
-            f"energy trace did not flatten within {gs.max_iters} iterations "
-            f"(checkpoint persisted)" if out_dir else
-            f"energy trace did not flatten within {gs.max_iters} iterations",
+            f"energy trace did not flatten within {gs.max_iters} iterations"
+            + (" (checkpoint persisted)" if out_dir else ""),
         )
     return result
 
@@ -395,20 +390,10 @@ TRAJECTORY_COLUMNS = [
     "fidelity_sigma", "rho", "lambda2", "r2", "r2_integral",
     "acceptance", "divergences", "rhat_max",
 ]
+STEP_COLUMNS = ["t", "dt", "accepted", "err_norm"]
 
-
-@dataclass
-class TrajectoryRecord:
-    rows: list[dict] = field(default_factory=list)
-    status: str = "ok"
-    sampler_warnings: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([row["t"] for row in self.rows])
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([row[name] for row in self.rows], dtype=np.float64)
+# a right-hand side's state and draw, and the solve's rho, lambda^2, r^2 and energy
+Evaluation = namedtuple("Evaluation", "state draw rho lambda2 r2 energy")
 
 
 def _log_psi_at(state, draw: Draw, other: Draw) -> np.ndarray:
@@ -420,100 +405,127 @@ def _log_psi_at(state, draw: Draw, other: Draw) -> np.ndarray:
     return state.log_psi(points.reshape(-1, points.shape[-1])).reshape(points.shape[:-1])
 
 
-def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
-               g_final: float | None = None) -> TrajectoryRecord:
-    """Real-time variational dynamics under g_final from ``initial_state``."""
-    lattice = config.lattice
-    j = config.physics.j
-    g = config.physics.g_final if g_final is None else g_final
-    state_0 = initial_state
-    engine = _engine(config, _MODE_QUENCH)
+@dataclass
+class Quench:
+    """A quench under ``g`` from ``state_0``: the state it carries from one
+    accepted step to the next, and the record that ``run_quench`` returns.
 
-    # the last rhs evaluation, which the row at its parameters reads
-    last = {}
+    It draws once per parameter vector.  ``last``, the last right-hand
+    side's ``Evaluation``, sits at the accepted point after a step, so the
+    step's row reads it.  ``draw_0``, at alpha_0, serves the t = 0 row, the
+    fidelity reference and the first stage.  A row's fidelity needs ln psi_t
+    at ``draw_0``'s points and ln psi_0 at its own draw's; each is read from
+    the other draw when both lie on the grid, and evaluated otherwise.  The
+    rows are the rest of the state: t and the r^2 integral go on from the
+    last row's, and ``alpha`` is always the last row's.
+    """
 
-    def rhs(t, alpha):
-        st = initial_state.with_alpha(alpha)
-        draw, qgt = engine.draw(st, g, j)
-        alpha_dot, pinv = tdvp_rhs(qgt, config.regularization, mode="real")
+    config: RunConfig
+    state_0: object
+    g: float
+    rows: list[dict] = field(default_factory=list, init=False)
+    status: str = field(default="ok", init=False)
+
+    def __post_init__(self):
+        self.engine = _engine(self.config, _MODE_QUENCH)
+        self.alpha = np.array(self.state_0.alpha, copy=True)
+        self.stepper = AdaptiveStepper(self.config.controller, k1=self.rhs(0.0, self.alpha))
+        self.draw_0 = self.last.draw
+        self.dt = min(self.config.dt0, self.config.controller.dt_max)
+        # fidelity is 1 by construction at t = 0; still estimated
+        self.rows.append(self._row(0.0, 0.0))
+
+    @property
+    def t(self) -> float:
+        return self.rows[-1]["t"]
+
+    @property
+    def sampler_warnings(self) -> Counter[str]:
+        return self.engine.warnings
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.array([row["t"] for row in self.rows])
+
+    def column(self, name: str) -> np.ndarray:
+        return np.array([row[name] for row in self.rows], dtype=np.float64)
+
+    def rhs(self, t, alpha):
+        state = self.state_0.with_alpha(alpha)
+        draw, qgt = self.engine.draw(state, self.g, self.config.physics.j)
+        alpha_dot, pinv = tdvp_rhs(qgt, self.config.regularization, mode="real")
         r2, _ = residual_r2(qgt, pinv)
-        last.update(
-            state=st, draw=draw, rho=pinv.rho,
-            lambda2=pinv.lambda2, r2=r2, energy=float(np.real(qgt.e_mean)),
-        )
+        self.last = Evaluation(state, draw, pinv.rho, pinv.lambda2, r2,
+                               float(np.real(qgt.e_mean)))
         return alpha_dot
 
-    alpha = np.array(initial_state.alpha, copy=True)
-    stepper = AdaptiveStepper(config.controller, k1=rhs(0.0, alpha))
-    draw_0 = last["draw"]
-    record = TrajectoryRecord(sampler_warnings=engine.warnings)
-    t, dt = 0.0, min(config.dt0, config.controller.dt_max)
-    r2_integral = 0.0
-    prev_r2 = None
-    prev_t = 0.0
+    def step(self) -> None:
+        """Advance by one accepted step, whose size its row carries; the row
+        and alpha are committed only once the row is built."""
+        t = self.t
+        dt = min(self.dt, self.config.physics.t_max - t)
+        alpha, t, dt = self.stepper.advance(self.rhs, self.alpha, t, dt)
+        row = self._row(t, self.stepper.attempts[-1].dt)
+        self.rows.append(row)
+        self.alpha, self.dt = alpha, dt
 
-    def emit(t_now, dt_now):
-        nonlocal r2_integral, prev_r2, prev_t
-        draw_t = last["draw"]
+    def _row(self, t: float, dt: float) -> dict:
+        last, draw_0, draw_t = self.last, self.draw_0, self.last.draw
         diag = draw_t.diag
-        row = _observables(draw_t, config, lattice)
         fres = observables.fidelity_of_log_ratios(
-            _log_psi_at(last["state"], draw_0, draw_t) - draw_0.log_psi,
-            _log_psi_at(state_0, draw_t, draw_0) - draw_t.log_psi,
+            _log_psi_at(last.state, draw_0, draw_t) - draw_0.log_psi,
+            _log_psi_at(self.state_0, draw_t, draw_0) - draw_t.log_psi,
             weights_0=draw_0.weights, weights_t=draw_t.weights,
         )
         if fres.overlap_lost:
-            raise RunnerError(
-                "fidelity-overlap-loss",
-                f"overlap estimator underflowed at t={t_now:.4f}",
-            )
-        r2_now = last["r2"]
-        if prev_r2 is not None:
-            r2_integral += 0.5 * (prev_r2 + r2_now) * (t_now - prev_t)
-        prev_r2, prev_t = r2_now, t_now
-        row.update({
-            "t": t_now,
-            "dt": dt_now,
-            "energy": last["energy"],
+            raise RunnerError("fidelity-overlap-loss",
+                              f"overlap estimator underflowed at t={t:.4f}")
+        r2_integral = 0.0
+        if self.rows:
+            prev = self.rows[-1]
+            r2_integral = prev["r2_integral"] + 0.5 * (prev["r2"] + last.r2) * (t - prev["t"])
+        return {
+            **_observables(draw_t, self.config, self.config.lattice),
+            "t": t,
+            "dt": dt,
+            "energy": last.energy,
             "fidelity": fres.value,
             "fidelity_sigma": fres.sigma,
-            "rho": last["rho"],
-            "lambda2": last["lambda2"],
-            "r2": r2_now,
+            "rho": last.rho,
+            "lambda2": last.lambda2,
+            "r2": last.r2,
             "r2_integral": r2_integral,
             "acceptance": float(np.mean(diag.acceptance)) if diag else None,
             "divergences": int(np.sum(diag.divergences)) if diag else 0,
             "rhat_max": diag.rhat_max if diag else None,
-        })
-        row.setdefault("vort_1", None)
-        row.setdefault("vort_sigma", None)
-        record.rows.append(row)
+        }
 
-    # row at t = 0 (fidelity is 1 by construction; still estimated); each
-    # later row carries the size of the accepted step that produced it
-    emit(0.0, 0.0)
 
+def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
+               g_final: float | None = None) -> Quench:
+    """Real-time variational dynamics under g_final from ``initial_state``."""
+    g = config.physics.g_final if g_final is None else g_final
+    quench = Quench(config, initial_state, g)
     # a failure after the t = 0 row, an interrupt included, keeps the rows so
-    # far with its reason
+    # far with its reason, and the alpha and t of the last of them
     try:
-        while t < config.physics.t_max - 1e-12:
-            dt = min(dt, config.physics.t_max - t)
-            alpha, t, dt = stepper.advance(rhs, alpha, t, dt)
-            emit(t, stepper.attempts[-1].dt)
+        while quench.t < config.physics.t_max - 1e-12:
+            quench.step()
     except BaseException as exc:
-        record.status = getattr(exc, "reason", type(exc).__name__)
+        quench.status = getattr(exc, "reason", type(exc).__name__)
         raise
     finally:
         if out_dir is not None:
             out_dir = write_outputs(
                 out_dir, "quench", config,
-                [("trajectory.csv", TRAJECTORY_COLUMNS, record.rows)],
-                status=record.status, steps=len(record.rows) - 1, final_time=t,
-                sampler_warnings=record.sampler_warnings,
+                [("trajectory.csv", TRAJECTORY_COLUMNS, quench.rows),
+                 ("steps.csv", STEP_COLUMNS, [vars(a) for a in quench.stepper.attempts])],
+                status=quench.status, steps=len(quench.rows) - 1, final_time=quench.t,
+                sampler_warnings=quench.sampler_warnings,
             )
-            save_checkpoint(out_dir / "final_state.npz", initial_state.with_alpha(alpha),
-                            t, extra={"status": record.status})
-    return record
+            save_checkpoint(out_dir / "final_state.npz", initial_state.with_alpha(quench.alpha),
+                            quench.t, extra={"status": quench.status})
+    return quench
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +536,7 @@ def run_oracle_benchmark(config: RunConfig, initial_state=None,
                          out_dir: Path | None = None):
     """Paired t-VMC / exact-evolution curves from the same initial state.
 
-    Returns (TrajectoryRecord, exact rows, summary dict).  The exact engine
+    Returns (Quench, exact rows, summary dict).  The exact engine
     projects the variational initial state onto the truncated basis, evolves
     it one total-M sector at a time, and is evaluated at the t-VMC output times.
     """
@@ -547,24 +559,14 @@ def run_oracle_benchmark(config: RunConfig, initial_state=None,
     for row in record.rows:
         dense_t = evolver.evolve(dense0, row["t"])
         obs = exact.exact_observables(dense_t, basis, lattice, J=config.physics.j)
-        exact_rows.append({
-            "t": row["t"],
-            "e_pot": obs["e_pot"],
-            "mag_x": obs["mag_x"],
-            "mag_y": obs["mag_y"],
-            "var_mean": obs["var_mean"],
-            "fidelity": exact.exact_fidelity(dense0, dense_t),
-        })
+        exact_rows.append(
+            {"t": row["t"], **obs, "fidelity": exact.exact_fidelity(dense0, dense_t)})
 
+    pairs = list(zip(record.rows, exact_rows))
     summary = {
         "alias_mass": alias_mass,
-        "max_e_pot_error": max(
-            abs(r["e_pot"] - x["e_pot"]) for r, x in zip(record.rows, exact_rows)
-        ),
-        "max_fidelity_error": max(
-            abs(r["fidelity"] - x["fidelity"])
-            for r, x in zip(record.rows, exact_rows)
-        ),
+        "max_e_pot_error": max(abs(r["e_pot"] - x["e_pot"]) for r, x in pairs),
+        "max_fidelity_error": max(abs(r["fidelity"] - x["fidelity"]) for r, x in pairs),
     }
     if out_dir is not None:
         write_outputs(out_dir, "oracle-benchmark", config, [
@@ -623,11 +625,9 @@ def run_sampler_check(config: RunConfig, state=None, out_dir: Path | None = None
         per_sample = np.hypot(
             np.sum(np.cos(samples), axis=-1), np.sum(np.sin(samples), axis=-1)
         ) / state.n_sites
-        boots = np.empty(observables.DEFAULT_RESAMPLES)
-        for b in range(observables.DEFAULT_RESAMPLES):
-            pick = rng.integers(0, per_sample.shape[0], size=per_sample.shape[0])
-            boots[b] = per_sample[pick].mean(axis=1).std() / np.sqrt(per_sample.shape[0])
-        sigma_draws[l0] = boots
+        n_chains = per_sample.shape[0]
+        picks = rng.integers(0, n_chains, size=(observables.DEFAULT_RESAMPLES, n_chains))
+        sigma_draws[l0] = per_sample[picks].mean(axis=2).std(axis=1) / np.sqrt(n_chains)
         l_rows.append({
             "l0": l0,
             "mag": mag,

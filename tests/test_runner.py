@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,65 @@ class TestQuench:
         assert t == float(rows[-1].split(",")[0]) > 0.0
         meta = json.loads((out / "metadata.json").read_text())
         assert (meta["mode"], meta["status"], meta["steps"]) == ("quench", status, 1)
+
+    def test_row_failure_after_an_accepted_step_keeps_the_last_row_state(
+            self, base_config, gs_state, tmp_path, monkeypatch):
+        # the second step is accepted, then its row loses the overlap
+        real_fidelity = observables.fidelity_of_log_ratios
+        real_advance = runner.AdaptiveStepper.advance
+        fidelities, accepted_alphas = [], []
+
+        def fidelity(*args, **kwargs):
+            fidelities.append(real_fidelity(*args, **kwargs))
+            return replace(fidelities[-1], overlap_lost=len(fidelities) == 3)
+
+        def advance(self, *args):
+            alpha, t, dt = real_advance(self, *args)
+            accepted_alphas.append(alpha)
+            return alpha, t, dt
+
+        monkeypatch.setattr(observables, "fidelity_of_log_ratios", fidelity)
+        monkeypatch.setattr(runner.AdaptiveStepper, "advance", advance)
+        out = tmp_path / "failed"
+        with pytest.raises(RunnerError, match="overlap") as excinfo:
+            run_quench(base_config, gs_state, out_dir=out)
+        assert excinfo.value.reason == "fidelity-overlap-loss"
+        assert len(accepted_alphas) == 2
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        last_t = float(rows[-1].split(",")[0])
+        alpha, t, extra = load_checkpoint(out / "final_state.npz", gs_state)
+        assert t == last_t > 0.0
+        assert np.array_equal(alpha, accepted_alphas[0])
+        assert extra == {"status": "fidelity-overlap-loss"}
+        meta = json.loads((out / "metadata.json").read_text())
+        assert (meta["status"], meta["final_time"], meta["steps"]) == (
+            "fidelity-overlap-loss", last_t, len(rows) - 1)
+        # steps.csv keeps every attempt, the failed row's accepted step included
+        steps = (out / "steps.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[2] for line in steps].count("true") == 2
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-7], ids=["default", "tight"])
+    def test_steps_csv_lists_every_attempt(self, base_config, gs_state, tmp_path, tol):
+        config = replace(base_config,
+                         controller=replace(base_config.controller, atol=tol, rtol=tol))
+        out = tmp_path / "quench"
+        record = run_quench(config, gs_state, out_dir=out)
+        lines = (out / "steps.csv").read_text().splitlines()
+        assert lines[0] == ",".join(runner.STEP_COLUMNS) == "t,dt,accepted,err_norm"
+        attempts = [line.split(",") for line in lines[1:]]
+        accepted = [a for a in attempts if a[2] == "true"]
+        assert len(accepted) == len(record.rows) - 1
+        trajectory = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert [a[1] for a in accepted] == [row.split(",")[1] for row in trajectory[1:]]
+        # an accepted attempt starts from the last row's t; a rejected one
+        # has err_norm above 1 and is retried from the same t
+        assert [a[0] for a in accepted] == [row.split(",")[0] for row in trajectory[:-1]]
+        for a, after in zip(attempts, attempts[1:]):
+            if a[2] == "false":
+                assert float(a[3]) > 1.0 and after[0] == a[0]
+        if tol < 1e-3:
+            assert len(attempts) > len(accepted)
 
     def test_failure_at_t0_writes_nothing(self, base_config, gs_state, tmp_path,
                                           monkeypatch):
