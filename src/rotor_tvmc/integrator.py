@@ -3,7 +3,9 @@
 The error norm is the max over interleaved real/imaginary components of
 |y3 - y2| / (atol + rtol |y3|).  The tableau is first-same-as-last: the
 first stage of a step is the last stage of the last accepted step, evaluated
-at the point that step accepted.
+at the point that step accepted.  The interior stages k2 and k3 may be
+evaluated by a cheaper function of their own (``stage_fn``); the last stage,
+which the next step reuses, always calls the right-hand side itself.
 """
 
 from __future__ import annotations
@@ -70,13 +72,17 @@ def error_norm(y3: np.ndarray, y2: np.ndarray, atol: float, rtol: float) -> floa
 
 
 def rk32_step(rhs_fn, alpha: np.ndarray, t: float, dt: float,
-              atol: float = 1e-3, rtol: float = 1e-3, k1=None):
+              atol: float = 1e-3, rtol: float = 1e-3, k1=None, stage_fn=None):
     """One embedded step; returns (alpha3, alpha2, err_norm, k_last).
 
     ``k1`` may pass in a previously computed first stage (FSAL); ``k_last`` is
-    the stage at (t + dt, alpha3) reusable as the next k1.
+    the stage at (t + dt, alpha3) reusable as the next k1.  ``stage_fn``
+    (default ``rhs_fn``) evaluates k2 and k3; k1, when not passed in, and the
+    last stage call ``rhs_fn``.
     """
     alpha = np.asarray(alpha, dtype=np.complex128)
+    if stage_fn is None:
+        stage_fn = rhs_fn
     ks = []
     for stage in range(3):
         if stage == 0 and k1 is not None:
@@ -85,7 +91,8 @@ def rk32_step(rhs_fn, alpha: np.ndarray, t: float, dt: float,
         y = alpha
         for coef, k in zip(_A[stage], ks):
             y = y + dt * coef * k
-        ks.append(np.asarray(rhs_fn(t + _C[stage] * dt, y), dtype=np.complex128))
+        fn = rhs_fn if stage == 0 else stage_fn
+        ks.append(np.asarray(fn(t + _C[stage] * dt, y), dtype=np.complex128))
     alpha3 = alpha + dt * sum(c * k for c, k in zip(_B3[:3], ks))
     k4 = np.asarray(rhs_fn(t + dt, alpha3), dtype=np.complex128)
     ks.append(k4)
@@ -113,15 +120,15 @@ class AdaptiveStepper:
     # rhs at the point the last advance returned (evaluated there when None)
     k1: np.ndarray | None = None
 
-    def advance(self, rhs_fn, alpha: np.ndarray, t: float, dt: float):
+    def advance(self, rhs_fn, alpha: np.ndarray, t: float, dt: float, stage_fn=None):
         """Advance one accepted step from the (alpha, t) the last call returned;
-        returns (alpha_next, t_next, dt_next)."""
+        returns (alpha_next, t_next, dt_next).  ``stage_fn``: see ``rk32_step``."""
         ctrl = self.controller
         if self.k1 is None:
             self.k1 = rhs_fn(t, alpha)
         for _ in range(MAX_REJECTS):
             alpha3, _, err, k_last = rk32_step(
-                rhs_fn, alpha, t, dt, ctrl.atol, ctrl.rtol, k1=self.k1
+                rhs_fn, alpha, t, dt, ctrl.atol, ctrl.rtol, k1=self.k1, stage_fn=stage_fn
             )
             accepted = np.isfinite(err) and err <= 1.0
             self.attempts.append(StepAttempt(t=t, dt=dt, accepted=accepted, err_norm=err))

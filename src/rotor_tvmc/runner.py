@@ -8,13 +8,17 @@ engine samples chains, which weigh alike.  The quadrature engine's points
 are its fixed grid, whose ``Angles`` it builds once per run: the Born
 weights come from the pass's ln psi, are checked, and weigh the estimate.
 Every observable is computed from a draw by one code path, and an HMC draw
-carries its sampler diagnostics.
+carries its sampler diagnostics.  An HMC draw can also serve a nearby
+parameter vector: ``_HmcEngine.reweight`` estimates the QGT there from the
+draw's points, weighted by |psi'/psi|^2, without running a chain.
 
 Every run starts from ``start_state`` and ends in ``write_outputs``.  A
 quench is one ``Quench``, advanced one accepted step at a time, which
 commits alpha with the step's row.  It writes once, also when it fails
 after its t = 0 row: the rows so far with the failure's reason as the
 status, the last row's alpha and t as the final state, and every RK attempt.
+The oracle benchmark's quench writes the same files, and its exact
+reference beside them.
 
 Sampling RNG streams are keyed by (seed, mode code, evaluation counter,
 chain index) through ``numpy``'s seed-sequence spawning, so a rerun with the
@@ -30,6 +34,7 @@ import sys
 import zipfile
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +49,9 @@ from .tdvp import estimate_qgt, residual_r2, tdvp_rhs
 CHECKPOINT_FORMAT_VERSION = 1
 # smallest Kish effective sample size 1 / sum(w^2) of a quadrature draw
 MIN_KISH_ESS = 2.0
+# smallest Kish ESS/n, 1 / (n sum(w^2)), of a quench stage reweighted from
+# the HMC draw at the step's accepted point; below it the stage draws afresh
+MIN_REWEIGHT_ESS = 0.9
 
 # mode codes folded into per-run RNG keys
 _MODE_GROUND_STATE = 0
@@ -198,7 +206,8 @@ class Draw:
 
 
 class _HmcEngine:
-    """Fresh warmed-up chains per evaluation, keyed by an evaluation counter.
+    """Fresh warmed-up chains per draw, keyed by a counter of draws; a
+    reweighted estimate runs no chain and leaves the counter as it is.
 
     ``warnings`` counts each sampler warning message over all draws; a
     message is printed on stderr the first time it occurs.
@@ -240,6 +249,27 @@ class _HmcEngine:
         angles = Angles(points.reshape(-1, state.n_sites), state.lattice)
         qgt = estimate_qgt(state, angles, g, J, out=out)
         return Draw(points, qgt.log_psi.reshape(points.shape[:-1]), diag=diag), qgt
+
+    def reweight(self, state, g: float, J: float, anchor: Draw):
+        """The QGT estimate at ``state`` over ``anchor``'s points, and the Kish
+        ESS/n of its weights: the anchor's weights (alike when None) times
+        |psi_state / psi_anchor|^2, normalized.  ``estimate_qgt``'s one pass
+        gives ln psi_state; no chain runs.
+        """
+        points = anchor.points.reshape(-1, state.n_sites)
+        shift = anchor.log_psi.ravel()
+        if anchor.weights is not None:
+            with np.errstate(divide="ignore"):  # a weight of 0 stays 0
+                shift = shift - 0.5 * np.log(anchor.weights)
+        weights = []
+
+        def weigh(log_psi):
+            weights.append(quadrature.weights_from_log_psi(log_psi - shift))
+            return weights[0]
+
+        qgt = estimate_qgt(state, Angles(points, state.lattice), g, J, weights=weigh)
+        w = weights[0]
+        return qgt, 1.0 / (w.size * float(w @ w))
 
 
 class _QuadratureEngine:
@@ -410,14 +440,25 @@ class Quench:
     """A quench under ``g`` from ``state_0``: the state it carries from one
     accepted step to the next, and the record that ``run_quench`` returns.
 
-    It draws once per parameter vector.  ``last``, the last right-hand
-    side's ``Evaluation``, sits at the accepted point after a step, so the
-    step's row reads it.  ``draw_0``, at alpha_0, serves the t = 0 row, the
-    fidelity reference and the first stage.  A row's fidelity needs ln psi_t
-    at ``draw_0``'s points and ln psi_0 at its own draw's; each is read from
-    the other draw when both lie on the grid, and evaluated otherwise.  The
-    rows are the rest of the state: t and the r^2 integral go on from the
-    last row's, and ``alpha`` is always the last row's.
+    ``rhs`` draws afresh.  ``last``, its ``Evaluation``, sits at the
+    accepted point after a step, so the step's row reads it.  ``draw_0``, at
+    alpha_0, serves the t = 0 row, the fidelity reference and the first
+    stage.  A row's fidelity needs ln psi_t at ``draw_0``'s points and
+    ln psi_0 at its own draw's; each is read from the other draw when both
+    lie on the grid, and evaluated otherwise.  The rows are the rest of the
+    state: t and the r^2 integral go on from the last row's, and ``alpha``
+    is always the last row's.
+
+    The quadrature engine draws once per parameter vector.  Under HMC an RK
+    attempt draws once, for its last stage, at the point the step would
+    accept; that draw also serves the row and the next step's first stage.
+    The interior stages k2 and k3 reweight the draw at the step's accepted
+    alpha, "the anchor", to their own alpha (``_HmcEngine.reweight``); a
+    stage whose Kish ESS/n falls below ``MIN_REWEIGHT_ESS`` draws afresh.
+    The anchor is ``last`` at the start of the step, so a rejected
+    attempt's last stage never becomes it.  ``fresh_draws``,
+    ``reweighted_stages`` and ``min_reweight_ess`` (the smallest Kish ESS/n
+    of any stage's reweighting, None when there was none) count them.
     """
 
     config: RunConfig
@@ -425,6 +466,9 @@ class Quench:
     g: float
     rows: list[dict] = field(default_factory=list, init=False)
     status: str = field(default="ok", init=False)
+    fresh_draws: int = field(default=0, init=False)
+    reweighted_stages: int = field(default=0, init=False)
+    min_reweight_ess: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.engine = _engine(self.config, _MODE_QUENCH)
@@ -451,20 +495,67 @@ class Quench:
         return np.array([row[name] for row in self.rows], dtype=np.float64)
 
     def rhs(self, t, alpha):
+        """The right-hand side at alpha from a fresh draw, kept as ``last``."""
         state = self.state_0.with_alpha(alpha)
         draw, qgt = self.engine.draw(state, self.g, self.config.physics.j)
+        self.fresh_draws += 1
         alpha_dot, pinv = tdvp_rhs(qgt, self.config.regularization, mode="real")
         r2, _ = residual_r2(qgt, pinv)
         self.last = Evaluation(state, draw, pinv.rho, pinv.lambda2, r2,
                                float(np.real(qgt.e_mean)))
         return alpha_dot
 
+    def stage(self, anchor: Draw, t, alpha):
+        """An interior stage's right-hand side at alpha from ``anchor``
+        reweighted, or from a fresh draw when the reweighting's Kish ESS/n
+        falls below ``MIN_REWEIGHT_ESS``."""
+        state = self.state_0.with_alpha(alpha)
+        qgt, ess = self.engine.reweight(state, self.g, self.config.physics.j, anchor)
+        if self.min_reweight_ess is None or ess < self.min_reweight_ess:
+            self.min_reweight_ess = ess
+        if ess < MIN_REWEIGHT_ESS:
+            return self.rhs(t, alpha)
+        self.reweighted_stages += 1
+        return tdvp_rhs(qgt, self.config.regularization, mode="real")[0]
+
+    def run(self) -> None:
+        """Step to t_max.  A failure, an interrupt included, sets the status to
+        its reason and propagates; the rows so far and alpha stay those of
+        the last row."""
+        try:
+            while self.t < self.config.physics.t_max - 1e-12:
+                self.step()
+        except BaseException as exc:
+            self.status = getattr(exc, "reason", type(exc).__name__)
+            raise
+
+    def write(self, out_dir, mode: str, tables=(), **fields) -> None:
+        """The rows, every RK attempt and the status, with ``tables`` and
+        ``fields`` besides, through ``write_outputs``, and the last row's
+        alpha and t as ``final_state.npz``."""
+        out_dir = write_outputs(
+            out_dir, mode, self.config,
+            [("trajectory.csv", TRAJECTORY_COLUMNS, self.rows),
+             ("steps.csv", STEP_COLUMNS, [vars(a) for a in self.stepper.attempts]),
+             *tables],
+            status=self.status, steps=len(self.rows) - 1, final_time=self.t,
+            sampler_warnings=self.sampler_warnings, fresh_draws=self.fresh_draws,
+            reweighted_stages=self.reweighted_stages,
+            min_reweight_ess=self.min_reweight_ess, **fields,
+        )
+        save_checkpoint(out_dir / "final_state.npz", self.state_0.with_alpha(self.alpha),
+                        self.t, extra={"status": self.status})
+
     def step(self) -> None:
         """Advance by one accepted step, whose size its row carries; the row
         and alpha are committed only once the row is built."""
         t = self.t
         dt = min(self.dt, self.config.physics.t_max - t)
-        alpha, t, dt = self.stepper.advance(self.rhs, self.alpha, t, dt)
+        # quadrature weights are exact at every alpha: its stages draw
+        stage_fn = None
+        if isinstance(self.engine, _HmcEngine):
+            stage_fn = partial(self.stage, self.last.draw)
+        alpha, t, dt = self.stepper.advance(self.rhs, self.alpha, t, dt, stage_fn)
         row = self._row(t, self.stepper.attempts[-1].dt)
         self.rows.append(row)
         self.alpha, self.dt = alpha, dt
@@ -506,25 +597,12 @@ def run_quench(config: RunConfig, initial_state, out_dir: Path | None = None,
     """Real-time variational dynamics under g_final from ``initial_state``."""
     g = config.physics.g_final if g_final is None else g_final
     quench = Quench(config, initial_state, g)
-    # a failure after the t = 0 row, an interrupt included, keeps the rows so
-    # far with its reason, and the alpha and t of the last of them
+    # a failure after the t = 0 row, an interrupt included, keeps the rows so far
     try:
-        while quench.t < config.physics.t_max - 1e-12:
-            quench.step()
-    except BaseException as exc:
-        quench.status = getattr(exc, "reason", type(exc).__name__)
-        raise
+        quench.run()
     finally:
         if out_dir is not None:
-            out_dir = write_outputs(
-                out_dir, "quench", config,
-                [("trajectory.csv", TRAJECTORY_COLUMNS, quench.rows),
-                 ("steps.csv", STEP_COLUMNS, [vars(a) for a in quench.stepper.attempts])],
-                status=quench.status, steps=len(quench.rows) - 1, final_time=quench.t,
-                sampler_warnings=quench.sampler_warnings,
-            )
-            save_checkpoint(out_dir / "final_state.npz", initial_state.with_alpha(quench.alpha),
-                            quench.t, extra={"status": quench.status})
+            quench.write(out_dir, "quench")
     return quench
 
 
@@ -553,7 +631,14 @@ def run_oracle_benchmark(config: RunConfig, initial_state=None,
     )
     evolver = exact.ExactEvolver(hamiltonian)
 
-    record = run_quench(config, initial_state, out_dir=None)
+    record = Quench(config, initial_state, config.physics.g_final)
+    try:
+        record.run()
+    except BaseException:
+        # the rows so far, without the exact reference
+        if out_dir is not None:
+            record.write(out_dir, "oracle-benchmark")
+        raise
 
     exact_rows = []
     for row in record.rows:
@@ -569,8 +654,7 @@ def run_oracle_benchmark(config: RunConfig, initial_state=None,
         "max_fidelity_error": max(abs(r["fidelity"] - x["fidelity"]) for r, x in pairs),
     }
     if out_dir is not None:
-        write_outputs(out_dir, "oracle-benchmark", config, [
-            ("trajectory.csv", TRAJECTORY_COLUMNS, record.rows),
+        record.write(out_dir, "oracle-benchmark", [
             ("exact_reference.csv",
              ["t", "e_pot", "mag_x", "mag_y", "var_mean", "fidelity"], exact_rows),
         ], summary=summary)

@@ -90,6 +90,22 @@ class TestRk32Step:
         b = rk32_step(_rotation_rhs, y3, 0.05, 0.05)
         assert np.array_equal(a[0], b[0])
 
+    def test_stage_fn_evaluates_the_interior_stages(self):
+        calls = []
+
+        def counted(name):
+            def fn(t, y):
+                calls.append((name, t))
+                return _rotation_rhs(t, y)
+            return fn
+
+        y0 = np.array([0.7 - 0.2j])
+        a = rk32_step(counted("rhs"), y0, 0.2, 0.1, stage_fn=counted("stage"))
+        assert calls == [("rhs", 0.2), ("stage", 0.2 + 0.5 * 0.1),
+                         ("stage", 0.2 + 0.75 * 0.1), ("rhs", 0.2 + 0.1)]
+        b = rk32_step(_rotation_rhs, y0, 0.2, 0.1)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
 
 class TestAdaptiveStepper:
     def test_advances_and_respects_bounds(self):
@@ -123,6 +139,24 @@ class TestAdaptiveStepper:
             for earlier, later in zip(stepper.attempts, stepper.attempts[1:])
             if not earlier.accepted
         )
+
+    def test_stage_fn_on_every_attempt(self):
+        rhs_calls, stage_calls = [], []
+
+        def stiff(calls):
+            def fn(t, y):
+                calls.append(t)
+                return -50.0 * y
+            return fn
+
+        ctrl = StepController(atol=1e-8, rtol=1e-8, dt_min=1e-8)
+        stepper = AdaptiveStepper(ctrl)
+        stepper.advance(stiff(rhs_calls), np.array([1.0 + 0.0j]), 0.0, 0.1,
+                        stage_fn=stiff(stage_calls))
+        n = len(stepper.attempts)
+        assert n > 1
+        # k1 once, then k2 and k3 through stage_fn and k4 through rhs_fn
+        assert (len(rhs_calls), len(stage_calls)) == (1 + n, 2 * n)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_underflow_raises(self):

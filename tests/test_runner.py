@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotor_tvmc import cli, exact, observables, quadrature, runner, tdvp
+from rotor_tvmc import cli, exact, integrator, observables, quadrature, runner, tdvp
 from rotor_tvmc.ansatz import CircularRBM, VariationalState, make_ansatz, random_alpha
 from rotor_tvmc.config import ConfigError, config_echo, load_config
 from rotor_tvmc.exact import OracleGuardError
@@ -403,6 +403,49 @@ class TestQuench:
         assert summary["alias_mass"] < 1e-6
         assert (out / "exact_reference.csv").is_file()
 
+    def test_oracle_benchmark_writes_the_quench_files(self, base_config, gs_state, tmp_path):
+        quench, oracle = tmp_path / "quench", tmp_path / "oracle"
+        run_quench(base_config, gs_state, out_dir=quench)
+        run_oracle_benchmark(base_config, initial_state=gs_state, out_dir=oracle)
+        for name in ("trajectory.csv", "steps.csv"):
+            assert (oracle / name).read_bytes() == (quench / name).read_bytes()
+        alpha, t, extra = load_checkpoint(oracle / "final_state.npz", gs_state)
+        assert np.array_equal(alpha, load_checkpoint(quench / "final_state.npz", gs_state)[0])
+        assert extra == {"status": "ok"}
+        meta = json.loads((oracle / "metadata.json").read_text())
+        assert (meta["mode"], meta["status"], meta["final_time"]) == ("oracle-benchmark", "ok", t)
+        assert set(meta["summary"]) == {"alias_mass", "max_e_pot_error", "max_fidelity_error"}
+
+    def test_oracle_failure_keeps_the_rows_so_far(self, base_config, gs_state, tmp_path,
+                                                  monkeypatch):
+        clean = tmp_path / "clean"
+        run_oracle_benchmark(base_config, initial_state=gs_state, out_dir=clean)
+        # the second step's right-hand side fails
+        real_advance, calls = runner.AdaptiveStepper.advance, []
+
+        def advance(self, rhs, *args):
+            calls.append(rhs)
+
+            def failing(t, alpha):
+                raise RunnerError("draw-degenerate", "forced failure")
+
+            return real_advance(self, failing if len(calls) == 2 else rhs, *args)
+
+        monkeypatch.setattr(runner.AdaptiveStepper, "advance", advance)
+        out = tmp_path / "failed"
+        with pytest.raises(RunnerError, match="forced failure"):
+            run_oracle_benchmark(base_config, initial_state=gs_state, out_dir=out)
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert rows == (clean / "trajectory.csv").read_text().splitlines()[:3]
+        assert not (out / "exact_reference.csv").exists()
+        _, t, extra = load_checkpoint(out / "final_state.npz", gs_state)
+        assert extra == {"status": "draw-degenerate"}
+        assert t == float(rows[-1].split(",")[0]) > 0.0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert (meta["mode"], meta["status"], meta["steps"]) == (
+            "oracle-benchmark", "draw-degenerate", 1)
+        assert "summary" not in meta
+
 
 VERBS = ["ground-state", "quench", "oracle-benchmark", "sampler-check"]
 
@@ -700,8 +743,8 @@ class TestSamplerWarnings:
         assert "sampler warning" not in capsys.readouterr().err
 
         counts = quench("warned", [WARNING])["sampler_warnings"]
-        # one draw at t = 0, three per RK attempt
-        assert list(counts) == [WARNING] and counts[WARNING] >= 7
+        # one draw at t = 0, one per RK attempt
+        assert list(counts) == [WARNING] and counts[WARNING] >= 3
         assert capsys.readouterr().err.count(WARNING) == 1
         # telemetry stays out of the trajectory
         assert (tmp_path / "warned" / "trajectory.csv").read_bytes() == (
@@ -746,9 +789,32 @@ class TestDrawCount:
         monkeypatch.setattr(engine, "draw", counted)
         record = run_quench(config, state)
         assert len(record.rows) >= 3
-        # t = 0 shares one draw; each step adds its three new stages, the
-        # last of which also serves the row
+        # t = 0 shares one draw; each step adds its last stage, which also
+        # serves the row, and quadrature its two interior stages besides
+        per_step = 3 if engine is runner._QuadratureEngine else 1
+        assert len(draws) == 1 + per_step * (len(record.rows) - 1)
+
+    def test_hmc_stages_draw_afresh_below_the_ess_floor(self, tmp_path, monkeypatch):
+        # a Kish ESS/n floor above 1 refuses every reweighting, so each RK
+        # attempt draws for all three of its new stages
+        monkeypatch.setattr(runner, "MIN_REWEIGHT_ESS", 1.5)
+        text = HMC_INI.replace("dt_max = 0.05", "dt_max = 0.05\natol = 10.0\nrtol = 10.0")
+        config = load_config(write_ini(tmp_path, text))
+        state = make_ansatz("jastrow", config.lattice)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(5), 0.2))
+        real_draw = runner._HmcEngine.draw
+        draws = []
+
+        def counted(self, *args):
+            draws.append(args[0].alpha)
+            return real_draw(self, *args)
+
+        monkeypatch.setattr(runner._HmcEngine, "draw", counted)
+        record = run_quench(config, state)
+        assert len(record.rows) >= 3
         assert len(draws) == 1 + 3 * (len(record.rows) - 1)
+        assert (record.fresh_draws, record.reweighted_stages) == (len(draws), 0)
+        assert 0.0 < record.min_reweight_ess <= 1.0
 
 
 CHAIN_INI = """
@@ -927,7 +993,7 @@ class TestHmcFidelity:
         n_sites = state.n_sites
         x_0 = draws[0][1].points.reshape(-1, n_sites)
         for i, row in enumerate(record.rows[1:], start=1):
-            alpha_t, draw_t = draws[3 * i]
+            alpha_t, draw_t = draws[i]
             (alpha_a, at_a), (alpha_b, at_b) = calls[2 * i - 2: 2 * i]
             assert np.array_equal(alpha_a, alpha_t) and np.array_equal(at_a, x_0)
             assert np.array_equal(alpha_b, state.alpha)
@@ -935,3 +1001,103 @@ class TestHmcFidelity:
             ref = observables.fidelity(state, state.with_alpha(alpha_t),
                                        draws[0][1].points, draw_t.points)
             assert (row["fidelity"], row["fidelity_sigma"]) == (ref.value, ref.sigma)
+
+
+class TestReweightedStages:
+    """Under HMC the interior RK stages reweight the draw at the step's
+    accepted point instead of drawing."""
+
+    def test_reweighted_grid_matches_the_born_estimate(self, tmp_path):
+        # the grid with the Born weights of alpha, reweighted to alpha', is
+        # the grid with the Born weights of alpha'
+        config, state = _chain(tmp_path, 3, 6, 12)
+        anchor, _ = runner._QuadratureEngine(config).draw(state, 6.0, 1.0)
+        moved = state.with_alpha(
+            state.alpha + random_alpha(state, np.random.default_rng(8), 0.1))
+        engine = runner._HmcEngine(config, 1)
+        qgt, ess = engine.reweight(moved, 6.0, 1.0, anchor)
+        assert engine.counter == 0
+        points = quadrature.grid_points(3, 12)
+        weights = quadrature.born_weights(moved, points)
+        ref = tdvp.estimate_qgt(moved, points, 6.0, 1.0, weights=weights)
+        np.testing.assert_allclose(qgt.x, ref.x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(qgt.y, ref.y, rtol=0, atol=1e-12)
+        assert abs(qgt.e_mean - ref.e_mean) <= 1e-12
+        assert ess == pytest.approx(1.0 / (len(weights) * float(weights @ weights)), rel=1e-10)
+
+    def test_reweighting_a_draw_to_its_own_alpha_is_the_draw(self, tmp_path):
+        config = load_config(write_ini(tmp_path, HMC_INI))
+        state = make_ansatz("jastrow", config.lattice)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(5), 0.2))
+        engine = runner._HmcEngine(config, 1)
+        draw, ref = engine.draw(state, 6.0, 1.0)
+        qgt, ess = engine.reweight(state, 6.0, 1.0, draw)
+        assert engine.counter == 1
+        assert ess == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(qgt.x, ref.x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(qgt.y, ref.y, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ini", [BASE_INI, HMC_INI], ids=["quadrature", "hmc"])
+    def test_metadata_counts_draws_and_stages(self, tmp_path, ini):
+        config = load_config(write_ini(tmp_path, ini))
+        state = make_ansatz("jastrow", config.lattice)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(5), 0.2))
+        out = tmp_path / "out"
+        record = run_quench(config, state, out_dir=out)
+        meta = json.loads((out / "metadata.json").read_text())
+        attempts = len(record.stepper.attempts)
+        assert attempts >= 2
+        if ini is BASE_INI:
+            assert meta["fresh_draws"] == 1 + 3 * attempts
+            assert (meta["reweighted_stages"], meta["min_reweight_ess"]) == (0, None)
+        else:
+            assert meta["fresh_draws"] == 1 + attempts
+            assert meta["reweighted_stages"] == 2 * attempts
+            assert runner.MIN_REWEIGHT_ESS <= meta["min_reweight_ess"] <= 1.0
+        # telemetry stays out of the trajectory
+        header = (out / "trajectory.csv").read_text().splitlines()[0].split(",")
+        assert not {"fresh_draws", "reweighted_stages", "min_reweight_ess"} & set(header)
+
+    def test_a_rejected_attempt_never_becomes_the_anchor(self, tmp_path, monkeypatch):
+        # the first attempt of each of the first two steps is rejected; each
+        # stage must reweight the draw at the last accepted point, never the
+        # rejected attempt's last stage
+        norms = []
+
+        def rejecting(*args):
+            norms.append(2.0 if len(norms) in (0, 2) else 0.5)
+            return norms[-1]
+
+        monkeypatch.setattr(integrator, "error_norm", rejecting)
+        events = []
+        real_draw, real_reweight = runner._HmcEngine.draw, runner._HmcEngine.reweight
+
+        def draw(self, *args):
+            out = real_draw(self, *args)
+            events.append(("draw", out[0]))
+            return out
+
+        def reweight(self, state, g, J, anchor):
+            events.append(("reweight", anchor))
+            return real_reweight(self, state, g, J, anchor)
+
+        monkeypatch.setattr(runner._HmcEngine, "draw", draw)
+        monkeypatch.setattr(runner._HmcEngine, "reweight", reweight)
+        config = load_config(write_ini(tmp_path, HMC_INI))
+        state = make_ansatz("jastrow", config.lattice)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(5), 0.2))
+        record = run_quench(config, state)
+        attempts = record.stepper.attempts
+        assert [a.accepted for a in attempts] == [False, True, False] + [True] * (
+            len(attempts) - 3)
+        assert len(attempts) >= 5
+        # t = 0 draws; then each attempt reweights twice and draws its last stage
+        assert [kind for kind, _ in events] == (
+            ["draw"] + ["reweight", "reweight", "draw"] * len(attempts))
+        anchor = events[0][1]
+        for i, attempt in enumerate(attempts):
+            stages = events[1 + 3 * i: 4 + 3 * i]
+            assert stages[0][1] is anchor and stages[1][1] is anchor
+            if attempt.accepted:
+                anchor = stages[2][1]
+        assert record.last.draw is anchor
