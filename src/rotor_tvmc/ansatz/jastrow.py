@@ -18,21 +18,36 @@ class Jastrow(VariationalState):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self.pair_i = np.array([p[0] for p in pairs], dtype=np.int64)
         self.pair_j = np.array([p[1] for p in pairs], dtype=np.int64)
+        self._pair_ij = np.concatenate([self.pair_i, self.pair_j])
         n_pairs = len(pairs)
         super().__init__(lattice, alpha, [("w", (n_pairs,))])
         # one-hot pair-to-site incidence used to accumulate angle derivatives:
         # real for the HMC gradient, which needs only Re d1, and complex so the
-        # local energy's matmuls with complex weights need no cast
-        self._inc_i_real = np.zeros((n_pairs, n))
-        self._inc_j_real = np.zeros((n_pairs, n))
-        self._inc_i_real[np.arange(n_pairs), self.pair_i] = 1.0
-        self._inc_j_real[np.arange(n_pairs), self.pair_j] = 1.0
-        self._inc_i = self._inc_i_real.astype(np.complex128)
-        self._inc_j = self._inc_j_real.astype(np.complex128)
+        # local energy's matmuls with complex weights need no cast.  The HMC
+        # gradient's i-end incidence holds -1: w (-1) is (-w) 1, so ws times
+        # it is (-ws) times the incidence bit for bit, without negating ws
+        inc_i = np.zeros((n_pairs, n))
+        inc_j = np.zeros((n_pairs, n))
+        inc_i[np.arange(n_pairs), self.pair_i] = 1.0
+        inc_j[np.arange(n_pairs), self.pair_j] = 1.0
+        self._minus_inc_i_real, self._inc_j_real = -inc_i, inc_j
+        self._inc_i = inc_i.astype(np.complex128)
+        self._inc_j = inc_j.astype(np.complex128)
         self._inc_sum = self._inc_i + self._inc_j
 
+    def _set_alpha(self, alpha):
+        super()._set_alpha(alpha)
+        # Re w repeated over the columns of a (P, B) batch; ``_angle_grad``
+        # builds it for the batch size it is called with, which HMC keeps
+        self._w_real_cols = np.empty((alpha.size, 0))
+
     def _pair_diffs(self, theta):
-        return theta[:, self.pair_i] - theta[:, self.pair_j]
+        # (B, P) differences from one gather of rows of theta.T: the values
+        # and the Fortran layout of theta[:, pair_i] - theta[:, pair_j];
+        # BLAS rounds the matmuls by operand layout
+        n_pairs = self.pair_i.size
+        rows = theta.T.take(self._pair_ij, axis=0)
+        return (rows[:n_pairs] - rows[n_pairs:]).T
 
     def _log_psi(self, theta):
         return np.cos(self._pair_diffs(theta)) @ self.alpha
@@ -44,9 +59,15 @@ class Jastrow(VariationalState):
         return -ws @ self._inc_i + ws @ self._inc_j
 
     def _angle_grad(self, theta):
-        # Re d1 alone, in real arithmetic: Re(w sin d) = Re(w) sin d
-        ws = self.alpha.real * np.sin(self._pair_diffs(theta))
-        return -ws @ self._inc_i_real + ws @ self._inc_j_real
+        # Re d1 alone, in real arithmetic: Re(w sin d) = Re(w) sin d, in
+        # place on the contiguous (P, B) transpose of the differences
+        ws = self._pair_diffs(theta)
+        cols = ws.T
+        if self._w_real_cols.shape[1] != cols.shape[1]:
+            self._w_real_cols = np.repeat(self.alpha.real[:, None], cols.shape[1], axis=1)
+        np.sin(cols, out=cols)
+        cols *= self._w_real_cols
+        return ws @ self._minus_inc_i_real + ws @ self._inc_j_real
 
     def _angle_derivatives(self, theta):
         d = self._pair_diffs(theta)

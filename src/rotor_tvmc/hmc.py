@@ -1,11 +1,16 @@
 """Hamiltonian Monte Carlo over rotor configurations.
 
 ``warmup`` and ``sample`` stack their chains once into a (C, N) batch of
-positions and metrics, a (C,) batch of ln p and one step size shared by every
-chain; transitions only read and update these arrays, and the chains get
-their positions, step size and metric back on exit.  ln p is carried: each
-transition evaluates it once, at the proposals, and keeps it for the chains
-that accept.
+positions, metrics and gradients of ln p, a (C,) batch of ln p and one step
+size shared by every chain; transitions only read and update these arrays,
+and the chains get their positions, step size and metric back on exit.  ln p
+and its gradient are carried: each transition evaluates ln p once, at the
+proposals, and its leapfrog starts from the carried gradient and leaves the
+gradient at the proposals, and both are kept for the chains that accept.  A
+trajectory of L leapfrog steps makes L gradient calls, and every ``warmup``
+or ``sample`` call makes one more, on entry.  The carry returns the bits of a
+recomputed gradient because every ansatz's gradient of a row does not depend
+on the other rows of a batch of fixed shape.
 
 Each chain owns a deterministic RNG stream; a transition consumes draws in a
 fixed per-chain order (momenta, trajectory length, accept uniform), so a rerun
@@ -71,6 +76,7 @@ class ChainState:
     eps: float
     mass_diag: np.ndarray
     rng: np.random.Generator
+    grad_calls: int = 0  # batched gradient calls made with this chain
 
 
 def init_chain(n_sites: int, config: HmcConfig, rng: np.random.Generator) -> ChainState:
@@ -90,14 +96,20 @@ def jittered_length(rng: np.random.Generator, l0: int, jitter: float) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _batched_leapfrog(theta, pi, eps, lengths, mass_diag, grad_log_prob):
+def _batched_leapfrog(theta, pi, eps, lengths, mass_diag, grad_log_prob, grad=None):
     """Half-kick/drift/half-kick leapfrog with a per-chain number of steps.
 
     ``theta`` and ``pi`` are (B, N) batches, ``eps`` is the step size every
     chain shares and ``lengths`` holds one step count per chain.  Interior
     kicks are fused.  Chains whose trajectory is already finished are frozen:
     they drift by 0 and are kicked by 0, so per-chain results match running
-    each chain as its own batch exactly.
+    each chain as its own batch exactly.  Steps on which every chain is
+    active drift without the mask.
+
+    ``grad``, when given, holds the gradient of ln p at ``theta``, which is
+    then not evaluated again; on return it holds the gradient at the end of
+    each chain's trajectory.  A trajectory of L steps thus makes L gradient
+    calls, or L + 1 without ``grad``.
     """
     theta = np.array(theta, dtype=np.float64)
     pi = np.array(pi, dtype=np.float64)
@@ -107,13 +119,21 @@ def _batched_leapfrog(theta, pi, eps, lengths, mass_diag, grad_log_prob):
     steps = np.arange(max_steps)[:, None, None]
     ends = lengths[None, :, None]
     active = steps < ends
+    all_active = active.all(axis=(1, 2))
     kicks = np.where(steps < ends - 1, eps,
                      np.where(steps == ends - 1, 0.5 * eps, 0.0))
+    move = np.empty_like(theta)
     with np.errstate(all="ignore"):
-        pi = pi + 0.5 * eps * grad_log_prob(theta)
+        g = grad_log_prob(theta) if grad is None else grad
+        pi += np.multiply(0.5 * eps, g, out=move)
         for step in range(max_steps):
-            theta = theta + np.where(active[step], eps * pi / mass_diag, 0.0)
-            pi = pi + kicks[step] * grad_log_prob(theta)
+            np.multiply(eps, pi, out=move)
+            move /= mass_diag
+            theta += move if all_active[step] else np.where(active[step], move, 0.0)
+            g = grad_log_prob(theta)
+            pi += np.multiply(kicks[step], g, out=move)
+    if grad is not None:
+        grad[...] = g
     return theta, pi
 
 
@@ -121,42 +141,63 @@ def _kinetic(pi, mass_diag):
     return 0.5 * np.sum(np.square(pi) / mass_diag, axis=-1)
 
 
-def _stack(chains: list[ChainState], target):
-    """(theta, mass, log_p, eps, rngs) of the chains as one batch."""
-    theta = np.stack([c.theta for c in chains])
-    with np.errstate(all="ignore"):
-        log_p = target.log_prob(theta)
-    return (theta, np.stack([c.mass_diag for c in chains]), log_p,
-            chains[0].eps, [c.rng for c in chains])
+class _Batch:
+    """The chains as one batch: (C, N) positions, metric (with its square
+    root) and gradient of ln p, (C,) ln p, the step size every chain shares,
+    the per-chain generators and the gradient calls made so far.
+
+    ln p and its gradient are evaluated once, here, and then only by the
+    transitions, which keep them where a chain accepts.
+    """
+
+    def __init__(self, chains: list[ChainState], target):
+        self.theta = np.stack([c.theta for c in chains])
+        self.eps = chains[0].eps
+        self.rngs = [c.rng for c in chains]
+        self.set_mass(np.stack([c.mass_diag for c in chains]))
+        with np.errstate(all="ignore"):
+            self.log_p = target.log_prob(self.theta)
+            self.grad = target.grad_log_prob(self.theta)
+        self.grad_calls = 1
+
+    def set_mass(self, mass) -> None:
+        self.mass, self.sqrt_mass = mass, np.sqrt(mass)
+
+    def unstack(self, chains: list[ChainState], eps: float) -> None:
+        """Give the chains their positions, ``eps``, metric and gradient calls."""
+        for chain, theta_c, mass_c in zip(chains, self.theta, self.mass):
+            chain.theta, chain.eps, chain.mass_diag = theta_c, eps, mass_c
+            chain.grad_calls += self.grad_calls
 
 
-def _unstack(chains: list[ChainState], theta, eps: float, mass) -> None:
-    for chain, theta_c, mass_c in zip(chains, theta, mass):
-        chain.theta, chain.eps, chain.mass_diag = theta_c, eps, mass_c
-
-
-def _transition(theta, log_p, mass, eps, rngs, target, config: HmcConfig):
-    """One accept/reject HMC update of the batch, in place on theta and log_p.
+def _transition(batch: _Batch, target, config: HmcConfig):
+    """One accept/reject HMC update of the batch, in place on its positions,
+    ln p and gradient.
 
     Returns the Metropolis statistic min(1, exp(-dH)) per chain (0 for
     divergent proposals), which feeds dual averaging, and the per-chain
     accept and divergence flags.
     """
-    pi = np.stack([rng.normal(size=theta.shape[1]) for rng in rngs]) * np.sqrt(mass)
+    rngs = batch.rngs
+    pi = np.stack([rng.normal(size=batch.theta.shape[1]) for rng in rngs]) * batch.sqrt_mass
     lengths = np.array([jittered_length(rng, config.l0, config.jitter) for rng in rngs])
-    uniforms = np.array([rng.uniform() for rng in rngs])
+    # random() is uniform() on [0, 1): the same double from the same stream
+    uniforms = np.array([rng.random() for rng in rngs])
 
+    grad_new = batch.grad.copy()
     with np.errstate(all="ignore"):
-        h0 = -log_p + _kinetic(pi, mass)
-        theta_new, pi_new = _batched_leapfrog(theta, pi, eps, lengths, mass,
-                                              target.grad_log_prob)
+        h0 = -batch.log_p + _kinetic(pi, batch.mass)
+        theta_new, pi_new = _batched_leapfrog(batch.theta, pi, batch.eps, lengths,
+                                              batch.mass, target.grad_log_prob, grad_new)
         log_p_new = target.log_prob(theta_new)
-        dh = -log_p_new + _kinetic(pi_new, mass) - h0
+        dh = -log_p_new + _kinetic(pi_new, batch.mass) - h0
         divergent = ~np.isfinite(dh) | (np.abs(dh) > DIVERGENCE_THRESHOLD)
         alpha = np.where(divergent, 0.0, np.minimum(1.0, np.exp(np.minimum(-dh, 0.0))))
         accept = ~divergent & (uniforms < alpha)
-    theta[accept] = theta_new[accept]
-    log_p[accept] = log_p_new[accept]
+    batch.theta[accept] = theta_new[accept]
+    batch.log_p[accept] = log_p_new[accept]
+    batch.grad[accept] = grad_new[accept]
+    batch.grad_calls += int(lengths.max())
     return alpha, accept, divergent
 
 
@@ -203,17 +244,17 @@ def warmup(chains: list[ChainState], config: HmcConfig, target) -> list[ChainSta
     iterates settle, which biases the post-warmup acceptance rate well
     above the target.
     """
-    theta, mass, log_p, eps, rngs = _stack(chains, target)
-    da = _DualAveraging(eps, config.target_accept)
+    batch = _Batch(chains, target)
+    da = _DualAveraging(batch.eps, config.target_accept)
     for window_len, kind in warmup_windows(config.n_warmup, config.n_slow_windows):
         for attempt in range(2):
-            draws = np.empty((window_len,) + theta.shape)
+            draws = np.empty((window_len,) + batch.theta.shape)
             n_accepted = 0
             for step in range(window_len):
-                alpha, accept, _ = _transition(theta, log_p, mass, eps, rngs, target, config)
+                alpha, accept, _ = _transition(batch, target, config)
                 n_accepted += int(accept.sum())
-                eps = da.update(alpha.mean())
-                draws[step] = theta
+                batch.eps = da.update(alpha.mean())
+                draws[step] = batch.theta
             # rescue only a genuinely stuck sampler: no chain accepted
             # anything in the whole window.  A single chain with an unlucky
             # streak is ordinary noise for the shared, still-adapting step
@@ -224,13 +265,14 @@ def warmup(chains: list[ChainState], config: HmcConfig, target) -> list[ChainSta
                 raise WarmupError(
                     f"every proposal of a {kind} window was rejected twice"
                 )
-            eps *= 0.5
-            da = _DualAveraging(eps, config.target_accept)
+            batch.eps *= 0.5
+            da = _DualAveraging(batch.eps, config.target_accept)
         if kind == "slow":
             # every (chain, site) column is one site's series
             variance = circular_site_stats(draws.reshape(window_len, -1))
-            mass = np.clip(variance, MASS_FLOOR, MASS_CEILING).reshape(theta.shape)
-    _unstack(chains, theta, da.final(), mass)
+            batch.set_mass(
+                np.clip(variance, MASS_FLOOR, MASS_CEILING).reshape(batch.theta.shape))
+    batch.unstack(chains, da.final())
     return chains
 
 
@@ -257,21 +299,26 @@ class SampleDiagnostics:
     divergences: np.ndarray  # per chain
     rhat_max: float
     warnings: list[str] = field(default_factory=list)
+    # batched gradient calls the chains made so far, warmup included
+    grad_calls: int = 0
 
 
 def sample(chains: list[ChainState], n_samples: int, target, config: HmcConfig):
     """Draw n_samples per chain, all chains as one batch; returns
-    ((Nc*Ns, N) samples ordered by chain, then draw; diagnostics)."""
-    theta, mass, log_p, eps, rngs = _stack(chains, target)
-    by_chain = np.empty((theta.shape[0], n_samples, theta.shape[1]))
-    accepted = np.zeros(theta.shape[0], dtype=int)
-    divergences = np.zeros(theta.shape[0], dtype=int)
+    ((Nc*Ns, N) samples ordered by chain, then draw; diagnostics).  The
+    angles are wrapped once, when the draw is complete."""
+    batch = _Batch(chains, target)
+    n_chains, n_sites = batch.theta.shape
+    by_chain = np.empty((n_chains, n_samples, n_sites))
+    accepted = np.zeros(n_chains, dtype=int)
+    divergences = np.zeros(n_chains, dtype=int)
     for s in range(n_samples):
-        _, accept, divergent = _transition(theta, log_p, mass, eps, rngs, target, config)
+        _, accept, divergent = _transition(batch, target, config)
         accepted += accept
         divergences += divergent
-        by_chain[:, s] = wrap_angle(theta)
-    _unstack(chains, theta, eps, mass)
+        by_chain[:, s] = batch.theta
+    batch.unstack(chains, batch.eps)
+    by_chain = wrap_angle(by_chain)
 
     # (2N, Nc, Ns) cos and sin series of every coordinate, draws contiguous
     angles = np.ascontiguousarray(by_chain.transpose(2, 0, 1))
@@ -286,5 +333,6 @@ def sample(chains: list[ChainState], n_samples: int, target, config: HmcConfig):
         divergences=divergences,
         rhat_max=rhat_max,
         warnings=warnings,
+        grad_calls=chains[0].grad_calls,
     )
     return by_chain.reshape(-1, by_chain.shape[2]), diag

@@ -131,6 +131,25 @@ def _log_mean_exp(z: np.ndarray, weights=None) -> complex:
     return complex(np.log(weights @ np.exp(z - shift)) + shift)
 
 
+def _resampled_log_means(z: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """``_log_mean_exp(z[p].ravel())`` for each row p of ``picks``, bit for bit.
+
+    A replicate's shift is the largest real part of the rows it picks, so
+    exp(z - shift) is taken for all rows once per row that sets a shift,
+    not once per replicate.
+    """
+    tops = np.max(np.real(z).reshape(len(z), -1), axis=1)
+    terms = {}
+    out = np.empty(len(picks), dtype=np.complex128)
+    for r, pick in enumerate(picks):
+        top = pick[np.argmax(tops[pick])]
+        shift = float(tops[top])
+        if top not in terms:
+            terms[top] = np.exp(z - shift)
+        out[r] = np.log(np.mean(terms[top][pick].ravel())) + shift
+    return out
+
+
 @dataclass
 class FidelityResult:
     value: float
@@ -171,7 +190,9 @@ def fidelity_of_log_ratios(z0, zt, weights_0=None, weights_t=None) -> FidelityRe
     product is clamped to [0, 1].  If both factors underflow (log means
     below -700) the overlap is reported as 0 with ``overlap_lost`` set.
     Without weights, the error bar resamples the first axis of z_0 and z_t:
-    whole chains when they are (chains, draws).
+    whole chains when they are (chains, draws).  The picks of every replicate
+    come from one generator call, in the order that one replicate at a time
+    would draw them (z_0's, then z_t's).
     """
     log_f0 = _log_mean_exp(np.ravel(z0), weights_0)
     log_ft = _log_mean_exp(np.ravel(zt), weights_t)
@@ -184,11 +205,11 @@ def fidelity_of_log_ratios(z0, zt, weights_0=None, weights_t=None) -> FidelityRe
     if weights_0 is not None:
         return FidelityResult(value, 0.0, raw, clamped, False)
 
-    rng = np.random.default_rng(BOOTSTRAP_SEED)
-    estimates = np.empty(DEFAULT_RESAMPLES)
-    for r in range(DEFAULT_RESAMPLES):
-        pick0 = rng.integers(0, z0.shape[0], size=z0.shape[0])
-        pick_t = rng.integers(0, zt.shape[0], size=zt.shape[0])
-        f = np.exp(_log_mean_exp(z0[pick0].ravel()) + _log_mean_exp(zt[pick_t].ravel()))
-        estimates[r] = min(1.0, max(0.0, float(np.real(f))))
+    n0, n_t = z0.shape[0], zt.shape[0]
+    picks = np.random.default_rng(BOOTSTRAP_SEED).integers(
+        0, np.repeat([n0, n_t], [n0, n_t]), size=(DEFAULT_RESAMPLES, n0 + n_t))
+    log_f = (_resampled_log_means(z0, picks[:, :n0])
+             + _resampled_log_means(zt, picks[:, n0:]))
+    # fmax(0, nan) is 0, as max(0, nan) is; the estimates feed only the std
+    estimates = np.fmin(1.0, np.fmax(0.0, np.real(np.exp(log_f))))
     return FidelityResult(value, float(np.std(estimates)), raw, clamped, False)

@@ -210,7 +210,8 @@ class _HmcEngine:
     reweighted estimate runs no chain and leaves the counter as it is.
 
     ``warnings`` counts each sampler warning message over all draws; a
-    message is printed on stderr the first time it occurs.
+    message is printed on stderr the first time it occurs.  ``grad_calls``
+    sums the chains' gradient calls, warmup included, over all draws.
     """
 
     def __init__(self, config: RunConfig, mode_code: int):
@@ -218,6 +219,7 @@ class _HmcEngine:
         self.mode_code = mode_code
         self.counter = 0
         self.warnings: Counter[str] = Counter()
+        self.grad_calls = 0
 
     def sample(self, state, counter: int | None = None):
         """(n_chains, n_samples, N) angles from |psi|^2 at state.alpha, and
@@ -236,6 +238,7 @@ class _HmcEngine:
         ]
         warmup(chains, cfg.hmc, state)
         flat, diag = sample(chains, cfg.hmc.n_samples, state, cfg.hmc)
+        self.grad_calls += diag.grad_calls
         for message in diag.warnings:
             if message not in self.warnings:
                 print(f"sampler warning: {message}", file=sys.stderr)
@@ -285,6 +288,7 @@ class _QuadratureEngine:
         )
         self.angles = Angles(self.grid, config.lattice)
         self.warnings: Counter[str] = Counter()
+        self.grad_calls = 0  # no sampler
 
     def draw(self, state, g: float, J: float, out=None):
         """The grid with its normalized |psi|^2 weights, and the QGT estimate,
@@ -397,7 +401,7 @@ def run_ground_state(config: RunConfig, state=None,
             [("ground_state.csv", ["iteration", "energy", "energy_per_site"], rows)],
             converged=converged, iterations=len(energies),
             final_energy=energies[-1] if energies else None,
-            sampler_warnings=dict(engine.warnings),
+            sampler_warnings=dict(engine.warnings), hmc_grad_calls=engine.grad_calls,
         )
         save_checkpoint(out_dir / "ground_state.npz", state, 0.0,
                         extra={"converged": converged, "g": g})
@@ -458,7 +462,8 @@ class Quench:
     The anchor is ``last`` at the start of the step, so a rejected
     attempt's last stage never becomes it.  ``fresh_draws``,
     ``reweighted_stages`` and ``min_reweight_ess`` (the smallest Kish ESS/n
-    of any stage's reweighting, None when there was none) count them.
+    of any stage's reweighting, None when there was none) count them;
+    ``metadata.json`` adds the engine's ``grad_calls`` as ``hmc_grad_calls``.
     """
 
     config: RunConfig
@@ -540,6 +545,7 @@ class Quench:
              *tables],
             status=self.status, steps=len(self.rows) - 1, final_time=self.t,
             sampler_warnings=self.sampler_warnings, fresh_draws=self.fresh_draws,
+            hmc_grad_calls=self.engine.grad_calls,
             reweighted_stages=self.reweighted_stages,
             min_reweight_ess=self.min_reweight_ess, **fields,
         )

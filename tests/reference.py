@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from rotor_tvmc import exact
+from rotor_tvmc import exact, hmc, observables
 from rotor_tvmc.exact import TruncatedBasis, angle_grid, grid_points
 from rotor_tvmc.quadrature import born_weights
 
@@ -148,3 +148,63 @@ def log_psi_periodicity_check(state, theta, k: int, tol=1e-12) -> bool:
     shifted[k] += 2.0 * np.pi
     # compare exponentials so a 2 pi i ambiguity in the log cannot trip us up
     return abs(np.exp(state.log_psi(theta) - state.log_psi(shifted)) - 1.0) <= tol
+
+
+def masked_leapfrog(theta, pi, eps, lengths, mass_diag, grad_log_prob):
+    """The batched leapfrog with the gradient evaluated at its start and a
+    drift mask on every step."""
+    theta = np.array(theta, dtype=np.float64)
+    pi = np.array(pi, dtype=np.float64)
+    lengths = np.asarray(lengths)
+    max_steps = int(np.max(lengths))
+    steps = np.arange(max_steps)[:, None, None]
+    ends = lengths[None, :, None]
+    active = steps < ends
+    kicks = np.where(steps < ends - 1, eps,
+                     np.where(steps == ends - 1, 0.5 * eps, 0.0))
+    with np.errstate(all="ignore"):
+        pi = pi + 0.5 * eps * grad_log_prob(theta)
+        for step in range(max_steps):
+            theta = theta + np.where(active[step], eps * pi / mass_diag, 0.0)
+            pi = pi + kicks[step] * grad_log_prob(theta)
+    return theta, pi
+
+
+def recomputing_transition(batch, target, config):
+    """The plain form of ``hmc._transition``: each trajectory evaluates the
+    gradient of ln p afresh at its start (``masked_leapfrog``), the momenta
+    scale by sqrt(M) taken per transition, and the accept uniforms come from
+    ``uniform()``.  Updates the batch's positions and ln p in place; its
+    gradient is left as it is."""
+    rngs = batch.rngs
+    pi = np.stack([rng.normal(size=batch.theta.shape[1]) for rng in rngs])
+    pi = pi * np.sqrt(batch.mass)
+    lengths = np.array([hmc.jittered_length(rng, config.l0, config.jitter) for rng in rngs])
+    uniforms = np.array([rng.uniform() for rng in rngs])
+    with np.errstate(all="ignore"):
+        h0 = -batch.log_p + hmc._kinetic(pi, batch.mass)
+        theta_new, pi_new = masked_leapfrog(batch.theta, pi, batch.eps, lengths,
+                                            batch.mass, target.grad_log_prob)
+        log_p_new = target.log_prob(theta_new)
+        dh = -log_p_new + hmc._kinetic(pi_new, batch.mass) - h0
+        divergent = ~np.isfinite(dh) | (np.abs(dh) > hmc.DIVERGENCE_THRESHOLD)
+        alpha = np.where(divergent, 0.0, np.minimum(1.0, np.exp(np.minimum(-dh, 0.0))))
+        accept = ~divergent & (uniforms < alpha)
+    batch.theta[accept] = theta_new[accept]
+    batch.log_p[accept] = log_p_new[accept]
+    return alpha, accept, divergent
+
+
+def fidelity_sigma_by_replicate(z0, zt) -> float:
+    """The fidelity's bootstrap error bar, one replicate at a time: each
+    draws its picks of z_0's rows, then of z_t's, and clamps its estimate
+    to [0, 1]."""
+    rng = np.random.default_rng(observables.BOOTSTRAP_SEED)
+    estimates = np.empty(observables.DEFAULT_RESAMPLES)
+    for r in range(observables.DEFAULT_RESAMPLES):
+        pick0 = rng.integers(0, z0.shape[0], size=z0.shape[0])
+        pick_t = rng.integers(0, zt.shape[0], size=zt.shape[0])
+        f = np.exp(observables._log_mean_exp(z0[pick0].ravel())
+                   + observables._log_mean_exp(zt[pick_t].ravel()))
+        estimates[r] = min(1.0, max(0.0, float(np.real(f))))
+    return float(np.std(estimates))

@@ -190,6 +190,30 @@ class TestFirstOrderGradient:
         assert np.allclose(state.grad_log_prob(theta[0]), expected[0], rtol=1e-12, atol=0)
 
 
+class TestGradientRows:
+    """HMC carries a chain's gradient from the batch of one leapfrog step to
+    the next trajectory's batch, where the other rows hold other chains: a
+    row's gradient must not depend on the rest of a batch of fixed shape."""
+
+    @pytest.mark.parametrize("kind,hyper", [
+        ("jastrow", {}), ("rbm", {"n_hidden": 4}),
+        ("rbm", {"convolutional": True}), ("cnn", {"depth": 2, "n_modes": 2}),
+    ])
+    def test_rows_move_with_their_gradients(self, kind, hyper):
+        lattice = build_lattice((3,), (True,))
+        state = _random_state(kind, lattice, hyper, seed=26, scale=0.7)
+        rng = np.random.default_rng(27)
+        theta = rng.uniform(-np.pi, np.pi, size=(8, 3))
+        grad = state.grad_log_prob(theta)
+        for _ in range(5):
+            perm = rng.permutation(8)
+            assert np.array_equal(state.grad_log_prob(theta[perm]), grad[perm])
+        # the other rows replaced by new configurations
+        mixed = rng.uniform(-np.pi, np.pi, size=(8, 3))
+        mixed[::2] = theta[::2]
+        assert np.array_equal(state.grad_log_prob(mixed)[::2], grad[::2])
+
+
 def _einsum_forward(state, theta):
     """The RBM forward pass as written with einsum, kept as the test reference."""
     blocks = state.blocks()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import recomputing_transition
 from scipy.special import i0, i1
 
 from rotor_tvmc import hmc
@@ -220,10 +221,15 @@ class CountingVonMises(VonMises):
     def __init__(self, kappa=2.0):
         super().__init__(kappa)
         self.log_prob_calls = 0
+        self.grad_calls = 0
 
     def log_prob(self, theta):
         self.log_prob_calls += 1
         return super().log_prob(theta)
+
+    def grad_log_prob(self, theta):
+        self.grad_calls += 1
+        return super().grad_log_prob(theta)
 
 
 class TestCarriedLogProb:
@@ -241,6 +247,88 @@ class TestCarriedLogProb:
         target.log_prob_calls = 0
         hmc.sample(chains, 30, target, cfg)
         assert target.log_prob_calls == 1 + 30
+
+
+def _workload_jastrow():
+    """The 4x4 quench workload's initial state: nearest-neighbour couplings
+    of 0.4 on top of ``random_alpha`` noise."""
+    state = make_ansatz("jastrow", build_lattice((4, 4), (True, True)))
+    pair = {(i, j): p for p, (i, j) in enumerate(zip(state.pair_i, state.pair_j))}
+    alpha = random_alpha(state, np.random.default_rng(31))
+    for k, l in state.lattice.bonds:
+        alpha[pair[(int(k), int(l))]] += 0.4
+    return state.with_alpha(alpha)
+
+
+def _rbm_2x2():
+    state = make_ansatz("rbm", build_lattice((2, 2), (True, True)), n_hidden=4)
+    return state.with_alpha(random_alpha(state, np.random.default_rng(32), 0.7))
+
+
+def _flat_cnn():
+    """c6's chi^2 target: a 3-site CNN with a zeroed final kernel."""
+    state = make_ansatz("cnn", build_lattice((3,), (True,)), depth=2, n_modes=1)
+    return zero_final_kernel(state.with_alpha(random_alpha(state, np.random.default_rng(5))))
+
+
+CARRY_TARGETS = {
+    "jastrow_4x4": (_workload_jastrow, 16),
+    "rbm_2x2": (_rbm_2x2, 4),
+    "cnn_chi2": (_flat_cnn, 3),
+    "von_mises": (lambda: VonMises(2.0), 3),
+}
+
+
+class TestCarriedGradient:
+    @pytest.mark.parametrize("name", list(CARRY_TARGETS))
+    def test_replays_the_recomputed_gradient(self, name, monkeypatch):
+        # the gradient kept from the end of the last accepted trajectory is
+        # the one a fresh evaluation at its start gives, bit for bit
+        build, n_sites = CARRY_TARGETS[name]
+        target = build()
+        cfg = hmc.HmcConfig(l0=5, n_warmup=72, n_slow_windows=2,
+                            n_samples=40, n_chains=4)
+
+        def run():
+            chains = [hmc.init_chain(n_sites, cfg, np.random.default_rng([33, c]))
+                      for c in range(cfg.n_chains)]
+            hmc.warmup(chains, cfg, target)
+            samples, diag = hmc.sample(chains, cfg.n_samples, target, cfg)
+            return samples, diag, chains
+
+        samples, diag, chains = run()
+        monkeypatch.setattr(hmc, "_transition", recomputing_transition)
+        ref_samples, ref_diag, ref_chains = run()
+        assert np.array_equal(samples, ref_samples)
+        assert np.array_equal(diag.acceptance, ref_diag.acceptance)
+        assert np.array_equal(diag.divergences, ref_diag.divergences)
+        for chain, ref in zip(chains, ref_chains):
+            assert chain.eps == ref.eps
+            assert np.array_equal(chain.mass_diag, ref.mass_diag)
+            assert np.array_equal(chain.theta, ref.theta)
+
+    def test_one_gradient_per_leapfrog_step(self, monkeypatch):
+        cfg = hmc.HmcConfig(l0=5, n_warmup=80, n_slow_windows=2,
+                            n_samples=30, n_chains=3)
+        target = CountingVonMises()
+        steps = []
+        real_leapfrog = hmc._batched_leapfrog
+
+        def recording(theta, pi, eps, lengths, *args):
+            steps.append(int(np.max(lengths)))
+            return real_leapfrog(theta, pi, eps, lengths, *args)
+
+        monkeypatch.setattr(hmc, "_batched_leapfrog", recording)
+        chains = [hmc.init_chain(2, cfg, np.random.default_rng([9, c])) for c in range(3)]
+        hmc.warmup(chains, cfg, target)
+        warmup_calls = target.grad_calls
+        assert warmup_calls == 1 + sum(steps)
+        assert all(c.grad_calls == warmup_calls for c in chains)
+        target.grad_calls, steps[:] = 0, []
+        _, diag = hmc.sample(chains, 30, target, cfg)
+        assert len(steps) == 30
+        assert target.grad_calls == 1 + sum(steps)
+        assert diag.grad_calls == warmup_calls + target.grad_calls
 
 
 def split_rhat_one(per_chain):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference import loop_circulation
+from reference import fidelity_sigma_by_replicate, loop_circulation
 
 from rotor_tvmc.ansatz import make_ansatz, random_alpha
 from rotor_tvmc.exact import grid_points
@@ -173,6 +173,22 @@ class TestFidelity:
         ref = fidelity(a, b, grid, grid, weights_0=w0, weights_t=wt)
         assert fidelity_of_log_ratios(lb - la, la - lb, w0, wt) == ref
         assert 0.9 < ref.value < 1.0
+
+    @pytest.mark.parametrize("shape_0,shape_t", [
+        ((6, 400), (6, 400)), ((4, 30), (7, 11)), ((500,), (300,)), ((3, 5), (3, 5)),
+        ((5, 7), (5, 7)),
+    ])
+    def test_bootstrap_is_the_replicate_loop(self, shape_0, shape_t):
+        rng = np.random.default_rng(8)
+        z0 = rng.normal(0.0, 0.3, shape_0) + 1j * rng.normal(0.0, 0.2, shape_0)
+        zt = rng.normal(0.0, 0.3, shape_t) + 1j * rng.normal(0.0, 0.2, shape_t)
+        if shape_0 == (3, 5):
+            z0 += 0.1  # F near 1: some replicates' estimates are clamped to 1
+        if shape_0 == (5, 7):
+            z0[2, 3] = np.nan  # replicates that pick row 2 estimate 0
+        with np.errstate(invalid="ignore"):
+            result = fidelity_of_log_ratios(z0, zt)
+            assert result.sigma == fidelity_sigma_by_replicate(z0, zt)
 
     def test_value_clamped_to_unit_interval(self):
         a, b = self._states()

@@ -752,6 +752,52 @@ class TestSamplerWarnings:
         ).read_bytes()
 
 
+class TestGradCalls:
+    """``hmc_grad_calls`` in metadata.json counts every gradient call that
+    the fresh draws' warmup and sampling make."""
+
+    @staticmethod
+    def _count_grad_calls(monkeypatch):
+        calls = []
+        real = VariationalState.grad_log_prob
+
+        def counting(self, theta):
+            calls.append(len(theta))
+            return real(self, theta)
+
+        monkeypatch.setattr(VariationalState, "grad_log_prob", counting)
+        return calls
+
+    def test_quench(self, tmp_path, monkeypatch):
+        config = load_config(write_ini(tmp_path, HMC_INI))
+        state = make_ansatz("jastrow", config.lattice)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(5), 0.2))
+        calls = self._count_grad_calls(monkeypatch)
+        out = tmp_path / "out"
+        run_quench(config, state, out_dir=out)
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["hmc_grad_calls"] == len(calls) > 0
+        # every call is on one (n_chains, N) batch
+        assert set(calls) == {config.hmc.n_chains}
+
+    def test_ground_state(self, tmp_path, monkeypatch):
+        text = HMC_INI.replace("window = 10\nmax_iters = 500", "window = 2\nmax_iters = 3")
+        config = load_config(write_ini(tmp_path, text.replace("tolerance = 1e-6", "tolerance = 1e3")))
+        calls = self._count_grad_calls(monkeypatch)
+        out = tmp_path / "gs"
+        run_ground_state(config, out_dir=out)
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["hmc_grad_calls"] == len(calls) > 0
+
+    def test_quadrature_makes_none(self, tmp_path):
+        config = load_config(write_ini(tmp_path, BASE_INI))
+        state = make_ansatz("jastrow", config.lattice)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(5), 0.2))
+        out = tmp_path / "out"
+        run_quench(config, state, out_dir=out)
+        assert json.loads((out / "metadata.json").read_text())["hmc_grad_calls"] == 0
+
+
 class TestStripWithoutPlaquettes:
     @pytest.mark.parametrize("ini", [BASE_INI, HMC_INI], ids=["quadrature", "hmc"])
     def test_vorticity_is_nan(self, tmp_path, ini):
@@ -1056,7 +1102,8 @@ class TestReweightedStages:
             assert runner.MIN_REWEIGHT_ESS <= meta["min_reweight_ess"] <= 1.0
         # telemetry stays out of the trajectory
         header = (out / "trajectory.csv").read_text().splitlines()[0].split(",")
-        assert not {"fresh_draws", "reweighted_stages", "min_reweight_ess"} & set(header)
+        assert not {"fresh_draws", "reweighted_stages", "min_reweight_ess",
+                    "hmc_grad_calls"} & set(header)
 
     def test_a_rejected_attempt_never_becomes_the_anchor(self, tmp_path, monkeypatch):
         # the first attempt of each of the first two steps is rejected; each
