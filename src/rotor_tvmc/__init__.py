@@ -15,7 +15,7 @@ from .ansatz import (
     random_alpha,
     zero_final_kernel,
 )
-from .hmc import HmcConfig, WarmupError, sample, warmup
+from .hmc import Chains, HmcConfig, WarmupError, sample, warmup
 from .integrator import AdaptiveStepper, StepController, StepSizeUnderflow, rk32_step
 from .lattice import Lattice, build_lattice, circular_site_stats, wrap_angle
 from .tdvp import (
@@ -31,6 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveStepper",
+    "Chains",
     "CircularRBM",
     "HmcConfig",
     "Jastrow",

@@ -1,16 +1,17 @@
 """Hamiltonian Monte Carlo over rotor configurations.
 
-``warmup`` and ``sample`` stack their chains once into a (C, N) batch of
-positions, metrics and gradients of ln p, a (C,) batch of ln p and one step
-size shared by every chain; transitions only read and update these arrays,
-and the chains get their positions, step size and metric back on exit.  ln p
-and its gradient are carried: each transition evaluates ln p once, at the
+The chains are one batch, ``Chains``, from their first position to their last
+sample: (C, N) positions, metrics and gradients of ln p, a (C,) batch of ln p,
+one step size shared by every chain and the per-chain generators.  ``Chains``
+evaluates ln p and its gradient once, at the start angles; ``warmup`` and
+``sample`` then update the batch in place and never evaluate either on entry.
+ln p and its gradient are carried: each transition evaluates ln p once, at the
 proposals, and its leapfrog starts from the carried gradient and leaves the
 gradient at the proposals, and both are kept for the chains that accept.  A
-trajectory of L leapfrog steps makes L gradient calls, and every ``warmup``
-or ``sample`` call makes one more, on entry.  The carry returns the bits of a
-recomputed gradient because every ansatz's gradient of a row does not depend
-on the other rows of a batch of fixed shape.
+trajectory of L leapfrog steps makes L gradient calls, so a draw makes
+1 + sum of L_max gradient calls.  The carry returns the bits of a recomputed
+gradient because every ansatz's gradient of a row does not depend on the
+other rows of a batch of fixed shape.
 
 Each chain owns a deterministic RNG stream; a transition consumes draws in a
 fixed per-chain order (momenta, trajectory length, accept uniform), so a rerun
@@ -34,8 +35,11 @@ import numpy as np
 from .lattice import circular_site_stats, wrap_angle
 
 DIVERGENCE_THRESHOLD = 1000.0
+DIVERGENCE_WARNING = "divergent transitions after warmup"
 MASS_FLOOR = 1e-6
 MASS_CEILING = 1e6
+# the first slow window, n_warmup // 36 transitions, needs two draws for a variance
+MIN_WARMUP = 72
 
 # dual-averaging constants (shrinkage, stabilization offset, decay exponent)
 DA_GAMMA = 0.05
@@ -59,34 +63,16 @@ class HmcConfig:
     n_chains: int = 20
 
     def __post_init__(self):
-        if min(self.l0, self.n_warmup, self.n_slow_windows,
-               self.n_samples, self.n_chains) < 1:
+        if min(self.l0, self.n_slow_windows, self.n_samples, self.n_chains) < 1:
             raise ValueError("all counts must be >= 1")
+        if self.n_warmup < MIN_WARMUP:
+            raise ValueError(f"n_warmup must be >= {MIN_WARMUP}, got {self.n_warmup}")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must lie in [0, 1)")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target acceptance must lie in (0, 1)")
         if self.eps0 <= 0:
             raise ValueError("eps0 must be positive")
-
-
-@dataclass
-class ChainState:
-    theta: np.ndarray
-    eps: float
-    mass_diag: np.ndarray
-    rng: np.random.Generator
-    grad_calls: int = 0  # batched gradient calls made with this chain
-
-
-def init_chain(n_sites: int, config: HmcConfig, rng: np.random.Generator) -> ChainState:
-    theta = rng.uniform(-np.pi, np.pi, size=n_sites)
-    return ChainState(
-        theta=theta,
-        eps=config.eps0,
-        mass_diag=np.ones(n_sites),
-        rng=rng,
-    )
 
 
 def jittered_length(rng: np.random.Generator, l0: int, jitter: float) -> int:
@@ -96,7 +82,7 @@ def jittered_length(rng: np.random.Generator, l0: int, jitter: float) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _batched_leapfrog(theta, pi, eps, lengths, mass_diag, grad_log_prob, grad=None):
+def _batched_leapfrog(theta, pi, eps, lengths, mass_diag, grad_log_prob, grad):
     """Half-kick/drift/half-kick leapfrog with a per-chain number of steps.
 
     ``theta`` and ``pi`` are (B, N) batches, ``eps`` is the step size every
@@ -106,10 +92,9 @@ def _batched_leapfrog(theta, pi, eps, lengths, mass_diag, grad_log_prob, grad=No
     each chain as its own batch exactly.  Steps on which every chain is
     active drift without the mask.
 
-    ``grad``, when given, holds the gradient of ln p at ``theta``, which is
-    then not evaluated again; on return it holds the gradient at the end of
-    each chain's trajectory.  A trajectory of L steps thus makes L gradient
-    calls, or L + 1 without ``grad``.
+    ``grad`` holds the gradient of ln p at ``theta``, which is not
+    evaluated again; on return it holds the gradient at the end of each
+    chain's trajectory.  A trajectory of L steps thus makes L gradient calls.
     """
     theta = np.array(theta, dtype=np.float64)
     pi = np.array(pi, dtype=np.float64)
@@ -124,16 +109,14 @@ def _batched_leapfrog(theta, pi, eps, lengths, mass_diag, grad_log_prob, grad=No
                      np.where(steps == ends - 1, 0.5 * eps, 0.0))
     move = np.empty_like(theta)
     with np.errstate(all="ignore"):
-        g = grad_log_prob(theta) if grad is None else grad
-        pi += np.multiply(0.5 * eps, g, out=move)
+        pi += np.multiply(0.5 * eps, grad, out=move)
         for step in range(max_steps):
             np.multiply(eps, pi, out=move)
             move /= mass_diag
             theta += move if all_active[step] else np.where(active[step], move, 0.0)
             g = grad_log_prob(theta)
             pi += np.multiply(kicks[step], g, out=move)
-    if grad is not None:
-        grad[...] = g
+    grad[...] = g
     return theta, pi
 
 
@@ -141,20 +124,22 @@ def _kinetic(pi, mass_diag):
     return 0.5 * np.sum(np.square(pi) / mass_diag, axis=-1)
 
 
-class _Batch:
+class Chains:
     """The chains as one batch: (C, N) positions, metric (with its square
     root) and gradient of ln p, (C,) ln p, the step size every chain shares,
-    the per-chain generators and the gradient calls made so far.
+    the per-chain generators and the batched gradient calls made so far.
 
-    ln p and its gradient are evaluated once, here, and then only by the
-    transitions, which keep them where a chain accepts.
+    Each chain draws its start angles uniformly from its own generator; ε
+    starts at ``eps0`` and the metric at 1.  ln p and its gradient are
+    evaluated once, here, and then only by the transitions, which keep them
+    where a chain accepts.
     """
 
-    def __init__(self, chains: list[ChainState], target):
-        self.theta = np.stack([c.theta for c in chains])
-        self.eps = chains[0].eps
-        self.rngs = [c.rng for c in chains]
-        self.set_mass(np.stack([c.mass_diag for c in chains]))
+    def __init__(self, target, n_sites: int, config: HmcConfig, rngs):
+        self.rngs = list(rngs)
+        self.theta = np.stack([rng.uniform(-np.pi, np.pi, size=n_sites) for rng in self.rngs])
+        self.eps = config.eps0
+        self.set_mass(np.ones_like(self.theta))
         with np.errstate(all="ignore"):
             self.log_p = target.log_prob(self.theta)
             self.grad = target.grad_log_prob(self.theta)
@@ -163,41 +148,35 @@ class _Batch:
     def set_mass(self, mass) -> None:
         self.mass, self.sqrt_mass = mass, np.sqrt(mass)
 
-    def unstack(self, chains: list[ChainState], eps: float) -> None:
-        """Give the chains their positions, ``eps``, metric and gradient calls."""
-        for chain, theta_c, mass_c in zip(chains, self.theta, self.mass):
-            chain.theta, chain.eps, chain.mass_diag = theta_c, eps, mass_c
-            chain.grad_calls += self.grad_calls
 
-
-def _transition(batch: _Batch, target, config: HmcConfig):
-    """One accept/reject HMC update of the batch, in place on its positions,
+def _transition(chains: Chains, target, config: HmcConfig):
+    """One accept/reject HMC update of the chains, in place on their positions,
     ln p and gradient.
 
     Returns the Metropolis statistic min(1, exp(-dH)) per chain (0 for
     divergent proposals), which feeds dual averaging, and the per-chain
     accept and divergence flags.
     """
-    rngs = batch.rngs
-    pi = np.stack([rng.normal(size=batch.theta.shape[1]) for rng in rngs]) * batch.sqrt_mass
+    rngs = chains.rngs
+    pi = np.stack([rng.normal(size=chains.theta.shape[1]) for rng in rngs]) * chains.sqrt_mass
     lengths = np.array([jittered_length(rng, config.l0, config.jitter) for rng in rngs])
     # random() is uniform() on [0, 1): the same double from the same stream
     uniforms = np.array([rng.random() for rng in rngs])
 
-    grad_new = batch.grad.copy()
+    grad_new = chains.grad.copy()
     with np.errstate(all="ignore"):
-        h0 = -batch.log_p + _kinetic(pi, batch.mass)
-        theta_new, pi_new = _batched_leapfrog(batch.theta, pi, batch.eps, lengths,
-                                              batch.mass, target.grad_log_prob, grad_new)
+        h0 = -chains.log_p + _kinetic(pi, chains.mass)
+        theta_new, pi_new = _batched_leapfrog(chains.theta, pi, chains.eps, lengths,
+                                              chains.mass, target.grad_log_prob, grad_new)
         log_p_new = target.log_prob(theta_new)
-        dh = -log_p_new + _kinetic(pi_new, batch.mass) - h0
+        dh = -log_p_new + _kinetic(pi_new, chains.mass) - h0
         divergent = ~np.isfinite(dh) | (np.abs(dh) > DIVERGENCE_THRESHOLD)
         alpha = np.where(divergent, 0.0, np.minimum(1.0, np.exp(np.minimum(-dh, 0.0))))
         accept = ~divergent & (uniforms < alpha)
-    batch.theta[accept] = theta_new[accept]
-    batch.log_p[accept] = log_p_new[accept]
-    batch.grad[accept] = grad_new[accept]
-    batch.grad_calls += int(lengths.max())
+    chains.theta[accept] = theta_new[accept]
+    chains.log_p[accept] = log_p_new[accept]
+    chains.grad[accept] = grad_new[accept]
+    chains.grad_calls += int(lengths.max())
     return alpha, accept, divergent
 
 
@@ -227,15 +206,15 @@ class _DualAveraging:
 
 def warmup_windows(n_warmup: int, n_slow: int) -> list[tuple[int, str]]:
     """(length, kind) schedule: fast, then doubling slow windows, then fast."""
-    windows = [(max(1, n_warmup // 12), "fast")]
-    base = max(1, n_warmup // 36)
-    windows += [(base * 2 ** j, "slow") for j in range(n_slow)]
-    windows.append((max(1, n_warmup // 18), "fast"))
+    windows = [(n_warmup // 12, "fast")]
+    windows += [(n_warmup // 36 * 2 ** j, "slow") for j in range(n_slow)]
+    windows.append((n_warmup // 18, "fast"))
     return windows
 
 
-def warmup(chains: list[ChainState], config: HmcConfig, target) -> list[ChainState]:
-    """Adapt the step size (all windows) and diagonal masses (slow windows).
+def warmup(chains: Chains, config: HmcConfig, target) -> None:
+    """Adapt the step size (all windows) and diagonal masses (slow windows)
+    of the chains, in place.
 
     A single dual-averaging run spans all windows and adapts one step size
     shared by every chain, fed with the chain-averaged Metropolis alpha.
@@ -244,17 +223,16 @@ def warmup(chains: list[ChainState], config: HmcConfig, target) -> list[ChainSta
     iterates settle, which biases the post-warmup acceptance rate well
     above the target.
     """
-    batch = _Batch(chains, target)
-    da = _DualAveraging(batch.eps, config.target_accept)
+    da = _DualAveraging(chains.eps, config.target_accept)
     for window_len, kind in warmup_windows(config.n_warmup, config.n_slow_windows):
         for attempt in range(2):
-            draws = np.empty((window_len,) + batch.theta.shape)
+            draws = np.empty((window_len,) + chains.theta.shape)
             n_accepted = 0
             for step in range(window_len):
-                alpha, accept, _ = _transition(batch, target, config)
+                alpha, accept, _ = _transition(chains, target, config)
                 n_accepted += int(accept.sum())
-                batch.eps = da.update(alpha.mean())
-                draws[step] = batch.theta
+                chains.eps = da.update(alpha.mean())
+                draws[step] = chains.theta
             # rescue only a genuinely stuck sampler: no chain accepted
             # anything in the whole window.  A single chain with an unlucky
             # streak is ordinary noise for the shared, still-adapting step
@@ -265,15 +243,14 @@ def warmup(chains: list[ChainState], config: HmcConfig, target) -> list[ChainSta
                 raise WarmupError(
                     f"every proposal of a {kind} window was rejected twice"
                 )
-            batch.eps *= 0.5
-            da = _DualAveraging(batch.eps, config.target_accept)
+            chains.eps *= 0.5
+            da = _DualAveraging(chains.eps, config.target_accept)
         if kind == "slow":
             # every (chain, site) column is one site's series
             variance = circular_site_stats(draws.reshape(window_len, -1))
-            batch.set_mass(
-                np.clip(variance, MASS_FLOOR, MASS_CEILING).reshape(batch.theta.shape))
-    batch.unstack(chains, da.final())
-    return chains
+            chains.set_mass(
+                np.clip(variance, MASS_FLOOR, MASS_CEILING).reshape(chains.theta.shape))
+    chains.eps = da.final()
 
 
 def split_rhat(series: np.ndarray) -> np.ndarray:
@@ -299,25 +276,21 @@ class SampleDiagnostics:
     divergences: np.ndarray  # per chain
     rhat_max: float
     warnings: list[str] = field(default_factory=list)
-    # batched gradient calls the chains made so far, warmup included
-    grad_calls: int = 0
 
 
-def sample(chains: list[ChainState], n_samples: int, target, config: HmcConfig):
-    """Draw n_samples per chain, all chains as one batch; returns
+def sample(chains: Chains, n_samples: int, target, config: HmcConfig):
+    """Draw n_samples per chain, advancing the chains in place; returns
     ((Nc*Ns, N) samples ordered by chain, then draw; diagnostics).  The
     angles are wrapped once, when the draw is complete."""
-    batch = _Batch(chains, target)
-    n_chains, n_sites = batch.theta.shape
+    n_chains, n_sites = chains.theta.shape
     by_chain = np.empty((n_chains, n_samples, n_sites))
     accepted = np.zeros(n_chains, dtype=int)
     divergences = np.zeros(n_chains, dtype=int)
     for s in range(n_samples):
-        _, accept, divergent = _transition(batch, target, config)
+        _, accept, divergent = _transition(chains, target, config)
         accepted += accept
         divergences += divergent
-        by_chain[:, s] = batch.theta
-    batch.unstack(chains, batch.eps)
+        by_chain[:, s] = chains.theta
     by_chain = wrap_angle(by_chain)
 
     # (2N, Nc, Ns) cos and sin series of every coordinate, draws contiguous
@@ -328,11 +301,12 @@ def sample(chains: list[ChainState], n_samples: int, target, config: HmcConfig):
     warnings = []
     if np.isfinite(rhat_max) and rhat_max > 1.1:
         warnings.append(f"split-Rhat {rhat_max:.3f} exceeds 1.1 on some coordinate")
+    if divergences.any():
+        warnings.append(DIVERGENCE_WARNING)
     diag = SampleDiagnostics(
         acceptance=accepted / n_samples,
         divergences=divergences,
         rhat_max=rhat_max,
         warnings=warnings,
-        grad_calls=chains[0].grad_calls,
     )
     return by_chain.reshape(-1, by_chain.shape[2]), diag

@@ -42,7 +42,7 @@ import numpy as np
 from . import exact, observables, quadrature
 from .ansatz import Angles, make_ansatz, random_alpha
 from .config import RunConfig, config_echo
-from .hmc import SampleDiagnostics, init_chain, sample, warmup
+from .hmc import Chains, SampleDiagnostics, sample, warmup
 from .integrator import AdaptiveStepper
 from .tdvp import estimate_qgt, residual_r2, tdvp_rhs
 
@@ -211,7 +211,8 @@ class _HmcEngine:
 
     ``warnings`` counts each sampler warning message over all draws; a
     message is printed on stderr the first time it occurs.  ``grad_calls``
-    sums the chains' gradient calls, warmup included, over all draws.
+    sums the chains' batched gradient calls over all draws: one at the start
+    angles, then one per leapfrog step of warmup and sampling.
     """
 
     def __init__(self, config: RunConfig, mode_code: int):
@@ -228,17 +229,12 @@ class _HmcEngine:
         if counter is None:
             counter = self.counter
             self.counter += 1
-        chains = [
-            init_chain(
-                state.n_sites,
-                cfg.hmc,
-                np.random.default_rng([cfg.seed, self.mode_code, counter, c]),
-            )
-            for c in range(cfg.hmc.n_chains)
-        ]
+        rngs = [np.random.default_rng([cfg.seed, self.mode_code, counter, c])
+                for c in range(cfg.hmc.n_chains)]
+        chains = Chains(state, state.n_sites, cfg.hmc, rngs)
         warmup(chains, cfg.hmc, state)
         flat, diag = sample(chains, cfg.hmc.n_samples, state, cfg.hmc)
-        self.grad_calls += diag.grad_calls
+        self.grad_calls += chains.grad_calls
         for message in diag.warnings:
             if message not in self.warnings:
                 print(f"sampler warning: {message}", file=sys.stderr)

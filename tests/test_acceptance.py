@@ -19,7 +19,7 @@ import scipy.stats
 from rotor_tvmc import exact, observables
 from rotor_tvmc.ansatz import make_ansatz, random_alpha, zero_final_kernel
 from rotor_tvmc.config import GroundStateConfig, PhysicsConfig, RunConfig
-from rotor_tvmc.hmc import HmcConfig, init_chain, sample, warmup
+from rotor_tvmc.hmc import Chains, HmcConfig, sample, warmup
 from rotor_tvmc.integrator import StepController, rk32_step
 from rotor_tvmc.lattice import build_lattice
 from rotor_tvmc.runner import (
@@ -260,10 +260,8 @@ class _VonMises:
 
 
 def _run_chains(target, n_sites, config, seed, tag):
-    chains = [
-        init_chain(n_sites, config, np.random.default_rng([seed, tag, c]))
-        for c in range(config.n_chains)
-    ]
+    rngs = [np.random.default_rng([seed, tag, c]) for c in range(config.n_chains)]
+    chains = Chains(target, n_sites, config, rngs)
     warmup(chains, config, target)
     flat, diag = sample(chains, config.n_samples, target, config)
     return flat, diag

@@ -31,11 +31,13 @@ class Quadratic:
         return -np.atleast_2d(theta)
 
 
+def _chains(target, n_sites, cfg, seed):
+    rngs = [np.random.default_rng([seed, c]) for c in range(cfg.n_chains)]
+    return hmc.Chains(target, n_sites, cfg, rngs)
+
+
 def _run(target, n_sites, cfg, seed=7):
-    chains = [
-        hmc.init_chain(n_sites, cfg, np.random.default_rng([seed, c]))
-        for c in range(cfg.n_chains)
-    ]
+    chains = _chains(target, n_sites, cfg, seed)
     hmc.warmup(chains, cfg, target)
     samples, diag = hmc.sample(chains, cfg.n_samples, target, cfg)
     return samples, diag, chains
@@ -71,8 +73,9 @@ class TestLeapfrog:
         mass = np.array([1.0, 0.7, 1.3])
         grad = target.grad_log_prob
 
-        t1, p1 = hmc._batched_leapfrog(theta[None], pi[None], 0.1, [25], mass, grad)
-        t2, p2 = hmc._batched_leapfrog(t1, -p1, 0.1, [25], mass, grad)
+        t1, p1 = hmc._batched_leapfrog(theta[None], pi[None], 0.1, [25], mass, grad,
+                                       grad(theta[None]))
+        t2, p2 = hmc._batched_leapfrog(t1, -p1, 0.1, [25], mass, grad, grad(t1))
         assert np.allclose(t2[0], theta, atol=1e-10)
         assert np.allclose(-p2[0], pi, atol=1e-10)
 
@@ -87,7 +90,8 @@ class TestLeapfrog:
         def dh(eps, n):
             h0 = -target.log_prob(theta)[0] + 0.5 * np.sum(pi ** 2)
             t1, p1 = hmc._batched_leapfrog(theta[None], pi[None], eps, [n], mass,
-                                           target.grad_log_prob)
+                                           target.grad_log_prob,
+                                           target.grad_log_prob(theta[None]))
             return abs(-target.log_prob(t1)[0] + 0.5 * np.sum(p1 ** 2) - h0)
 
         errs = [float(dh(eps, int(round(2.0 / eps)))) for eps in (0.2, 0.1, 0.05)]
@@ -104,50 +108,44 @@ class TestLeapfrog:
         mass = rng.uniform(0.5, 1.5, size=(6, 4))
         grad = target.grad_log_prob
 
-        t_all, p_all = hmc._batched_leapfrog(theta, pi, 0.17, lengths, mass, grad)
+        t_all, p_all = hmc._batched_leapfrog(theta, pi, 0.17, lengths, mass, grad,
+                                             grad(theta))
         for c, n in enumerate(lengths):
             t1, p1 = hmc._batched_leapfrog(theta[c:c + 1], pi[c:c + 1], 0.17,
-                                           [n], mass[c:c + 1], grad)
+                                           [n], mass[c:c + 1], grad, grad(theta[c:c + 1]))
             assert np.array_equal(t_all[c], t1[0])
             assert np.array_equal(p_all[c], p1[0])
 
 
 class TestTransitions:
     def test_quadratic_target_high_acceptance(self):
-        cfg = hmc.HmcConfig(l0=10, eps0=0.05, n_warmup=40, n_slow_windows=1,
+        cfg = hmc.HmcConfig(l0=10, eps0=0.05, n_warmup=72, n_slow_windows=1,
                             n_samples=200, n_chains=2)
-        chains = [
-            hmc.init_chain(2, cfg, np.random.default_rng([3, c])) for c in range(2)
-        ]
         target = Quadratic()
-        for c in chains:
-            c.eps = 0.05
-        _, diag = hmc.sample(chains, 200, target, cfg)
+        _, diag = hmc.sample(_chains(target, 2, cfg, 3), 200, target, cfg)
         assert np.all(diag.acceptance > 0.97)
+        assert hmc.DIVERGENCE_WARNING not in diag.warnings
 
     def test_uniform_target_every_proposal_accepted(self):
         lat = build_lattice((3, 3), (True, True))
         state = make_ansatz("cnn", lat, depth=2, n_modes=1)
         state = state.with_alpha(random_alpha(state, np.random.default_rng(2), 0.1))
         state = zero_final_kernel(state)
-        cfg = hmc.HmcConfig(l0=5, eps0=0.5, n_warmup=40, n_slow_windows=1,
+        cfg = hmc.HmcConfig(l0=5, eps0=0.5, n_warmup=72, n_slow_windows=1,
                             n_samples=100, n_chains=2)
-        chains = [
-            hmc.init_chain(9, cfg, np.random.default_rng([4, c])) for c in range(2)
-        ]
-        _, diag = hmc.sample(chains, 100, state, cfg)
+        _, diag = hmc.sample(_chains(state, 9, cfg, 4), 100, state, cfg)
         assert np.all(diag.acceptance == 1.0)
 
     def test_divergence_auto_reject(self):
         # a huge step size on a steep target produces divergent trajectories
         target = VonMises(kappa=200.0)
-        cfg = hmc.HmcConfig(l0=20, eps0=50.0, n_warmup=40, n_slow_windows=1,
+        cfg = hmc.HmcConfig(l0=20, eps0=50.0, n_warmup=72, n_slow_windows=1,
                             n_samples=50, n_chains=1)
-        chain = hmc.init_chain(2, cfg, np.random.default_rng([5, 0]))
-        chain.eps = 50.0
-        _, diag = hmc.sample([chain], 50, target, cfg)
+        _, diag = hmc.sample(_chains(target, 2, cfg, 5), 50, target, cfg)
         assert diag.divergences[0] > 0
         assert diag.acceptance[0] < 0.5
+        # one fixed-text warning per draw, however many transitions diverged
+        assert diag.warnings.count(hmc.DIVERGENCE_WARNING) == 1
 
     def test_jittered_length_range(self):
         rng = np.random.default_rng(0)
@@ -178,8 +176,7 @@ class TestStatistics:
         cfg = hmc.HmcConfig(l0=10, n_warmup=400, n_samples=10, n_chains=2)
         _, _, chains = _run(VonMises(2.0), 2, cfg)
         # circular variance of von Mises(2) is -2 ln(I1/I0) ~ 0.72
-        for c in chains:
-            assert np.all(c.mass_diag > 0.3) and np.all(c.mass_diag < 1.5)
+        assert np.all(chains.mass > 0.3) and np.all(chains.mass < 1.5)
 
     def test_samples_wrapped(self):
         cfg = hmc.HmcConfig(l0=5, n_warmup=80, n_samples=200, n_chains=2)
@@ -210,11 +207,11 @@ class TestWarmupFailure:
             def grad_log_prob(self, theta):
                 return np.zeros_like(np.atleast_2d(theta))
 
-        cfg = hmc.HmcConfig(l0=5, n_warmup=40, n_slow_windows=1,
+        cfg = hmc.HmcConfig(l0=5, n_warmup=72, n_slow_windows=1,
                             n_samples=10, n_chains=1)
-        chain = hmc.init_chain(2, cfg, np.random.default_rng([6, 0]))
+        chains = _chains(Wall(), 2, cfg, 6)
         with pytest.raises(hmc.WarmupError):
-            hmc.warmup([chain], cfg, Wall())
+            hmc.warmup(chains, cfg, Wall())
 
 
 class CountingVonMises(VonMises):
@@ -234,19 +231,19 @@ class CountingVonMises(VonMises):
 
 class TestCarriedLogProb:
     def test_one_log_prob_per_transition(self):
-        # ln p is evaluated once on entry and then only at the proposals
+        # ln p is evaluated once at the start angles and then only at the
+        # proposals; neither warmup nor sample evaluates it on entry
         cfg = hmc.HmcConfig(l0=5, n_warmup=80, n_slow_windows=2,
                             n_samples=30, n_chains=3)
         target = CountingVonMises()
-        chains = [
-            hmc.init_chain(2, cfg, np.random.default_rng([8, c])) for c in range(3)
-        ]
+        chains = _chains(target, 2, cfg, 8)
+        assert target.log_prob_calls == 1
+        target.log_prob_calls = 0
         hmc.warmup(chains, cfg, target)
-        n_warmup = sum(w for w, _ in hmc.warmup_windows(80, 2))
-        assert target.log_prob_calls == 1 + n_warmup
+        assert target.log_prob_calls == sum(w for w, _ in hmc.warmup_windows(80, 2))
         target.log_prob_calls = 0
         hmc.sample(chains, 30, target, cfg)
-        assert target.log_prob_calls == 1 + 30
+        assert target.log_prob_calls == 30
 
 
 def _workload_jastrow():
@@ -290,8 +287,7 @@ class TestCarriedGradient:
                             n_samples=40, n_chains=4)
 
         def run():
-            chains = [hmc.init_chain(n_sites, cfg, np.random.default_rng([33, c]))
-                      for c in range(cfg.n_chains)]
+            chains = _chains(target, n_sites, cfg, 33)
             hmc.warmup(chains, cfg, target)
             samples, diag = hmc.sample(chains, cfg.n_samples, target, cfg)
             return samples, diag, chains
@@ -302,10 +298,21 @@ class TestCarriedGradient:
         assert np.array_equal(samples, ref_samples)
         assert np.array_equal(diag.acceptance, ref_diag.acceptance)
         assert np.array_equal(diag.divergences, ref_diag.divergences)
-        for chain, ref in zip(chains, ref_chains):
-            assert chain.eps == ref.eps
-            assert np.array_equal(chain.mass_diag, ref.mass_diag)
-            assert np.array_equal(chain.theta, ref.theta)
+        assert chains.eps == ref_chains.eps
+        assert np.array_equal(chains.mass, ref_chains.mass)
+        assert np.array_equal(chains.theta, ref_chains.theta)
+
+    @pytest.mark.parametrize("name", list(CARRY_TARGETS))
+    def test_carry_across_calls(self, name):
+        # what warmup hands to sample is what a fresh evaluation gives
+        build, n_sites = CARRY_TARGETS[name]
+        target = build()
+        cfg = hmc.HmcConfig(l0=5, n_warmup=72, n_slow_windows=2,
+                            n_samples=40, n_chains=4)
+        chains = _chains(target, n_sites, cfg, 34)
+        hmc.warmup(chains, cfg, target)
+        assert np.array_equal(chains.log_p, target.log_prob(chains.theta))
+        assert np.array_equal(chains.grad, target.grad_log_prob(chains.theta))
 
     def test_one_gradient_per_leapfrog_step(self, monkeypatch):
         cfg = hmc.HmcConfig(l0=5, n_warmup=80, n_slow_windows=2,
@@ -319,16 +326,16 @@ class TestCarriedGradient:
             return real_leapfrog(theta, pi, eps, lengths, *args)
 
         monkeypatch.setattr(hmc, "_batched_leapfrog", recording)
-        chains = [hmc.init_chain(2, cfg, np.random.default_rng([9, c])) for c in range(3)]
+        chains = _chains(target, 2, cfg, 9)
+        assert target.grad_calls == chains.grad_calls == 1
         hmc.warmup(chains, cfg, target)
-        warmup_calls = target.grad_calls
-        assert warmup_calls == 1 + sum(steps)
-        assert all(c.grad_calls == warmup_calls for c in chains)
-        target.grad_calls, steps[:] = 0, []
-        _, diag = hmc.sample(chains, 30, target, cfg)
-        assert len(steps) == 30
         assert target.grad_calls == 1 + sum(steps)
-        assert diag.grad_calls == warmup_calls + target.grad_calls
+        target.grad_calls, warmup_steps, steps[:] = 0, sum(steps), []
+        hmc.sample(chains, 30, target, cfg)
+        assert len(steps) == 30
+        # none on entry: sample starts from the gradient warmup carried
+        assert target.grad_calls == sum(steps)
+        assert chains.grad_calls == 1 + warmup_steps + sum(steps)
 
 
 def split_rhat_one(per_chain):
@@ -372,3 +379,11 @@ class TestConfigValidation:
     def test_bad_counts(self):
         with pytest.raises(ValueError):
             hmc.HmcConfig(n_chains=0)
+
+    def test_warmup_shorter_than_two_first_slow_draws(self):
+        # at n_warmup < 72 the first slow window holds one draw, whose
+        # circular variance of 0 floors every metric entry
+        with pytest.raises(ValueError, match="n_warmup must be >= 72"):
+            hmc.HmcConfig(n_warmup=71)
+        hmc.HmcConfig(n_warmup=72)
+        assert hmc.warmup_windows(72, 5)[1] == (2, "slow")

@@ -477,6 +477,17 @@ class TestCli:
         # the message names the key as the INI file writes it
         assert re.search(rf"kind {kind!r} takes no key {key.split()[0]}\b", err)
 
+    def test_short_warmup_exits_2_before_any_work(self, tmp_path, capsys):
+        # a first slow window of one draw has zero variance, so every metric
+        # entry would sit at the floor and warmup would fail midway
+        text = HMC_INI.replace("n_warmup = 150", "n_warmup = 71")
+        out = tmp_path / "out"
+        code = cli.main(["ground-state", "--config", str(write_ini(tmp_path, text)),
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "n_warmup must be >= 72" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ground_state_exits_0(self, tmp_path, capsys):
         path = write_ini(tmp_path, BASE_INI)
         out = tmp_path / "out"
