@@ -11,7 +11,8 @@ padding along periodic directions and zero padding along open ones; each
 site's window is ``Lattice.shift`` at the kernel offsets, masked where an
 offset leaves the lattice.  All
 gradients (parameters and angles) are hand-derived passes through this fixed
-graph; parameters are complex and every operation is holomorphic.
+graph; parameters are complex and every operation is holomorphic.  Only O
+builds parameter cotangents; the HMC gradient backprops to the features alone.
 
 Parameter layout (flat, in order): for each hidden layer d = 1..D-1 the
 kernel ``w{d}`` of shape (2K, 2K, n_offsets) then the bias ``b{d}`` of shape
@@ -147,30 +148,35 @@ class PeriodicCNN(VariationalState):
     def _log_psi(self, theta):
         return self._forward(theta)[-1]
 
-    def _backward(self, theta, to_features: bool = False):
-        """Backprop of the scalar output; returns per-sample parameter grads
-        in layout order, and optionally the cotangent at the feature layer."""
+    def _backward(self, theta, params: bool):
+        """Backprop of the scalar output: the per-sample parameter cotangents
+        (B, P) in layout order if ``params``, else the feature cotangent alone."""
         blocks, hidden, preacts, _ = self._forward(theta)
         batch = theta.shape[0]
-        wf = blocks["w_final"][None]
         g_out = np.full((batch, 1, self.n_sites), self.prefactor, dtype=np.complex128)
-        grads = {"w_final": self.table.weight_grad(g_out, hidden[-1])[:, 0]}
-        gh = self.table.transpose_apply(wf, g_out)
+        grads = {"w_final": self.table.weight_grad(g_out, hidden[-1])[:, 0]} if params else None
+        gh = self.table.transpose_apply(blocks["w_final"][None], g_out)
         for d in range(self.depth - 1, 0, -1):
             z = preacts[d - 1]
-            gz = gh * (2.0 * z * d_poly_log_I0_of_square(np.square(z)))
-            grads[f"b{d}"] = np.sum(gz, axis=-1)
-            grads[f"w{d}"] = self.table.weight_grad(gz, hidden[d - 1])
-            gh = self.table.transpose_apply(blocks[f"w{d}"], gz)
-        flat = [grads[name].reshape(batch, -1) for name, _ in self.layout]
-        stacked = np.concatenate(flat, axis=-1)
-        return (stacked, gh) if to_features else (stacked, None)
+            # named factors, which NumPy never reuses in place with the operands
+            # swapped: that rounded large batches differently
+            s = np.square(z)
+            fp = 2.0 * z * d_poly_log_I0_of_square(s)
+            gz = gh * fp
+            if params:
+                grads[f"b{d}"] = np.sum(gz, axis=-1)
+                grads[f"w{d}"] = self.table.weight_grad(gz, hidden[d - 1])
+            if d > 1 or not params:
+                gh = self.table.transpose_apply(blocks[f"w{d}"], gz)
+        if not params:
+            return gh
+        return np.concatenate([grads[name].reshape(batch, -1) for name, _ in self.layout], -1)
 
     def _log_derivatives(self, theta):
-        return self._backward(theta)[0]
+        return self._backward(theta, params=True)
 
     def _angle_grad(self, theta):
-        _, gh0 = self._backward(theta, to_features=True)
+        gh0 = self._backward(theta, params=False)
         batch, n = theta.shape
         d1 = np.zeros((batch, n), dtype=np.complex128)
         for m in range(1, self.n_modes + 1):

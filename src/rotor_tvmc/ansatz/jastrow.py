@@ -9,7 +9,8 @@ from .base import VariationalState
 
 
 class Jastrow(VariationalState):
-    """One complex parameter per unordered site pair, lexicographic (i<j) order."""
+    """One complex parameter per unordered site pair, lexicographic (i<j) order.
+    One expression, ``_d1``, gives d1 to both the HMC gradient and E_L."""
 
     kind = "jastrow"
 
@@ -21,19 +22,14 @@ class Jastrow(VariationalState):
         self._pair_ij = np.concatenate([self.pair_i, self.pair_j])
         n_pairs = len(pairs)
         super().__init__(lattice, alpha, [("w", (n_pairs,))])
-        # one-hot pair-to-site incidence used to accumulate angle derivatives:
-        # real for the HMC gradient, which needs only Re d1, and complex so the
-        # local energy's matmuls with complex weights need no cast.  The HMC
-        # gradient's i-end incidence holds -1: w (-1) is (-w) 1, so ws times
-        # it is (-ws) times the incidence bit for bit, without negating ws
+        # one-hot pair-to-site incidence that accumulates the angle
+        # derivatives.  It is real: a complex ws times it is ws times its
+        # exact complex cast.  The i-end holds -1, since w (-1) is (-w) 1
         inc_i = np.zeros((n_pairs, n))
         inc_j = np.zeros((n_pairs, n))
         inc_i[np.arange(n_pairs), self.pair_i] = 1.0
         inc_j[np.arange(n_pairs), self.pair_j] = 1.0
-        self._minus_inc_i_real, self._inc_j_real = -inc_i, inc_j
-        self._inc_i = inc_i.astype(np.complex128)
-        self._inc_j = inc_j.astype(np.complex128)
-        self._inc_sum = self._inc_i + self._inc_j
+        self._minus_inc_i, self._inc_j, self._inc_sum = -inc_i, inc_j, inc_i + inc_j
 
     def _set_alpha(self, alpha):
         super()._set_alpha(alpha)
@@ -56,7 +52,8 @@ class Jastrow(VariationalState):
         return np.cos(self._pair_diffs(theta)).astype(np.complex128)
 
     def _d1(self, ws):
-        return -ws @ self._inc_i + ws @ self._inc_j
+        # d1 from ws = w sin d (B, P), or Re d1 from real ws
+        return ws @ self._minus_inc_i + ws @ self._inc_j
 
     def _angle_grad(self, theta):
         # Re d1 alone, in real arithmetic: Re(w sin d) = Re(w) sin d, in
@@ -67,7 +64,7 @@ class Jastrow(VariationalState):
             self._w_real_cols = np.repeat(self.alpha.real[:, None], cols.shape[1], axis=1)
         np.sin(cols, out=cols)
         cols *= self._w_real_cols
-        return ws @ self._minus_inc_i_real + ws @ self._inc_j_real
+        return self._d1(ws)
 
     def _angle_derivatives(self, theta):
         d = self._pair_diffs(theta)

@@ -5,6 +5,8 @@
 with n_j = (cos theta_j, sin theta_j) and a_j, b_k complex 2-vectors.  The
 modulus never appears explicitly: lnI0 is the degree-6 even polynomial, so it
 is evaluated at s_k = x_k . x_k and stays holomorphic in every parameter.
+Every kernel reads g'(s) as gp2 = 2 g'(s), and one expression, ``_d1``,
+gives the first angle derivative to both the HMC gradient and E_L.
 
 Parameter layout (flat, in order): ``a`` with shape (N, 2) row-major, ``b``
 with shape (N_h, 2), then the visible-hidden coupling.  The dense variant
@@ -91,13 +93,12 @@ class CircularRBM(VariationalState):
 
     def _log_derivatives(self, theta):
         cos, sin, x_x, x_y, s = self._forward(theta)
-        return self._log_derivatives_of(cos, sin, x_x, x_y, d_poly_log_I0_of_square(s))
+        return self._log_derivatives_of(cos, sin, x_x, x_y, 2.0 * d_poly_log_I0_of_square(s))
 
-    def _log_derivatives_of(self, cos, sin, x_x, x_y, gp, out=None):
-        """O from the forward pass and gp = g'(s), written into ``out``, a
+    def _log_derivatives_of(self, cos, sin, x_x, x_y, gp2, out=None):
+        """O from the forward pass and gp2 = 2 g'(s), written into ``out``, a
         complex (B, P) array, when it is given."""
         batch, n, n_hidden = cos.shape[0], self.n_sites, self.n_hidden
-        gp2 = 2.0 * gp  # (B, N_h)
         if out is None:
             out = np.empty((batch, self.n_params), dtype=np.complex128)
         o_a = out[:, : 2 * n].reshape(batch, n, 2)
@@ -115,26 +116,27 @@ class CircularRBM(VariationalState):
             np.matmul(o_a, o_b.transpose(0, 2, 1), out=coupling.reshape(batch, n, n_hidden))
         return out
 
+    def _d1(self, cos, sin, x_x, x_y, gp2):
+        """d1_j = a_j . t_j + sum_k gp2_k w_jk (x_k . t_j), t_j = (-sin, cos),
+        and its hidden sums u = (gp2 x) w^T."""
+        a, wt = self._a, self._wt
+        u_x, u_y = (gp2 * x_x) @ wt, (gp2 * x_y) @ wt
+        return -sin * (a[:, 0] + u_x) + cos * (a[:, 1] + u_y), u_x, u_y
+
     def _angle_grad(self, theta):
         cos, sin, x_x, x_y, s = self._forward(theta)
-        gp = 2.0 * d_poly_log_I0_of_square(s)
-        # d1_j = a_j . t_j + sum_k gp_k w_jk (x_k . t_j), t_j = (-sin, cos)
-        a, wt = self._a, self._wt
-        return -sin * (a[:, 0] + (gp * x_x) @ wt) + cos * (a[:, 1] + (gp * x_y) @ wt)
+        return self._d1(cos, sin, x_x, x_y, 2.0 * d_poly_log_I0_of_square(s))[0]
 
     def _angle_derivatives(self, theta):
         cos, sin, x_x, x_y, s = self._forward(theta)
-        return self._angle_derivatives_of(cos, sin, x_x, x_y, s, d_poly_log_I0_of_square(s))
+        return self._angle_derivatives_of(cos, sin, x_x, x_y, s, 2.0 * d_poly_log_I0_of_square(s))
 
-    def _angle_derivatives_of(self, cos, sin, x_x, x_y, s, gp):
-        """ln psi, d1 and d2 from the forward pass and gp = g'(s)."""
+    def _angle_derivatives_of(self, cos, sin, x_x, x_y, s, gp2):
+        """ln psi, d1 and d2 from the forward pass and gp2 = 2 g'(s)."""
         logpsi = self._log_psi_of(cos, sin, s)
         gpp = d2_poly_log_I0_of_square(s)
-        a, wt, w2t = self._a, self._wt, self._w2t
-        # with t_j = (-sin, cos): ds_k/dtheta_j = 2 w_jk (x_k . t_j)
-        uw_x = (gp * x_x) @ wt
-        uw_y = (gp * x_y) @ wt
-        d1 = -sin * (a[:, 0] + 2.0 * uw_x) + cos * (a[:, 1] + 2.0 * uw_y)
+        a, w2t = self._a, self._w2t
+        d1, u_x, u_y = self._d1(cos, sin, x_x, x_y, gp2)
         # named squares: NumPy never reuses them in place with the operands
         # swapped, which would round differently in large batches
         xx2, xy2 = np.square(x_x), np.square(x_y)
@@ -146,13 +148,13 @@ class CircularRBM(VariationalState):
                 - 2.0 * sin * cos * ((gpp * x_x * x_y) @ w2t)
                 + np.square(cos) * ((gpp * xy2) @ w2t)
             )
-            + 2.0 * (gp @ w2t - cos * uw_x - sin * uw_y)
+            + (gp2 @ w2t - cos * u_x - sin * u_y)
         )
         return logpsi, d1, d2
 
     def _kernels(self, angles, out):
         """ln psi, d1, d2 and O from one ``_forward`` and one g'(s)."""
         cos, sin, x_x, x_y, s = self._forward(angles)
-        gp = d_poly_log_I0_of_square(s)
-        logpsi, d1, d2 = self._angle_derivatives_of(cos, sin, x_x, x_y, s, gp)
-        return logpsi, d1, d2, self._log_derivatives_of(cos, sin, x_x, x_y, gp, out)
+        gp2 = 2.0 * d_poly_log_I0_of_square(s)
+        logpsi, d1, d2 = self._angle_derivatives_of(cos, sin, x_x, x_y, s, gp2)
+        return logpsi, d1, d2, self._log_derivatives_of(cos, sin, x_x, x_y, gp2, out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz.base import VariationalState
+from .ansatz.base import VariationalState, _bond_cosines
 from .lattice import Lattice, circular_site_stats, wrap_angle
 
 DEFAULT_RESAMPLES = 200
@@ -63,10 +63,7 @@ def _mean_and_sigma(per_sample, chain_shape, weights=None):
 def potential_energy_density(samples, lattice: Lattice, J: float, weights=None):
     """eps_p = -(J/N) < sum_bonds cos(theta_k - theta_l) >, with bootstrap sigma."""
     flat, chain_shape = _flatten(samples)
-    bk, bl = lattice.bonds[:, 0], lattice.bonds[:, 1]
-    per_sample = -(J / lattice.n_sites) * np.sum(
-        np.cos(flat[:, bk] - flat[:, bl]), axis=-1
-    )
+    per_sample = -(J / lattice.n_sites) * _bond_cosines(flat, lattice)
     return _mean_and_sigma(per_sample, chain_shape, weights)
 
 

@@ -3,11 +3,11 @@ benchmarking, sampler diagnostics, and reproducible persistence.
 
 Both expectation engines answer ``draw(state, g, J, out) -> (Draw, QGT
 estimate)``, and both estimate the QGT from one pass over the draw's points
-that gives ln psi, O and E_L together; the draw keeps that ln psi.  The HMC
-engine samples chains, which weigh alike.  The quadrature engine's points
-are its fixed grid, whose ``Angles`` it builds once per run: the Born
-weights come from the pass's ln psi, are checked, and weigh the estimate.
-Every observable is computed from a draw by one code path, and an HMC draw
+that gives ln psi, O and E_L together, in ``_estimate``; the draw keeps
+that ln psi.  The HMC engine's chains weigh alike.  The quadrature engine's
+points are its fixed grid, whose ``Angles`` it builds once per run, weighed
+by Born weights from the pass's ln psi, which it then checks.  Every
+observable is computed from a draw by one code path, and an HMC draw
 carries its sampler diagnostics.  An HMC draw can also serve a nearby
 parameter vector: ``_HmcEngine.reweight`` estimates the QGT there from the
 draw's points, weighted by |psi'/psi|^2, without running a chain.
@@ -205,6 +205,22 @@ class Draw:
     diag: SampleDiagnostics | None = None
 
 
+def _estimate(state, points, angles, g: float, J: float, shift=None, out=None):
+    """The draw of ``points`` (whose ``Angles`` are ``angles``) and the QGT
+    estimate at ``state`` from one pass over them (``out``: see
+    ``estimate_qgt``).  The points weigh alike if ``shift`` is None, else by
+    |psi|^2 / exp(2 Re shift), normalized."""
+    draw = Draw(points, None)
+
+    def weigh(log_psi):
+        draw.weights = quadrature.weights_from_log_psi(log_psi - shift)
+        return draw.weights
+
+    qgt = estimate_qgt(state, angles, g, J, weights=None if shift is None else weigh, out=out)
+    draw.log_psi = qgt.log_psi.reshape(points.shape[:-1])
+    return draw, qgt
+
+
 class _HmcEngine:
     """Fresh warmed-up chains per draw, keyed by a counter of draws; a
     reweighted estimate runs no chain and leaves the counter as it is.
@@ -242,32 +258,24 @@ class _HmcEngine:
         return flat.reshape(cfg.hmc.n_chains, cfg.hmc.n_samples, state.n_sites), diag
 
     def draw(self, state, g: float, J: float, out=None):
-        """Fresh chains and the QGT estimate from them (``out``: see
-        ``estimate_qgt``), whose chunks read the draw's ``Angles``."""
+        """Fresh chains and the QGT estimate from them."""
         points, diag = self.sample(state)
         angles = Angles(points.reshape(-1, state.n_sites), state.lattice)
-        qgt = estimate_qgt(state, angles, g, J, out=out)
-        return Draw(points, qgt.log_psi.reshape(points.shape[:-1]), diag=diag), qgt
+        draw, qgt = _estimate(state, points, angles, g, J, out=out)
+        return replace(draw, diag=diag), qgt
 
     def reweight(self, state, g: float, J: float, anchor: Draw):
         """The QGT estimate at ``state`` over ``anchor``'s points, and the Kish
         ESS/n of its weights: the anchor's weights (alike when None) times
-        |psi_state / psi_anchor|^2, normalized.  ``estimate_qgt``'s one pass
-        gives ln psi_state; no chain runs.
+        |psi_state / psi_anchor|^2, normalized.  No chain runs.
         """
         points = anchor.points.reshape(-1, state.n_sites)
         shift = anchor.log_psi.ravel()
         if anchor.weights is not None:
             with np.errstate(divide="ignore"):  # a weight of 0 stays 0
                 shift = shift - 0.5 * np.log(anchor.weights)
-        weights = []
-
-        def weigh(log_psi):
-            weights.append(quadrature.weights_from_log_psi(log_psi - shift))
-            return weights[0]
-
-        qgt = estimate_qgt(state, Angles(points, state.lattice), g, J, weights=weigh)
-        w = weights[0]
+        draw, qgt = _estimate(state, points, Angles(points, state.lattice), g, J, shift)
+        w = draw.weights
         return qgt, 1.0 / (w.size * float(w @ w))
 
 
@@ -275,7 +283,7 @@ class _QuadratureEngine:
     """Noiseless grid-weighted averages; the deterministic reference engine.
 
     The grid and its ``Angles`` (cos, sin and bond-cosine sums) are built
-    once per run; every draw's ``estimate_qgt`` reads them.
+    once per run; every draw's ``_estimate`` reads them.
     """
 
     def __init__(self, config: RunConfig):
@@ -287,30 +295,20 @@ class _QuadratureEngine:
         self.grad_calls = 0  # no sampler
 
     def draw(self, state, g: float, J: float, out=None):
-        """The grid with its normalized |psi|^2 weights, and the QGT estimate,
-        from one pass over the grid: ``estimate_qgt`` hands ln psi on the
-        grid to ``weigh`` before it uses any weight.
+        """The grid with its normalized |psi|^2 weights, and the QGT estimate.
 
         Raises RunnerError("draw-degenerate") when the weights sit on fewer
         than ``MIN_KISH_ESS`` points: the averages are then those of a few
         configurations, and X and alpha_dot vanish.
         """
-        draw = Draw(self.grid, None)
-
-        def weigh(log_psi):
-            weights = quadrature.weights_from_log_psi(log_psi)
-            ess = 1.0 / float(weights @ weights)
-            if ess < MIN_KISH_ESS:
-                raise RunnerError(
-                    "draw-degenerate",
-                    f"|psi|^2 sits on {ess:.3g} grid points (Kish ESS); "
-                    f"at least {MIN_KISH_ESS:g} are needed",
-                )
-            draw.weights = weights
-            return weights
-
-        qgt = estimate_qgt(state, self.angles, g, J, weights=weigh, out=out)
-        draw.log_psi = qgt.log_psi
+        draw, qgt = _estimate(state, self.grid, self.angles, g, J, shift=0.0, out=out)
+        ess = 1.0 / float(draw.weights @ draw.weights)
+        if ess < MIN_KISH_ESS:
+            raise RunnerError(
+                "draw-degenerate",
+                f"|psi|^2 sits on {ess:.3g} grid points (Kish ESS); "
+                f"at least {MIN_KISH_ESS:g} are needed",
+            )
         return draw, qgt
 
 

@@ -23,6 +23,7 @@ from rotor_tvmc.ansatz.activations import (
     d_poly_log_I0_of_square,
     poly_log_I0_of_square,
 )
+from rotor_tvmc.ansatz.cnn import ConvTable
 from rotor_tvmc.lattice import build_lattice
 
 FD_EPS = 1e-6
@@ -363,8 +364,14 @@ class TestLocalKernels:
         log_psi, o, e = (np.concatenate(values) for values in zip(*parts))
         assert np.array_equal(whole[0], log_psi)
         assert np.array_equal(whole[2], e)
-        # the CNN's backward pass still rounds O differently in large batches
-        assert kind == "cnn" or np.array_equal(whole[1], o)
+        assert np.array_equal(whole[1], o)
+
+    def test_gradient_independent_of_the_batch(self, kind, lattice, hyper):
+        # one call against the six-row batches of six HMC chains
+        state = _random_state(kind, lattice, hyper, seed=3, scale=0.3)
+        theta = np.random.default_rng(4).uniform(-np.pi, np.pi, size=(4096, lattice.n_sites))
+        parts = [state.grad_log_prob(theta[lo:lo + 6]) for lo in range(0, 4096, 6)]
+        assert np.array_equal(state.grad_log_prob(theta), np.concatenate(parts))
 
     def test_non_finite_log_psi_is_numerical(self, kind, lattice, hyper):
         state = _random_state(kind, lattice, hyper)
@@ -379,6 +386,20 @@ class TestLocalKernels:
                     call()
                 assert not isinstance(info.value, AnsatzError)
                 assert info.value.reason == "log-psi-nonfinite"
+
+
+class TestCnnGradient:
+    def test_builds_no_parameter_cotangent(self, monkeypatch):
+        state = _random_state("cnn", build_lattice((3, 3), (True, True)),
+                              {"depth": 3, "n_modes": 2}, scale=0.3)
+        theta = np.random.default_rng(42).uniform(-np.pi, np.pi, size=(5, 9))
+        expected = state.grad_log_prob(theta)
+
+        def refuse(self, gout, h):
+            raise AssertionError("parameter cotangent built")
+
+        monkeypatch.setattr(ConvTable, "weight_grad", refuse)
+        assert np.array_equal(state.grad_log_prob(theta), expected)
 
 
 class TestRbmLocalKernels:
