@@ -18,6 +18,7 @@ import numpy as np
 
 _1_4, _1_64, _1_576 = 1.0 / 4.0, 1.0 / 64.0, 1.0 / 576.0
 _1_32, _1_192, _1_96 = 1.0 / 32.0, 1.0 / 192.0, 1.0 / 96.0
+_1_16 = 1.0 / 16.0
 
 
 def poly_log_I0_of_square(s):
@@ -33,6 +34,12 @@ def poly_log_I0_of_square(s):
 def d_poly_log_I0_of_square(s):
     """d/ds of poly_log_I0_of_square: 1/4 - s/32 + s^2/192."""
     return 0.25 - s * _1_32 + np.square(s) * _1_192
+
+
+def twice_d_poly_log_I0_of_square(s):
+    """2 d/ds of poly_log_I0_of_square: 1/2 - s/16 + s^2/96, bit for bit twice
+    ``d_poly_log_I0_of_square``, since every coefficient is doubled exactly."""
+    return 0.5 - s * _1_16 + np.square(s) * _1_96
 
 
 def d2_poly_log_I0_of_square(s):

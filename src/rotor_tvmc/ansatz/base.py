@@ -9,9 +9,11 @@ built where alpha is set, in ``__init__`` and ``with_alpha``, not per call.
 
 A subclass implements four batched cores: ``_log_psi``, ``_log_derivatives``,
 ``_angle_derivatives`` (ln psi with its first and second angle derivatives,
-for the local energy) and ``_angle_grad`` (the first angle derivative alone,
-or only its real part).  ``_angle_grad`` feeds ``grad_log_prob``, which HMC
-calls on every leapfrog step, so it must not pay for the second derivatives.
+for the local energy) and ``_angle_grad``, the gradient of ln p = 2 Re ln psi,
+2 Re d1, from the first angle derivative alone.  ``grad_log_prob``, which HMC
+calls on every leapfrog step, returns it untouched, so the core must not pay
+for the second derivatives, and each ansatz takes the real part and the
+factor 2 where they cost least.
 
 ``local_kernels`` returns ln psi, O and E_L together, for the one pass of
 ``tdvp.estimate_qgt`` over a draw's points.  It takes ln psi from
@@ -82,10 +84,19 @@ def _bond_cosines(theta, lattice: Lattice):
     return np.sum(np.cos(theta[:, bk] - theta[:, bl]), axis=-1)
 
 
+def cos_sin(theta):
+    """(2, B, N) cos and sin of a (B, N) batch, in one array."""
+    out = np.empty((2,) + theta.shape)
+    np.cos(theta, out=out[0])
+    np.sin(theta, out=out[1])
+    return out
+
+
 class Angles:
     """A (B, N) batch of configurations with its angle-only arrays: each
-    configuration's bond-cosine sum, the potential part of E_L, and cos and
-    sin of every angle, which the RBM's forward pass reads.
+    configuration's bond-cosine sum, the potential part of E_L, and
+    ``cos_sin``, the (2, B, N) cos and sin of every angle, which the RBM's
+    forward pass reads.
 
     The bond-cosine sums are built with the batch, cos and sin when first
     read, so an ansatz that never reads them never pays for them.
@@ -101,12 +112,8 @@ class Angles:
         self._of = None  # (batch, rows) of a chunk
 
     @cached_property
-    def cos(self) -> np.ndarray:
-        return np.cos(self.theta) if self._of is None else self._of[0].cos[self._of[1]]
-
-    @cached_property
-    def sin(self) -> np.ndarray:
-        return np.sin(self.theta) if self._of is None else self._of[0].sin[self._of[1]]
+    def cos_sin(self) -> np.ndarray:
+        return cos_sin(self.theta) if self._of is None else self._of[0].cos_sin[:, self._of[1]]
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -184,7 +191,7 @@ class VariationalState:
     def _angle_derivatives(self, theta):  # -> (logpsi (B,), d1 (B,N), d2 (B,N))
         raise NotImplementedError
 
-    def _angle_grad(self, theta):  # -> d1 (B, N) or Re d1, first order only
+    def _angle_grad(self, theta):  # -> grad ln p = 2 Re d1 (B, N), first order only
         raise NotImplementedError
 
     # -- public API --
@@ -203,8 +210,7 @@ class VariationalState:
     def grad_log_prob(self, theta):
         """Gradient of ln p = 2 Re ln psi with respect to the angles."""
         theta, single = _as_batch(theta, self.n_sites)
-        d1 = self._angle_grad(theta)
-        out = 2.0 * np.real(d1)
+        out = self._angle_grad(theta)
         return out[0] if single else out
 
     def local_energy(self, theta, g: float, J: float):

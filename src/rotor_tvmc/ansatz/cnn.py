@@ -182,7 +182,7 @@ class PeriodicCNN(VariationalState):
         for m in range(1, self.n_modes + 1):
             d1 += gh0[:, 2 * m - 2] * (-m * np.sin(m * theta))
             d1 += gh0[:, 2 * m - 1] * (m * np.cos(m * theta))
-        return d1
+        return 2.0 * d1.real
 
     def _angle_derivatives(self, theta):
         blocks = self.blocks()

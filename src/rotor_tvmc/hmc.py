@@ -75,10 +75,15 @@ class HmcConfig:
             raise ValueError("eps0 must be positive")
 
 
-def jittered_length(rng: np.random.Generator, l0: int, jitter: float) -> int:
-    """Uniform integer trajectory length in [round((1-j)L0), round((1+j)L0)]."""
+def length_bounds(l0: int, jitter: float) -> tuple[int, int]:
+    """The trajectory-length range [round((1-j)L0), round((1+j)L0)], at least 1."""
     lo = max(1, int(round((1.0 - jitter) * l0)))
-    hi = max(lo, int(round((1.0 + jitter) * l0)))
+    return lo, max(lo, int(round((1.0 + jitter) * l0)))
+
+
+def jittered_length(rng: np.random.Generator, l0: int, jitter: float) -> int:
+    """Uniform integer trajectory length in ``length_bounds(l0, jitter)``."""
+    lo, hi = length_bounds(l0, jitter)
     return int(rng.integers(lo, hi + 1))
 
 
@@ -132,7 +137,8 @@ class Chains:
     Each chain draws its start angles uniformly from its own generator; ε
     starts at ``eps0`` and the metric at 1.  ln p and its gradient are
     evaluated once, here, and then only by the transitions, which keep them
-    where a chain accepts.
+    where a chain accepts.  The transitions draw into arrays allocated here,
+    within the length bounds taken here by ``jittered_length``'s rule.
     """
 
     def __init__(self, target, n_sites: int, config: HmcConfig, rngs):
@@ -144,6 +150,11 @@ class Chains:
             self.log_p = target.log_prob(self.theta)
             self.grad = target.grad_log_prob(self.theta)
         self.grad_calls = 1
+        self.length_range = length_bounds(config.l0, config.jitter)
+        # each transition's momenta, trajectory lengths and accept uniforms
+        self._momenta = np.empty_like(self.theta)
+        self._lengths = np.empty(len(self.rngs), dtype=np.int64)
+        self._uniforms = np.empty(len(self.rngs))
 
     def set_mass(self, mass) -> None:
         self.mass, self.sqrt_mass = mass, np.sqrt(mass)
@@ -153,15 +164,22 @@ def _transition(chains: Chains, target, config: HmcConfig):
     """One accept/reject HMC update of the chains, in place on their positions,
     ln p and gradient.
 
+    One loop over the chains draws each chain's momenta, trajectory length
+    (in ``chains.length_range``) and accept uniform from its own generator,
+    in that order, into arrays of ``chains``: the values of ``rng.normal``,
+    ``jittered_length`` and ``rng.uniform``.
+
     Returns the Metropolis statistic min(1, exp(-dH)) per chain (0 for
     divergent proposals), which feeds dual averaging, and the per-chain
     accept and divergence flags.
     """
-    rngs = chains.rngs
-    pi = np.stack([rng.normal(size=chains.theta.shape[1]) for rng in rngs]) * chains.sqrt_mass
-    lengths = np.array([jittered_length(rng, config.l0, config.jitter) for rng in rngs])
-    # random() is uniform() on [0, 1): the same double from the same stream
-    uniforms = np.array([rng.random() for rng in rngs])
+    pi, lengths, uniforms = chains._momenta, chains._lengths, chains._uniforms
+    lo, hi = chains.length_range
+    for c, rng in enumerate(chains.rngs):
+        rng.standard_normal(out=pi[c])
+        lengths[c] = rng.integers(lo, hi + 1)
+        uniforms[c] = rng.random()
+    pi *= chains.sqrt_mass
 
     grad_new = chains.grad.copy()
     with np.errstate(all="ignore"):

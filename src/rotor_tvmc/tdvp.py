@@ -33,9 +33,9 @@ Memory.  X is the largest array of a step.  ``estimate_qgt`` fills it in
 chunks of rows whose log-derivative block fits ``CHUNK_BYTES``, into a new
 array or into the caller's stale one (``out``).  The sample-space solve
 then holds X, n x n matrices and P-vectors only: X X^dag is summed over
-column blocks of X that are no larger than X X^dag itself, and X^dag u is
-applied as (u^dag X)^dag, so neither conj(X) nor the P x n basis X^dag V
-is formed.
+column blocks of X in real arithmetic (``_gram``), so no temporary is larger
+than a real n x n matrix, and X^dag u is applied as (u^dag X)^dag, so
+neither conj(X) nor the P x n basis X^dag V is formed.
 
 Monte Carlo averages use the 1/n convention throughout.
 """
@@ -234,14 +234,23 @@ def regularized_pseudoinverse(s_matrix: np.ndarray, lambda2: float) -> Regulariz
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
-    """Hermitian (n, n) X X^dag, summed over (n, n) column blocks of X, so that
-    no conjugate copy is larger than the result."""
+    """(n, n) X X^dag in real arithmetic, summed over column blocks B of X of
+    at most n columns: Re += B_f B_f^T on the block's float64 view B_f (NumPy
+    calls BLAS syrk for A @ A.T: symmetric to the bit) and M += Im(B) Re(B)^T,
+    then Im = M - M^T (antisymmetric to the bit).  The result is exactly
+    Hermitian, and no temporary is a conjugate copy or larger than a real
+    n x n matrix.
+    """
     n = x.shape[0]
-    gram = np.zeros((n, n), dtype=x.dtype)
+    gram = np.zeros((n, n), dtype=np.complex128)
     for lo in range(0, x.shape[1], n):
         block = x[:, lo:lo + n]
-        gram += block @ block.conj().T
-    return _hermitian(gram)
+        flat = block.view(np.float64)
+        gram.real += flat @ flat.T
+        gram.imag += np.ascontiguousarray(block.imag) @ np.ascontiguousarray(block.real).T
+    m = gram.imag.copy()
+    np.subtract(m, m.T, out=gram.imag)
+    return gram
 
 
 def effective_rank(spectrum: np.ndarray, lambda2: float) -> float:

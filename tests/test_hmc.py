@@ -277,14 +277,18 @@ CARRY_TARGETS = {
 
 
 class TestCarriedGradient:
-    @pytest.mark.parametrize("name", list(CARRY_TARGETS))
-    def test_replays_the_recomputed_gradient(self, name, monkeypatch):
+    # one chain makes one-row batches, whose stacked matmuls take other BLAS
+    # paths than the four chains' four-row batches
+    @pytest.mark.parametrize("name,n_chains", [
+        pytest.param(name, n, id=name if n == 4 else f"{name}-1chain")
+        for n in (4, 1) for name in CARRY_TARGETS])
+    def test_replays_the_recomputed_gradient(self, name, n_chains, monkeypatch):
         # the gradient kept from the end of the last accepted trajectory is
         # the one a fresh evaluation at its start gives, bit for bit
         build, n_sites = CARRY_TARGETS[name]
         target = build()
         cfg = hmc.HmcConfig(l0=5, n_warmup=72, n_slow_windows=2,
-                            n_samples=40, n_chains=4)
+                            n_samples=40, n_chains=n_chains)
 
         def run():
             chains = _chains(target, n_sites, cfg, 33)

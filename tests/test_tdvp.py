@@ -284,6 +284,18 @@ def _random_estimate(n, p, uniform, seed):
 SHAPES = [(30, 50), (50, 30)]  # n < P solves in sample space, n > P in parameter space
 
 
+class TestGram:
+    # n < P in blocks of 7, 7 and 3 columns; n = P; P < n
+    @pytest.mark.parametrize("n,p", [(7, 17), (7, 7), (9, 4)])
+    def test_matches_the_complex_product(self, n, p):
+        rng = np.random.default_rng(n * p)
+        x = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+        gram = tdvp._gram(x)
+        ref = x @ x.conj().T
+        assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(gram, gram.conj().T)
+
+
 class TestSmallerSpaceSolve:
     @pytest.mark.parametrize("uniform", [True, False])
     @pytest.mark.parametrize("n,p", SHAPES)
