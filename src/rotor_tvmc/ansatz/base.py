@@ -7,23 +7,25 @@ configuration of shape (N,) or a batch of shape (B, N).  The views of alpha
 that the kernels read (``blocks()``, and an ansatz's derived weights) are
 built where alpha is set, in ``__init__`` and ``with_alpha``, not per call.
 
-A subclass implements four batched cores: ``_log_psi``, ``_log_derivatives``,
-``_angle_derivatives`` (ln psi with its first and second angle derivatives,
-for the local energy) and ``_angle_grad``, the gradient of ln p = 2 Re ln psi,
-2 Re d1, from the first angle derivative alone.  ``grad_log_prob``, which HMC
-calls on every leapfrog step, returns it untouched, so the core must not pay
-for the second derivatives, and each ansatz takes the real part and the
-factor 2 where they cost least.
+A subclass implements one batched core per public quantity: ``_log_psi``
+for ``log_psi`` and ``log_prob``, ``_log_derivatives`` for
+``log_derivatives``, ``_angle_grad`` for ``grad_log_prob`` and ``_kernels``
+for ``local_kernels`` and ``local_energy``.
 
-``local_kernels`` returns ln psi, O and E_L together, for the one pass of
-``tdvp.estimate_qgt`` over a draw's points.  It takes ln psi from
-``_angle_derivatives``, which every ansatz computes bit for bit as
-``_log_psi`` does, so it evaluates the wavefunction twice, not three times;
-an ansatz whose kernels share one forward pass overrides ``_kernels`` with
-that pass, returning the same bits.  It also takes an ``Angles`` batch: the
-configurations with their angle-only arrays (cos, sin and the bond-cosine
-sum), which a caller builds once for all chunks of a draw, or once per run
-for a fixed grid.
+``_angle_grad`` is the gradient of ln p = 2 Re ln psi, 2 Re d1, from the first
+angle derivative alone.  ``grad_log_prob``, which HMC calls on every leapfrog
+step, returns it untouched, so the core must not pay for the second
+derivatives, and each ansatz takes the real part and the factor 2 where they
+cost least.
+
+``_kernels`` is the only core that forms the second angle derivatives.  One
+pass gives ln psi, the first and second angle derivatives d1 and d2, and O,
+bit for bit the values of ``_log_psi`` and ``_log_derivatives``.
+``local_kernels`` turns d1 and d2 into E_L for the one pass of
+``tdvp.estimate_qgt`` over a draw's points, and ``local_energy`` is that E_L.
+``local_kernels`` also takes an ``Angles`` batch: the configurations with
+their angle-only arrays (cos, sin and the bond-cosine sum), which a caller
+builds once for all chunks of a draw, or once per run for a fixed grid.
 
 A non-finite ln psi raises ``LogPsiNonFinite``: parameters that overflow
 are a numerical failure of the run, not an error in its configuration.
@@ -188,10 +190,12 @@ class VariationalState:
     def _log_derivatives(self, theta):  # -> (B, P)
         raise NotImplementedError
 
-    def _angle_derivatives(self, theta):  # -> (logpsi (B,), d1 (B,N), d2 (B,N))
+    def _angle_grad(self, theta):  # -> grad ln p = 2 Re d1 (B, N), first order only
         raise NotImplementedError
 
-    def _angle_grad(self, theta):  # -> grad ln p = 2 Re d1 (B, N), first order only
+    def _kernels(self, angles: Angles, out):
+        """(logpsi (B,), d1 (B, N), d2 (B, N), O (B, P)) of an ``Angles``
+        batch; O is written into ``out`` when it is given."""
         raise NotImplementedError
 
     # -- public API --
@@ -214,28 +218,9 @@ class VariationalState:
         return out[0] if single else out
 
     def local_energy(self, theta, g: float, J: float):
-        """E_L = -(gJ/2) sum_k [d2_k ln psi + (d1_k ln psi)^2] - J sum_bonds cos."""
-        check_couplings(g, J)
-        theta, single = _as_batch(theta, self.n_sites)
-        _, d1, d2 = self._angle_derivatives(theta)
-        out = self._local_energy_of(_bond_cosines(theta, self.lattice), d1, d2, g, J)
-        return out[0] if single else out
-
-    @staticmethod
-    def _local_energy_of(bond_cos, d1, d2, g, J):
-        kinetic = -(g * J / 2.0) * np.sum(d2 + np.square(d1), axis=-1)
-        potential = -J * bond_cos
-        return kinetic + potential
-
-    def _kernels(self, angles: Angles, out):
-        """(logpsi (B,), d1 (B, N), d2 (B, N), O (B, P)); O is written into
-        ``out`` when it is given."""
-        logpsi, d1, d2 = self._angle_derivatives(angles.theta)
-        o = self._log_derivatives(angles.theta)
-        if out is not None:
-            out[...] = o
-            o = out
-        return logpsi, d1, d2, o
+        """E_L = -(gJ/2) sum_k [d2_k ln psi + (d1_k ln psi)^2] - J sum_bonds cos,
+        the E_L of ``local_kernels``."""
+        return self.local_kernels(theta, g, J)[2]
 
     def local_kernels(self, theta, g: float, J: float, out=None):
         """(ln psi, O, E_L) at the same configurations, bit for bit the values
@@ -254,7 +239,8 @@ class VariationalState:
             angles = Angles(theta, self.lattice)
         logpsi, d1, d2, o = self._kernels(angles, out)
         check_log_psi(angles.theta, logpsi)
-        e = self._local_energy_of(angles.bond_cos, d1, d2, g, J)
+        kinetic = -(g * J / 2.0) * np.sum(d2 + np.square(d1), axis=-1)
+        e = kinetic - J * angles.bond_cos
         if single:
             return logpsi[0], o[0], e[0]
         return logpsi, o, e

@@ -13,6 +13,9 @@ offset leaves the lattice.  All
 gradients (parameters and angles) are hand-derived passes through this fixed
 graph; parameters are complex and every operation is holomorphic.  Only O
 builds parameter cotangents; the HMC gradient backprops to the features alone.
+The local energy's pass carries the feature jets through the layers and keeps
+each layer's activations and pre-activations, from which O is back-propagated,
+so ``local_kernels`` runs the layers once.
 
 Parameter layout (flat, in order): for each hidden layer d = 1..D-1 the
 kernel ``w{d}`` of shape (2K, 2K, n_offsets) then the bias ``b{d}`` of shape
@@ -132,6 +135,7 @@ class PeriodicCNN(VariationalState):
     # -- forward/backward --
 
     def _forward(self, theta):
+        """Per-layer activations (features first), pre-activations and ln psi."""
         blocks = self.blocks()
         h = self._features(theta)
         hidden = [h]
@@ -143,16 +147,17 @@ class PeriodicCNN(VariationalState):
             hidden.append(h)
         wf = blocks["w_final"][None]  # (1, C, J) single output channel
         out = self.prefactor * np.sum(self.table.apply(wf, h), axis=(-2, -1))
-        return blocks, hidden, preacts, out
+        return hidden, preacts, out
 
     def _log_psi(self, theta):
         return self._forward(theta)[-1]
 
-    def _backward(self, theta, params: bool):
-        """Backprop of the scalar output: the per-sample parameter cotangents
-        (B, P) in layout order if ``params``, else the feature cotangent alone."""
-        blocks, hidden, preacts, _ = self._forward(theta)
-        batch = theta.shape[0]
+    def _backward(self, hidden, preacts, params: bool):
+        """Backprop of the scalar output from a forward pass's activations and
+        pre-activations: the per-sample parameter cotangents (B, P) in layout
+        order if ``params``, else the feature cotangent alone."""
+        blocks = self.blocks()
+        batch = hidden[0].shape[0]
         g_out = np.full((batch, 1, self.n_sites), self.prefactor, dtype=np.complex128)
         grads = {"w_final": self.table.weight_grad(g_out, hidden[-1])[:, 0]} if params else None
         gh = self.table.transpose_apply(blocks["w_final"][None], g_out)
@@ -173,10 +178,12 @@ class PeriodicCNN(VariationalState):
         return np.concatenate([grads[name].reshape(batch, -1) for name, _ in self.layout], -1)
 
     def _log_derivatives(self, theta):
-        return self._backward(theta, params=True)
+        hidden, preacts, _ = self._forward(theta)
+        return self._backward(hidden, preacts, params=True)
 
     def _angle_grad(self, theta):
-        gh0 = self._backward(theta, params=False)
+        hidden, preacts, _ = self._forward(theta)
+        gh0 = self._backward(hidden, preacts, params=False)
         batch, n = theta.shape
         d1 = np.zeros((batch, n), dtype=np.complex128)
         for m in range(1, self.n_modes + 1):
@@ -184,10 +191,16 @@ class PeriodicCNN(VariationalState):
             d1 += gh0[:, 2 * m - 1] * (m * np.cos(m * theta))
         return 2.0 * d1.real
 
-    def _angle_derivatives(self, theta):
+    def _kernels(self, angles, out):
+        """ln psi, d1 and d2 from one pass of the layers with the feature
+        jets, and O back-propagated from that pass's activations and
+        pre-activations, once the jets are dropped."""
+        theta = angles.theta
         blocks = self.blocks()
         h = self._features(theta)
         t1, t2 = self._feature_jets(theta)
+        hidden = [h]
+        preacts = []
         for d in range(1, self.depth):
             w = blocks[f"w{d}"]
             z = blocks[f"b{d}"][None, :, None] + self.table.apply(w, h)
@@ -198,13 +211,20 @@ class PeriodicCNN(VariationalState):
             fp = (2.0 * z * gp)[..., None]
             fpp = (2.0 * gp + 4.0 * s * d2_poly_log_I0_of_square(s))[..., None]
             h = poly_log_I0_of_square(s)
+            preacts.append(z)
+            hidden.append(h)
             t2 = fpp * np.square(z1) + fp * z2
             t1 = fp * z1
         wf = blocks["w_final"][None]
         logpsi = self.prefactor * np.sum(self.table.apply(wf, h), axis=(-2, -1))
         d1 = self.prefactor * np.sum(self.table.apply_jet(wf, t1), axis=(1, 2))
         d2 = self.prefactor * np.sum(self.table.apply_jet(wf, t2), axis=(1, 2))
-        return logpsi, d1, d2
+        del t1, t2, z1, z2  # the (B, C, N, N) jets end before O's backward pass
+        o = self._backward(hidden, preacts, params=True)
+        if out is None:
+            return logpsi, d1, d2, o
+        out[...] = o
+        return logpsi, d1, d2, out
 
 
 def zero_final_kernel(state: PeriodicCNN) -> PeriodicCNN:

@@ -13,7 +13,7 @@ class Jastrow(VariationalState):
 
     One expression, ``_d1``, gives d1 to E_L and 2 Re d1 to the HMC gradient:
     one batched matmul of w sin d, or of 2 Re(w) sin d, with the stacked
-    (-inc_i, inc_j) incidence.  ``local_kernels`` gathers a chunk's pair
+    (-inc_i, inc_j) incidence.  ``_kernels`` gathers a chunk's pair
     differences once and takes their cosine once, for ln psi, d2 and O."""
 
     kind = "jastrow"
@@ -74,23 +74,15 @@ class Jastrow(VariationalState):
         cols *= self._w2_real_cols
         return self._d1(ws)
 
-    def _angle_derivatives(self, theta):
-        d = self._pair_diffs(theta)
-        return self._angle_derivatives_of(d, np.cos(d))
-
-    def _angle_derivatives_of(self, d, cos_d):
-        w = self.alpha
-        logpsi = cos_d @ w
-        d1 = self._d1(w * np.sin(d))
-        d2 = -(w * cos_d) @ self._inc_sum
-        return logpsi, d1, d2
-
     def _kernels(self, angles, out):
         """ln psi, d1, d2 and O from one gather of the pair differences and
         one cosine of them, which O is."""
+        w = self.alpha
         d = self._pair_diffs(angles.theta)
         cos_d = np.cos(d)
-        logpsi, d1, d2 = self._angle_derivatives_of(d, cos_d)
+        logpsi = cos_d @ w
+        d1 = self._d1(w * np.sin(d))
+        d2 = -(w * cos_d) @ self._inc_sum
         if out is None:
             return logpsi, d1, d2, cos_d.astype(np.complex128)
         out[...] = cos_d

@@ -142,13 +142,10 @@ class CircularRBM(VariationalState):
         grad *= 2.0
         return grad
 
-    def _angle_derivatives(self, theta):
-        n, x, s = self._forward(theta)
-        return self._angle_derivatives_of(n, x, s, twice_d_poly_log_I0_of_square(s))
-
-    def _angle_derivatives_of(self, n, x, s, gp2):
-        """ln psi, d1 and d2 from the forward pass and gp2 = 2 g'(s)."""
-        logpsi = self._log_psi_of(n, s)
+    def _kernels(self, angles, out):
+        """ln psi, d1, d2 and O from one ``_forward`` and one g'(s)."""
+        n, x, s = self._forward(angles)
+        gp2 = twice_d_poly_log_I0_of_square(s)
         gpp = d2_poly_log_I0_of_square(s)
         a, w2t = self._a, self._w2t
         (cos, sin), (x_x, x_y) = n, x
@@ -166,11 +163,6 @@ class CircularRBM(VariationalState):
             )
             + (gp2 @ w2t - cos * u[0] - sin * u[1])
         )
-        return logpsi, self._d1(n, u), d2
-
-    def _kernels(self, angles, out):
-        """ln psi, d1, d2 and O from one ``_forward`` and one g'(s)."""
-        n, x, s = self._forward(angles)
-        gp2 = twice_d_poly_log_I0_of_square(s)
-        logpsi, d1, d2 = self._angle_derivatives_of(n, x, s, gp2)
-        return logpsi, d1, d2, self._log_derivatives_of(n, x, gp2, out)
+        d1 = self._d1(n, u)
+        del gpp, u, xx2, xy2  # d2's temporaries end before O is written
+        return self._log_psi_of(n, s), d1, d2, self._log_derivatives_of(n, x, gp2, out)

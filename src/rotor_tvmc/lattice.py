@@ -29,13 +29,14 @@ class Lattice:
     ``(k, l)`` with ``k < l`` in sorted order.  On periodic lattices of extent
     2 the same unordered pair therefore appears twice, which is the physically
     correct double coupling.  Self-bonds (extent 1) are never emitted.
+    Lattices compare by ``dims`` and ``periodic``, from which the rest derives.
     """
 
     dims: tuple[int, ...]
     periodic: tuple[bool, ...]
-    n_sites: int = field(init=False)
-    bonds: np.ndarray = field(init=False)  # (n_bonds, 2) int
-    _plaquettes: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    n_sites: int = field(init=False, compare=False)
+    bonds: np.ndarray = field(init=False, compare=False)  # (n_bonds, 2) int
+    _plaquettes: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.n_sites = math.prod(self.dims)

@@ -11,9 +11,11 @@ import scipy.special
 from reference import log_psi_periodicity_check
 
 from rotor_tvmc.ansatz import (
+    Angles,
     AnsatzError,
     CircularRBM,
     LogPsiNonFinite,
+    PeriodicCNN,
     make_ansatz,
     random_alpha,
     zero_final_kernel,
@@ -49,7 +51,7 @@ def _cases():
 def angle_derivatives(state, theta):
     """(ln psi, d1, d2) of a (B, N) batch, from the ansatz's core (there is
     no public wrapper)."""
-    return state._angle_derivatives(theta)
+    return state._kernels(Angles(theta, state.lattice), None)[:3]
 
 
 def _random_state(kind, lattice, hyper, seed=11, scale=0.1):
@@ -180,10 +182,10 @@ class TestFirstOrderGradient:
         theta = np.random.default_rng(25).uniform(-np.pi, np.pi, size=(3, 4))
         expected = state.grad_log_prob(theta)
 
-        def refuse(self, theta):
+        def refuse(self, angles, out):
             raise AssertionError("second-order path called")
 
-        monkeypatch.setattr(type(state), "_angle_derivatives", refuse)
+        monkeypatch.setattr(type(state), "_kernels", refuse)
         assert np.array_equal(state.grad_log_prob(theta), expected)
         # one configuration takes a matrix-vector path, equal up to rounding
         assert np.allclose(state.grad_log_prob(theta[0]), expected[0], rtol=1e-12, atol=0)
@@ -379,7 +381,8 @@ class TestLocalKernels:
         theta = np.zeros((2, lattice.n_sites))
         with np.errstate(all="ignore"):
             for call in (lambda: state.log_psi(theta),
-                         lambda: state.local_kernels(theta, 3.0, 1.0)):
+                         lambda: state.local_kernels(theta, 3.0, 1.0),
+                         lambda: state.local_energy(theta, 3.0, 1.0)):
                 with pytest.raises(LogPsiNonFinite, match="non-finite log_psi") as info:
                     call()
                 assert not isinstance(info.value, AnsatzError)
@@ -398,6 +401,22 @@ class TestCnnGradient:
 
         monkeypatch.setattr(ConvTable, "weight_grad", refuse)
         assert np.array_equal(state.grad_log_prob(theta), expected)
+
+
+class TestCnnLocalKernels:
+    def test_one_pass(self, monkeypatch):
+        # the jet pass keeps the activations that O is back-propagated from
+        state = _random_state("cnn", build_lattice((4,), (True,)), {"depth": 3, "n_modes": 2})
+        calls = []
+        forward = PeriodicCNN._forward
+
+        def counted(self, theta):
+            calls.append(len(theta))
+            return forward(self, theta)
+
+        monkeypatch.setattr(PeriodicCNN, "_forward", counted)
+        state.local_kernels(np.zeros((5, 4)), 3.0, 1.0)
+        assert calls == []
 
 
 class TestRbmLocalKernels:

@@ -55,6 +55,20 @@ class TestBuildLattice:
             build_lattice((2, 2, 2), (True, True, True))
 
 
+class TestEquality:
+    def test_equal_lattices(self):
+        lat = build_lattice((3, 3), (True, True))
+        assert lat == build_lattice((3, 3), (True, True))
+        lat.plaquettes(1)  # fills the cache, which is not compared
+        assert lat == build_lattice((3, 3), (True, True))
+
+    def test_unequal_lattices(self):
+        lat = build_lattice((3, 3), (True, True))
+        lat.plaquettes(1)
+        assert lat != build_lattice((3, 3), (True, False))
+        assert lat != build_lattice((3, 4), (True, True))
+
+
 class TestPlaquettes:
     def test_unit_plaquette_count_periodic(self):
         lat = build_lattice((4, 4), (True, True))

@@ -84,6 +84,10 @@ class TestConfigParsing:
         assert cfg.sampling == "quadrature"
         assert cfg.seed == 7
 
+    def test_equal_configs(self, tmp_path):
+        path = write_ini(tmp_path, BASE_INI)
+        assert load_config(path) == load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.ini")
