@@ -113,13 +113,10 @@ _RUN_KEYS = {
 # [run] keys that earlier versions read; accepted and ignored
 _RETIRED_RUN_KEYS = frozenset({"n_workers", "resample", "checkpoint_stride"})
 
-_BOOL = {"true": True, "yes": True, "on": True, "1": True,
-         "false": False, "no": False, "off": False, "0": False}
-
 
 def _bool(token: str) -> bool:
     try:
-        return _BOOL[token.lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[token.lower()]
     except KeyError:
         raise ValueError(f"cannot parse {token!r} as a boolean") from None
 

@@ -1,10 +1,11 @@
 """Hamiltonian Monte Carlo over rotor configurations.
 
 The chains are one batch, ``Chains``, from their first position to their last
-sample: (C, N) positions, metrics and gradients of ln p, a (C,) batch of ln p,
-one step size shared by every chain and the per-chain generators.  ``Chains``
-evaluates ln p and its gradient once, at the start angles; ``warmup`` and
-``sample`` then update the batch in place and never evaluate either on entry.
+sample: its target and ``HmcConfig``, (C, N) positions, metrics and gradients
+of ln p, a (C,) batch of ln p, one shared step size and per-chain generators.
+``Chains`` evaluates ln p and its gradient once, at the start angles;
+``warmup(chains)`` and ``sample(chains)`` read the target and settings from
+the batch, update it in place and never evaluate either on entry.
 ln p and its gradient are carried: each transition evaluates ln p once, at the
 proposals, and its leapfrog starts from the carried gradient and leaves the
 gradient at the proposals, and both are kept for the chains that accept.  A
@@ -81,12 +82,6 @@ def length_bounds(l0: int, jitter: float) -> tuple[int, int]:
     return lo, max(lo, int(round((1.0 + jitter) * l0)))
 
 
-def jittered_length(rng: np.random.Generator, l0: int, jitter: float) -> int:
-    """Uniform integer trajectory length in ``length_bounds(l0, jitter)``."""
-    lo, hi = length_bounds(l0, jitter)
-    return int(rng.integers(lo, hi + 1))
-
-
 def _batched_leapfrog(theta, pi, eps, lengths, mass_diag, grad_log_prob, grad):
     """Half-kick/drift/half-kick leapfrog with a per-chain number of steps.
 
@@ -130,18 +125,19 @@ def _kinetic(pi, mass_diag):
 
 
 class Chains:
-    """The chains as one batch: (C, N) positions, metric (with its square
-    root) and gradient of ln p, (C,) ln p, the step size every chain shares,
-    the per-chain generators and the batched gradient calls made so far.
+    """The chains as one batch: the target and ``HmcConfig`` that every
+    transition reads, (C, N) positions, metric (with its square root) and
+    gradient of ln p, (C,) ln p, the step size every chain shares, the
+    per-chain generators and the batched gradient calls made so far.
 
     Each chain draws its start angles uniformly from its own generator; ε
     starts at ``eps0`` and the metric at 1.  ln p and its gradient are
     evaluated once, here, and then only by the transitions, which keep them
-    where a chain accepts.  The transitions draw into arrays allocated here,
-    within the length bounds taken here by ``jittered_length``'s rule.
+    where a chain accepts.  The transitions draw into arrays allocated here.
     """
 
     def __init__(self, target, n_sites: int, config: HmcConfig, rngs):
+        self.target, self.config = target, config
         self.rngs = list(rngs)
         self.theta = np.stack([rng.uniform(-np.pi, np.pi, size=n_sites) for rng in self.rngs])
         self.eps = config.eps0
@@ -150,7 +146,6 @@ class Chains:
             self.log_p = target.log_prob(self.theta)
             self.grad = target.grad_log_prob(self.theta)
         self.grad_calls = 1
-        self.length_range = length_bounds(config.l0, config.jitter)
         # each transition's momenta, trajectory lengths and accept uniforms
         self._momenta = np.empty_like(self.theta)
         self._lengths = np.empty(len(self.rngs), dtype=np.int64)
@@ -160,21 +155,23 @@ class Chains:
         self.mass, self.sqrt_mass = mass, np.sqrt(mass)
 
 
-def _transition(chains: Chains, target, config: HmcConfig):
+def _transition(chains: Chains):
     """One accept/reject HMC update of the chains, in place on their positions,
-    ln p and gradient.
+    ln p and gradient, under their target.
 
     One loop over the chains draws each chain's momenta, trajectory length
-    (in ``chains.length_range``) and accept uniform from its own generator,
-    in that order, into arrays of ``chains``: the values of ``rng.normal``,
-    ``jittered_length`` and ``rng.uniform``.
+    (uniform in ``length_bounds`` of the batch's ``l0`` and ``jitter``) and
+    accept uniform from its own generator, in that order, into arrays of
+    ``chains``: the values of ``rng.normal``, ``rng.integers`` and
+    ``rng.uniform``.
 
     Returns the Metropolis statistic min(1, exp(-dH)) per chain (0 for
     divergent proposals), which feeds dual averaging, and the per-chain
     accept and divergence flags.
     """
     pi, lengths, uniforms = chains._momenta, chains._lengths, chains._uniforms
-    lo, hi = chains.length_range
+    target = chains.target
+    lo, hi = length_bounds(chains.config.l0, chains.config.jitter)
     for c, rng in enumerate(chains.rngs):
         rng.standard_normal(out=pi[c])
         lengths[c] = rng.integers(lo, hi + 1)
@@ -230,9 +227,9 @@ def warmup_windows(n_warmup: int, n_slow: int) -> list[tuple[int, str]]:
     return windows
 
 
-def warmup(chains: Chains, config: HmcConfig, target) -> None:
+def warmup(chains: Chains) -> None:
     """Adapt the step size (all windows) and diagonal masses (slow windows)
-    of the chains, in place.
+    of the chains, in place, on the schedule of their ``HmcConfig``.
 
     A single dual-averaging run spans all windows and adapts one step size
     shared by every chain, fed with the chain-averaged Metropolis alpha.
@@ -241,13 +238,14 @@ def warmup(chains: Chains, config: HmcConfig, target) -> None:
     iterates settle, which biases the post-warmup acceptance rate well
     above the target.
     """
+    config = chains.config
     da = _DualAveraging(chains.eps, config.target_accept)
     for window_len, kind in warmup_windows(config.n_warmup, config.n_slow_windows):
         for attempt in range(2):
             draws = np.empty((window_len,) + chains.theta.shape)
             n_accepted = 0
             for step in range(window_len):
-                alpha, accept, _ = _transition(chains, target, config)
+                alpha, accept, _ = _transition(chains)
                 n_accepted += int(accept.sum())
                 chains.eps = da.update(alpha.mean())
                 draws[step] = chains.theta
@@ -296,16 +294,17 @@ class SampleDiagnostics:
     warnings: list[str] = field(default_factory=list)
 
 
-def sample(chains: Chains, n_samples: int, target, config: HmcConfig):
-    """Draw n_samples per chain, advancing the chains in place; returns
-    ((Nc*Ns, N) samples ordered by chain, then draw; diagnostics).  The
-    angles are wrapped once, when the draw is complete."""
+def sample(chains: Chains):
+    """Draw the batch's ``n_samples`` per chain, advancing the chains in
+    place; returns ((C, n_samples, N) samples, diagnostics).  The angles are
+    wrapped once, when the draw is complete."""
     n_chains, n_sites = chains.theta.shape
+    n_samples = chains.config.n_samples
     by_chain = np.empty((n_chains, n_samples, n_sites))
     accepted = np.zeros(n_chains, dtype=int)
     divergences = np.zeros(n_chains, dtype=int)
     for s in range(n_samples):
-        _, accept, divergent = _transition(chains, target, config)
+        _, accept, divergent = _transition(chains)
         accepted += accept
         divergences += divergent
         by_chain[:, s] = chains.theta
@@ -327,4 +326,4 @@ def sample(chains: Chains, n_samples: int, target, config: HmcConfig):
         rhat_max=rhat_max,
         warnings=warnings,
     )
-    return by_chain.reshape(-1, by_chain.shape[2]), diag
+    return by_chain, diag

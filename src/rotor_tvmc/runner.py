@@ -42,7 +42,7 @@ import numpy as np
 from . import exact, observables, quadrature
 from .ansatz import Angles, make_ansatz, random_alpha
 from .config import RunConfig, config_echo
-from .hmc import Chains, SampleDiagnostics, sample, warmup
+from .hmc import Chains, HmcConfig, SampleDiagnostics, sample, warmup
 from .integrator import AdaptiveStepper
 from .tdvp import estimate_qgt, residual_r2, tdvp_rhs
 
@@ -223,7 +223,8 @@ def _estimate(state, points, angles, g: float, J: float, shift=None, out=None):
 
 class _HmcEngine:
     """Fresh warmed-up chains per draw, keyed by a counter of draws; a
-    reweighted estimate runs no chain and leaves the counter as it is.
+    reweighted estimate runs no chain and leaves the counter as it is.  The
+    only builder of chain batches: one engine serves a whole run.
 
     ``warnings`` counts each sampler warning message over all draws; a
     message is printed on stderr the first time it occurs.  ``grad_calls``
@@ -238,28 +239,27 @@ class _HmcEngine:
         self.warnings: Counter[str] = Counter()
         self.grad_calls = 0
 
-    def sample(self, state, counter: int | None = None):
-        """(n_chains, n_samples, N) angles from |psi|^2 at state.alpha, and
-        the sampler's diagnostics."""
-        cfg = self.config
-        if counter is None:
-            counter = self.counter
-            self.counter += 1
-        rngs = [np.random.default_rng([cfg.seed, self.mode_code, counter, c])
-                for c in range(cfg.hmc.n_chains)]
-        chains = Chains(state, state.n_sites, cfg.hmc, rngs)
-        warmup(chains, cfg.hmc, state)
-        flat, diag = sample(chains, cfg.hmc.n_samples, state, cfg.hmc)
+    def sample(self, state, hmc: HmcConfig, counter: int):
+        """(n_chains, n_samples, N) angles from |psi|^2 at state.alpha, drawn by
+        chains built with ``hmc`` and keyed by ``counter``, and the sampler's
+        diagnostics."""
+        rngs = [np.random.default_rng([self.config.seed, self.mode_code, counter, c])
+                for c in range(hmc.n_chains)]
+        chains = Chains(state, state.n_sites, hmc, rngs)
+        warmup(chains)
+        points, diag = sample(chains)
         self.grad_calls += chains.grad_calls
         for message in diag.warnings:
             if message not in self.warnings:
                 print(f"sampler warning: {message}", file=sys.stderr)
             self.warnings[message] += 1
-        return flat.reshape(cfg.hmc.n_chains, cfg.hmc.n_samples, state.n_sites), diag
+        return points, diag
 
     def draw(self, state, g: float, J: float, out=None):
-        """Fresh chains and the QGT estimate from them."""
-        points, diag = self.sample(state)
+        """Fresh chains under the run's ``HmcConfig`` and the QGT estimate
+        from them."""
+        points, diag = self.sample(state, self.config.hmc, self.counter)
+        self.counter += 1
         angles = Angles(points.reshape(-1, state.n_sites), state.lattice)
         draw, qgt = _estimate(state, points, angles, g, J, out=out)
         return replace(draw, diag=diag), qgt
@@ -318,9 +318,9 @@ def _engine(config: RunConfig, mode_code: int):
     return _HmcEngine(config, mode_code)
 
 
-def _observables(draw: Draw, config: RunConfig, lattice) -> dict:
+def _observables(draw: Draw, config: RunConfig) -> dict:
     """One trajectory row's observables from an engine draw."""
-    samples, weights = draw.points, draw.weights
+    samples, weights, lattice = draw.points, draw.weights, config.lattice
     e_pot, e_sigma = observables.potential_energy_density(
         samples, lattice, config.physics.j, weights=weights
     )
@@ -483,10 +483,6 @@ class Quench:
         return self.rows[-1]["t"]
 
     @property
-    def sampler_warnings(self) -> Counter[str]:
-        return self.engine.warnings
-
-    @property
     def times(self) -> np.ndarray:
         return np.array([row["t"] for row in self.rows])
 
@@ -538,7 +534,7 @@ class Quench:
              ("steps.csv", STEP_COLUMNS, [vars(a) for a in self.stepper.attempts]),
              *tables],
             status=self.status, steps=len(self.rows) - 1, final_time=self.t,
-            sampler_warnings=self.sampler_warnings, fresh_draws=self.fresh_draws,
+            sampler_warnings=self.engine.warnings, fresh_draws=self.fresh_draws,
             hmc_grad_calls=self.engine.grad_calls,
             reweighted_stages=self.reweighted_stages,
             min_reweight_ess=self.min_reweight_ess, **fields,
@@ -576,7 +572,7 @@ class Quench:
             prev = self.rows[-1]
             r2_integral = prev["r2_integral"] + 0.5 * (prev["r2"] + last.r2) * (t - prev["t"])
         return {
-            **_observables(draw_t, self.config, self.config.lattice),
+            **_observables(draw_t, self.config),
             "t": t,
             "dt": dt,
             "energy": last.energy,
@@ -670,7 +666,7 @@ SAMPLER_L_SWEEP = (1, 2, 10, 20)
 
 
 def run_sampler_check(config: RunConfig, state=None, out_dir: Path | None = None):
-    """Hyperparameter sweeps on a frozen target state.
+    """Hyperparameter sweeps on a frozen target state, drawn by one engine.
 
     Sweeps samples-per-chain for the magnetization error bar scaling and the
     leapfrog length for the variance-reduction comparison; returns a report
@@ -678,15 +674,11 @@ def run_sampler_check(config: RunConfig, state=None, out_dir: Path | None = None
     """
     if state is None:
         state = start_state(config)
-
-    def draw(hmc_cfg, counter):
-        return _HmcEngine(replace(config, hmc=hmc_cfg), _MODE_SAMPLER_CHECK).sample(
-            state, counter)
+    engine = _HmcEngine(config, _MODE_SAMPLER_CHECK)
 
     ns_rows = []
     for idx, n_samples in enumerate(SAMPLER_NS_SWEEP):
-        cfg = replace(config.hmc, n_samples=n_samples)
-        samples, diag = draw(cfg, idx)
+        samples, diag = engine.sample(state, replace(config.hmc, n_samples=n_samples), idx)
         mag, _, _, sigma = observables.magnetization(samples)
         ns_rows.append({
             "n_samples": n_samples,
@@ -702,8 +694,7 @@ def run_sampler_check(config: RunConfig, state=None, out_dir: Path | None = None
     sigma_draws = {}
     rng = np.random.default_rng([config.seed, _MODE_SAMPLER_CHECK, 999])
     for idx, l0 in enumerate(SAMPLER_L_SWEEP):
-        cfg = replace(config.hmc, l0=l0)
-        samples, diag = draw(cfg, 100 + idx)
+        samples, diag = engine.sample(state, replace(config.hmc, l0=l0), 100 + idx)
         mag, _, _, sigma = observables.magnetization(samples)
         # bootstrap distribution of the error bar, reused for the L comparison
         per_sample = np.hypot(
@@ -731,5 +722,6 @@ def run_sampler_check(config: RunConfig, state=None, out_dir: Path | None = None
         write_outputs(out_dir, "sampler-check", config, [
             ("ns_sweep.csv", ["n_samples", "mag", "sigma_mag", "acceptance"], ns_rows),
             ("l_sweep.csv", ["l0", "mag", "sigma_mag", "acceptance"], l_rows),
-        ], sigma_slope=slope, variance_reduction_confident=variance_reduction_confident)
+        ], sigma_slope=slope, variance_reduction_confident=variance_reduction_confident,
+           sampler_warnings=dict(engine.warnings), hmc_grad_calls=engine.grad_calls)
     return report

@@ -72,7 +72,7 @@ class QgtEstimate:
     y: np.ndarray  # (n,) sqrt(w) (E_L - <E_L>)
     e_mean: complex
     n_samples: int
-    log_psi: np.ndarray | None = None  # (n,) ln psi at the samples
+    log_psi: np.ndarray  # (n,) ln psi at the samples
 
     @cached_property
     def s_matrix(self) -> np.ndarray:

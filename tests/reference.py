@@ -170,16 +170,18 @@ def masked_leapfrog(theta, pi, eps, lengths, mass_diag, grad_log_prob):
     return theta, pi
 
 
-def recomputing_transition(batch, target, config):
+def recomputing_transition(batch):
     """The plain form of ``hmc._transition``: each trajectory evaluates the
     gradient of ln p afresh at its start (``masked_leapfrog``), the momenta
-    scale by sqrt(M) taken per transition, and the accept uniforms come from
+    scale by sqrt(M) taken per transition, the lengths are drawn one chain at
+    a time over ``length_bounds`` and the accept uniforms come from
     ``uniform()``.  Updates the batch's positions and ln p in place; its
     gradient is left as it is."""
-    rngs = batch.rngs
+    rngs, target, config = batch.rngs, batch.target, batch.config
     pi = np.stack([rng.normal(size=batch.theta.shape[1]) for rng in rngs])
     pi = pi * np.sqrt(batch.mass)
-    lengths = np.array([hmc.jittered_length(rng, config.l0, config.jitter) for rng in rngs])
+    lo, hi = hmc.length_bounds(config.l0, config.jitter)
+    lengths = np.array([rng.integers(lo, hi + 1) for rng in rngs])
     uniforms = np.array([rng.uniform() for rng in rngs])
     with np.errstate(all="ignore"):
         h0 = -batch.log_p + hmc._kinetic(pi, batch.mass)

@@ -262,8 +262,8 @@ class _VonMises:
 def _run_chains(target, n_sites, config, seed, tag):
     rngs = [np.random.default_rng([seed, tag, c]) for c in range(config.n_chains)]
     chains = Chains(target, n_sites, config, rngs)
-    warmup(chains, config, target)
-    flat, diag = sample(chains, config.n_samples, target, config)
+    warmup(chains)
+    flat, diag = sample(chains)
     return flat, diag
 
 

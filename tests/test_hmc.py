@@ -5,7 +5,7 @@ from scipy.special import i0, i1
 
 from rotor_tvmc import hmc
 from rotor_tvmc.ansatz import make_ansatz, random_alpha, zero_final_kernel
-from rotor_tvmc.lattice import build_lattice
+from rotor_tvmc.lattice import build_lattice, wrap_angle
 
 
 class VonMises:
@@ -38,8 +38,8 @@ def _chains(target, n_sites, cfg, seed):
 
 def _run(target, n_sites, cfg, seed=7):
     chains = _chains(target, n_sites, cfg, seed)
-    hmc.warmup(chains, cfg, target)
-    samples, diag = hmc.sample(chains, cfg.n_samples, target, cfg)
+    hmc.warmup(chains)
+    samples, diag = hmc.sample(chains)
     return samples, diag, chains
 
 
@@ -122,7 +122,7 @@ class TestTransitions:
         cfg = hmc.HmcConfig(l0=10, eps0=0.05, n_warmup=72, n_slow_windows=1,
                             n_samples=200, n_chains=2)
         target = Quadratic()
-        _, diag = hmc.sample(_chains(target, 2, cfg, 3), 200, target, cfg)
+        _, diag = hmc.sample(_chains(target, 2, cfg, 3))
         assert np.all(diag.acceptance > 0.97)
         assert hmc.DIVERGENCE_WARNING not in diag.warnings
 
@@ -133,7 +133,7 @@ class TestTransitions:
         state = zero_final_kernel(state)
         cfg = hmc.HmcConfig(l0=5, eps0=0.5, n_warmup=72, n_slow_windows=1,
                             n_samples=100, n_chains=2)
-        _, diag = hmc.sample(_chains(state, 9, cfg, 4), 100, state, cfg)
+        _, diag = hmc.sample(_chains(state, 9, cfg, 4))
         assert np.all(diag.acceptance == 1.0)
 
     def test_divergence_auto_reject(self):
@@ -141,21 +141,34 @@ class TestTransitions:
         target = VonMises(kappa=200.0)
         cfg = hmc.HmcConfig(l0=20, eps0=50.0, n_warmup=72, n_slow_windows=1,
                             n_samples=50, n_chains=1)
-        _, diag = hmc.sample(_chains(target, 2, cfg, 5), 50, target, cfg)
+        _, diag = hmc.sample(_chains(target, 2, cfg, 5))
         assert diag.divergences[0] > 0
         assert diag.acceptance[0] < 0.5
         # one fixed-text warning per draw, however many transitions diverged
         assert diag.warnings.count(hmc.DIVERGENCE_WARNING) == 1
 
-    def test_jittered_length_range(self):
-        rng = np.random.default_rng(0)
-        lengths = {hmc.jittered_length(rng, 20, 0.2) for _ in range(500)}
-        assert min(lengths) >= 16 and max(lengths) <= 24
-        assert len(lengths) > 3
+    def test_length_bounds(self):
+        assert hmc.length_bounds(20, 0.2) == (16, 24)
+        assert hmc.length_bounds(20, 0.0) == (20, 20)
 
-    def test_zero_jitter_fixed_length(self):
-        rng = np.random.default_rng(0)
-        assert all(hmc.jittered_length(rng, 20, 0.0) == 20 for _ in range(10))
+    def test_drawn_lengths_stay_in_bounds_and_vary(self):
+        cfg = hmc.HmcConfig(l0=20, jitter=0.2, eps0=0.1, n_warmup=72,
+                            n_slow_windows=1, n_samples=10, n_chains=4)
+        chains = _chains(VonMises(), 2, cfg, 6)
+        drawn = set()
+        for _ in range(100):
+            hmc._transition(chains)
+            drawn.update(int(n) for n in chains._lengths)
+        assert min(drawn) >= 16 and max(drawn) <= 24
+        assert len(drawn) > 3
+
+    def test_samples_are_chain_shaped(self):
+        cfg = hmc.HmcConfig(l0=5, n_warmup=72, n_slow_windows=1,
+                            n_samples=30, n_chains=3)
+        samples, _, chains = _run(VonMises(1.0), 2, cfg)
+        assert samples.shape == (3, 30, 2)
+        # the last sample of each chain is its wrapped position
+        assert np.array_equal(samples[:, -1], wrap_angle(chains.theta))
 
 
 class TestStatistics:
@@ -211,7 +224,7 @@ class TestWarmupFailure:
                             n_samples=10, n_chains=1)
         chains = _chains(Wall(), 2, cfg, 6)
         with pytest.raises(hmc.WarmupError):
-            hmc.warmup(chains, cfg, Wall())
+            hmc.warmup(chains)
 
 
 class CountingVonMises(VonMises):
@@ -239,10 +252,10 @@ class TestCarriedLogProb:
         chains = _chains(target, 2, cfg, 8)
         assert target.log_prob_calls == 1
         target.log_prob_calls = 0
-        hmc.warmup(chains, cfg, target)
+        hmc.warmup(chains)
         assert target.log_prob_calls == sum(w for w, _ in hmc.warmup_windows(80, 2))
         target.log_prob_calls = 0
-        hmc.sample(chains, 30, target, cfg)
+        hmc.sample(chains)
         assert target.log_prob_calls == 30
 
 
@@ -292,8 +305,8 @@ class TestCarriedGradient:
 
         def run():
             chains = _chains(target, n_sites, cfg, 33)
-            hmc.warmup(chains, cfg, target)
-            samples, diag = hmc.sample(chains, cfg.n_samples, target, cfg)
+            hmc.warmup(chains)
+            samples, diag = hmc.sample(chains)
             return samples, diag, chains
 
         samples, diag, chains = run()
@@ -314,7 +327,7 @@ class TestCarriedGradient:
         cfg = hmc.HmcConfig(l0=5, n_warmup=72, n_slow_windows=2,
                             n_samples=40, n_chains=4)
         chains = _chains(target, n_sites, cfg, 34)
-        hmc.warmup(chains, cfg, target)
+        hmc.warmup(chains)
         assert np.array_equal(chains.log_p, target.log_prob(chains.theta))
         assert np.array_equal(chains.grad, target.grad_log_prob(chains.theta))
 
@@ -332,10 +345,10 @@ class TestCarriedGradient:
         monkeypatch.setattr(hmc, "_batched_leapfrog", recording)
         chains = _chains(target, 2, cfg, 9)
         assert target.grad_calls == chains.grad_calls == 1
-        hmc.warmup(chains, cfg, target)
+        hmc.warmup(chains)
         assert target.grad_calls == 1 + sum(steps)
         target.grad_calls, warmup_steps, steps[:] = 0, sum(steps), []
-        hmc.sample(chains, 30, target, cfg)
+        hmc.sample(chains)
         assert len(steps) == 30
         # none on entry: sample starts from the gradient warmup carried
         assert target.grad_calls == sum(steps)

@@ -740,6 +740,21 @@ class TestSamplerWarnings:
         assert meta["sampler_warnings"] == {WARNING: 3}
         assert capsys.readouterr().err.count(WARNING) == 1
 
+    def test_sampler_check_draws_through_one_engine(self, tmp_path, monkeypatch, capsys):
+        self._patch_warnings(monkeypatch, [WARNING])
+        calls = TestGradCalls._count_grad_calls(monkeypatch)
+        config = load_config(write_ini(tmp_path, HMC_INI))
+        state = make_ansatz("jastrow", config.lattice)
+        state = state.with_alpha(random_alpha(state, np.random.default_rng(5), 0.2))
+        out = tmp_path / "check"
+        run_sampler_check(config, state=state, out_dir=out)
+        meta = json.loads((out / "metadata.json").read_text())
+        # one draw per row of both sweeps, each message printed once
+        n_draws = len(runner.SAMPLER_NS_SWEEP) + len(runner.SAMPLER_L_SWEEP)
+        assert meta["sampler_warnings"] == {WARNING: n_draws}
+        assert capsys.readouterr().err.count(WARNING) == 1
+        assert meta["hmc_grad_calls"] == len(calls) > 0
+
     def test_quench_metadata_counts_warnings(self, tmp_path, monkeypatch, capsys):
         path = write_ini(tmp_path, HMC_INI)
         state = make_ansatz("jastrow", load_config(path, {}).lattice)

@@ -231,7 +231,7 @@ class TestTdvpRhs:
     def test_residual_zero_variance(self):
         qgt = QgtEstimate(
             x=np.eye(2, dtype=complex), y=np.zeros(2, dtype=complex),
-            e_mean=0.0, n_samples=100,
+            e_mean=0.0, n_samples=100, log_psi=np.zeros(2, dtype=complex),
         )
         pinv = regularized_pseudoinverse(qgt.s_matrix, 1e-6)
         assert residual_r2(qgt, pinv) == (0.0, False)
