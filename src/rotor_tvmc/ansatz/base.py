@@ -20,7 +20,8 @@ cost least.
 
 ``_kernels`` is the only core that forms the second angle derivatives.  One
 pass gives ln psi, the first and second angle derivatives d1 and d2, and O,
-bit for bit the values of ``_log_psi`` and ``_log_derivatives``.
+bit for bit the values of ``_log_psi`` and ``_log_derivatives``; 2 Re d1 is
+``_angle_grad`` bit for bit, in every ansatz.
 ``local_kernels`` turns d1 and d2 into E_L for the one pass of
 ``tdvp.estimate_qgt`` over a draw's points, and ``local_energy`` is that E_L.
 ``local_kernels`` also takes an ``Angles`` batch: the configurations with

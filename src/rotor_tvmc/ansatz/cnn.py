@@ -13,9 +13,10 @@ offset leaves the lattice.  All
 gradients (parameters and angles) are hand-derived passes through this fixed
 graph; parameters are complex and every operation is holomorphic.  Only O
 builds parameter cotangents; the HMC gradient backprops to the features alone.
-The local energy's pass carries the feature jets through the layers and keeps
-each layer's activations and pre-activations, from which O is back-propagated,
-so ``local_kernels`` runs the layers once.
+d1 is the features' cotangent times their angle derivatives, for the HMC
+gradient and the local energy alike.  ``local_kernels`` runs one forward pass,
+carries the feature jets through its pre-activations for d2 alone, and then
+one backward pass gives O and the feature cotangent.
 
 Parameter layout (flat, in order): for each hidden layer d = 1..D-1 the
 kernel ``w{d}`` of shape (2K, 2K, n_offsets) then the bias ``b{d}`` of shape
@@ -155,7 +156,7 @@ class PeriodicCNN(VariationalState):
     def _backward(self, hidden, preacts, params: bool):
         """Backprop of the scalar output from a forward pass's activations and
         pre-activations: the per-sample parameter cotangents (B, P) in layout
-        order if ``params``, else the feature cotangent alone."""
+        order if ``params``, else None, and the feature cotangent (B, 2K, N)."""
         blocks = self.blocks()
         batch = hidden[0].shape[0]
         g_out = np.full((batch, 1, self.n_sites), self.prefactor, dtype=np.complex128)
@@ -171,56 +172,50 @@ class PeriodicCNN(VariationalState):
             if params:
                 grads[f"b{d}"] = np.sum(gz, axis=-1)
                 grads[f"w{d}"] = self.table.weight_grad(gz, hidden[d - 1])
-            if d > 1 or not params:
-                gh = self.table.transpose_apply(blocks[f"w{d}"], gz)
+            gh = self.table.transpose_apply(blocks[f"w{d}"], gz)
         if not params:
-            return gh
-        return np.concatenate([grads[name].reshape(batch, -1) for name, _ in self.layout], -1)
+            return None, gh
+        return np.concatenate([grads[name].reshape(batch, -1) for name, _ in self.layout], -1), gh
 
-    def _log_derivatives(self, theta):
-        hidden, preacts, _ = self._forward(theta)
-        return self._backward(hidden, preacts, params=True)
-
-    def _angle_grad(self, theta):
-        hidden, preacts, _ = self._forward(theta)
-        gh0 = self._backward(hidden, preacts, params=False)
-        batch, n = theta.shape
-        d1 = np.zeros((batch, n), dtype=np.complex128)
+    def _d1(self, gh0, theta):
+        """d1 (B, N): the feature cotangent times the features' angle derivatives."""
+        d1 = np.zeros(theta.shape, dtype=np.complex128)
         for m in range(1, self.n_modes + 1):
             d1 += gh0[:, 2 * m - 2] * (-m * np.sin(m * theta))
             d1 += gh0[:, 2 * m - 1] * (m * np.cos(m * theta))
-        return 2.0 * d1.real
+        return d1
+
+    def _log_derivatives(self, theta):
+        hidden, preacts, _ = self._forward(theta)
+        return self._backward(hidden, preacts, params=True)[0]
+
+    def _angle_grad(self, theta):
+        hidden, preacts, _ = self._forward(theta)
+        gh0 = self._backward(hidden, preacts, params=False)[1]
+        return 2.0 * self._d1(gh0, theta).real
 
     def _kernels(self, angles, out):
-        """ln psi, d1 and d2 from one pass of the layers with the feature
-        jets, and O back-propagated from that pass's activations and
-        pre-activations, once the jets are dropped."""
+        """ln psi from one forward pass; d2 from the feature jets carried
+        through its pre-activations, which are dropped before one backward
+        pass gives O and the feature cotangent, and d1 from that cotangent."""
         theta = angles.theta
         blocks = self.blocks()
-        h = self._features(theta)
+        hidden, preacts, logpsi = self._forward(theta)
         t1, t2 = self._feature_jets(theta)
-        hidden = [h]
-        preacts = []
-        for d in range(1, self.depth):
+        for d, z in enumerate(preacts, 1):
             w = blocks[f"w{d}"]
-            z = blocks[f"b{d}"][None, :, None] + self.table.apply(w, h)
             z1 = self.table.apply_jet(w, t1)
             z2 = self.table.apply_jet(w, t2)
             s = np.square(z)
             gp = d_poly_log_I0_of_square(s)
             fp = (2.0 * z * gp)[..., None]
             fpp = (2.0 * gp + 4.0 * s * d2_poly_log_I0_of_square(s))[..., None]
-            h = poly_log_I0_of_square(s)
-            preacts.append(z)
-            hidden.append(h)
             t2 = fpp * np.square(z1) + fp * z2
-            t1 = fp * z1
-        wf = blocks["w_final"][None]
-        logpsi = self.prefactor * np.sum(self.table.apply(wf, h), axis=(-2, -1))
-        d1 = self.prefactor * np.sum(self.table.apply_jet(wf, t1), axis=(1, 2))
-        d2 = self.prefactor * np.sum(self.table.apply_jet(wf, t2), axis=(1, 2))
-        del t1, t2, z1, z2  # the (B, C, N, N) jets end before O's backward pass
-        o = self._backward(hidden, preacts, params=True)
+            t1 = fp * z1 if d < len(preacts) else None  # the output layer reads t2 alone
+        d2 = self.prefactor * np.sum(self.table.apply_jet(blocks["w_final"][None], t2), axis=(1, 2))
+        del t1, t2, z1, z2  # the (B, C, N, N) jets end before the backward pass
+        o, gh0 = self._backward(hidden, preacts, params=True)
+        d1 = self._d1(gh0, theta)
         if out is None:
             return logpsi, d1, d2, o
         out[...] = o

@@ -38,10 +38,9 @@ class Jastrow(VariationalState):
 
     def _set_alpha(self, alpha):
         super()._set_alpha(alpha)
-        # 2 Re w (an exact doubling) repeated over the columns of a (P, B)
-        # batch; ``_angle_grad`` builds it for the batch size it is called
-        # with, which HMC keeps
-        self._w2_real_cols = np.empty((alpha.size, 0))
+        # 2 Re w (an exact doubling) as a (P, 1) column, which scales the
+        # columns of a (P, B) batch
+        self._w2_real = 2.0 * alpha.real[:, None]
 
     def _pair_diffs(self, theta):
         # (B, P) differences from one gather of rows of theta.T: the values
@@ -68,10 +67,8 @@ class Jastrow(VariationalState):
         # on the contiguous (P, B) transpose of the differences
         ws = self._pair_diffs(theta)
         cols = ws.T
-        if self._w2_real_cols.shape[1] != cols.shape[1]:
-            self._w2_real_cols = np.repeat(2.0 * self.alpha.real[:, None], cols.shape[1], axis=1)
         np.sin(cols, out=cols)
-        cols *= self._w2_real_cols
+        cols *= self._w2_real
         return self._d1(ws)
 
     def _kernels(self, angles, out):

@@ -172,6 +172,16 @@ class TestFirstOrderGradient:
         _, d1, _ = angle_derivatives(state, theta)
         assert np.array_equal(state.grad_log_prob(theta), 2.0 * np.real(d1))
 
+    @pytest.mark.parametrize("lattice,hyper", [
+        (lattice, hyper) for kind, lattice, hyper in _cases() if kind == "cnn"
+    ])
+    def test_cnn_bitwise_equal_to_second_order_path(self, lattice, hyper):
+        state = _random_state("cnn", lattice, hyper, seed=28, scale=0.7)
+        rng = np.random.default_rng(29)
+        theta = rng.uniform(-np.pi, np.pi, size=(9, lattice.n_sites))
+        _, d1, _ = angle_derivatives(state, theta)
+        assert np.array_equal(state.grad_log_prob(theta), 2.0 * np.real(d1))
+
     @pytest.mark.parametrize("kind,hyper", [
         ("jastrow", {}), ("rbm", {"n_hidden": 4}),
         ("rbm", {"convolutional": True}), ("cnn", {"depth": 2, "n_modes": 2}),
@@ -405,7 +415,7 @@ class TestCnnGradient:
 
 class TestCnnLocalKernels:
     def test_one_pass(self, monkeypatch):
-        # the jet pass keeps the activations that O is back-propagated from
+        # one forward pass keeps the activations that the jets and O read
         state = _random_state("cnn", build_lattice((4,), (True,)), {"depth": 3, "n_modes": 2})
         calls = []
         forward = PeriodicCNN._forward
@@ -416,7 +426,23 @@ class TestCnnLocalKernels:
 
         monkeypatch.setattr(PeriodicCNN, "_forward", counted)
         state.local_kernels(np.zeros((5, 4)), 3.0, 1.0)
-        assert calls == []
+        assert calls == [5]
+
+    def test_jets_serve_d2_only(self, monkeypatch):
+        # two jets per hidden layer and the second-order jet alone through
+        # the output layer: d1 comes from the backward pass
+        depth = 3
+        state = _random_state("cnn", build_lattice((4,), (True,)), {"depth": depth, "n_modes": 2})
+        calls = []
+        apply_jet = ConvTable.apply_jet
+
+        def counted(self, w, t):
+            calls.append(len(t))
+            return apply_jet(self, w, t)
+
+        monkeypatch.setattr(ConvTable, "apply_jet", counted)
+        state.local_kernels(np.zeros((5, 4)), 3.0, 1.0)
+        assert len(calls) == 2 * (depth - 1) + 1
 
 
 class TestRbmLocalKernels:
