@@ -29,13 +29,15 @@ the quadrature grid.  The estimate keeps the ln psi: weights may be given as
 a function of it, as quadrature's |psi|^2 weights are, and the fidelity of a
 quench row reads it, so a draw's points are evaluated once per draw.
 
-Memory.  X is the largest array of a step.  ``estimate_qgt`` fills it in
-chunks of rows whose log-derivative block fits ``CHUNK_BYTES``, into a new
-array or into the caller's stale one (``out``).  The sample-space solve
-then holds X, n x n matrices and P-vectors only: X X^dag is summed over
-column blocks of X in real arithmetic (``_gram``), so no temporary is larger
-than a real n x n matrix, and X^dag u is applied as (u^dag X)^dag, so
-neither conj(X) nor the P x n basis X^dag V is formed.
+Memory.  X is the largest array of a step, and every step holds one copy
+of it: no solve forms conj(X).  ``estimate_qgt`` fills X in chunks of rows
+whose log-derivative block fits ``CHUNK_BYTES``, into a new array or into
+the caller's stale one (``out``).  The parameter-space solve forms S from
+one real (2P, 2P) Gram matrix of X's float64 view (``s_matrix``).  The
+sample-space solve holds X, n x n matrices and P-vectors only: X X^dag is
+summed over column blocks of X in real arithmetic (``_gram``), so no
+temporary is larger than a real n x n matrix, and X^dag u is applied as
+(u^dag X)^dag, so the P x n basis X^dag V is never formed either.
 
 Monte Carlo averages use the 1/n convention throughout.
 """
@@ -60,12 +62,6 @@ class TdvpError(RuntimeError):
     pass
 
 
-def _hermitian(m: np.ndarray) -> np.ndarray:
-    out = m + m.conj().T
-    out *= 0.5
-    return out
-
-
 @dataclass
 class QgtEstimate:
     x: np.ndarray  # (n, P) sqrt(w) (O - <O>)
@@ -76,8 +72,19 @@ class QgtEstimate:
 
     @cached_property
     def s_matrix(self) -> np.ndarray:
-        """(P, P) Hermitian S = X^dag X."""
-        return _hermitian(self.x.conj().T @ self.x)
+        """(P, P) S = X^dag X in real arithmetic, exactly Hermitian.
+
+        G = F^T F on X's (n, 2P) float64 view F is one BLAS syrk (symmetric
+        to the bit), and S is read off its 2 x 2 blocks:
+        Re S = G_rr + G_ii, Im S = G_ri - G_ir.  No conjugate copy of X is
+        formed.  Only the parameter-space solve (n >= P) forms S.
+        """
+        f = self.x.view(np.float64)
+        g = f.T @ f
+        s = np.empty((g.shape[0] // 2,) * 2, dtype=np.complex128)
+        np.add(g[0::2, 0::2], g[1::2, 1::2], out=s.real)
+        np.subtract(g[0::2, 1::2], g[1::2, 0::2], out=s.imag)
+        return s
 
     @cached_property
     def gvec(self) -> np.ndarray:

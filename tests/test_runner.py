@@ -656,6 +656,31 @@ quadrature_points = 16
         assert (out / "exact_reference.csv").is_file()
         assert json.loads(proc.stdout.splitlines()[-1]) == []
 
+    @pytest.mark.parametrize("verb", ["quench", "oracle-benchmark"])
+    def test_runs_with_scipy_blocked(self, tmp_path, verb):
+        # the program needs NumPy alone, although the test extra installs
+        # SciPy: with every SciPy import made to fail, a 2-rotor quadrature
+        # run of the RBM (descent, then quench or oracle) still exits 0.  The
+        # descent takes c1's tau: at 0.05 it diverges, and |psi|^2 collapses
+        # onto one grid point (exit 3, draw-degenerate)
+        text = (BASE_INI.replace("kind = jastrow", "kind = rbm\nn_hidden = 2")
+                .replace("quadrature_points = 12", "quadrature_points = 8\nm_cut = 3")
+                .replace("tau = 0.05\ntolerance = 1e-6\nwindow = 10\nmax_iters = 500",
+                         "tau = 0.02\ntolerance = 1e3\nwindow = 4\nmax_iters = 5"))
+        path = write_ini(tmp_path, text)
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from rotor_tvmc import cli\n"
+            f"sys.exit(cli.main([{verb!r}, '--config', {str(path)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+
     def test_seed_override_changes_output(self, tmp_path):
         path = write_ini(tmp_path, BASE_INI)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

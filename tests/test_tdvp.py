@@ -92,7 +92,7 @@ class TestEstimateQgt:
         rng = np.random.default_rng(3)
         samples = rng.uniform(-np.pi, np.pi, size=(800, 4))
         qgt = estimate_qgt(state, samples, g=4.0, J=1.0)
-        assert np.allclose(qgt.s_matrix, qgt.s_matrix.conj().T)
+        assert np.array_equal(qgt.s_matrix, qgt.s_matrix.conj().T)
         assert np.min(np.linalg.eigvalsh(qgt.s_matrix)) > -1e-12
         assert qgt.e_var >= 0
 
@@ -295,6 +295,19 @@ class TestGram:
         assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.array_equal(gram, gram.conj().T)
 
+    # n >= P, where the solve forms S = X^dag X; 4096 x 36 is the oracle's 3-rotor grid
+    @pytest.mark.parametrize("n,p", [(9, 4), (7, 7), (50, 1), (4096, 36)])
+    def test_s_matrix_matches_the_complex_product(self, n, p):
+        rng = np.random.default_rng(n * p)
+        x = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+        qgt = QgtEstimate(x=x, y=np.zeros(n, dtype=np.complex128), e_mean=0j, n_samples=n,
+                          log_psi=np.zeros(n, dtype=np.complex128))
+        s = qgt.s_matrix
+        ref = x.conj().T @ x
+        assert np.max(np.abs(s - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(s, s.conj().T)
+        assert np.all(np.diag(s).imag == 0)
+
 
 class TestSmallerSpaceSolve:
     @pytest.mark.parametrize("uniform", [True, False])
@@ -360,6 +373,21 @@ class TestSmallerSpaceSolve:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * qgt.x.nbytes + 4 * n * n * 16
+
+    def test_parameter_space_solve_holds_no_copy_of_x(self):
+        # the n >= P mirror: beyond S, its eigenvectors and the (2P, 2P) real
+        # Gram matrix S is read from, the solve and the residual may allocate
+        # less than half of X's bytes (a conjugate copy of X is a whole X)
+        n, p = 1200, 200
+        qgt, _, _, _ = _random_estimate(n, p, uniform=True, seed=5)
+        tracemalloc.start()
+        try:
+            _, pinv = tdvp_rhs(qgt, RegularizationPolicy(), mode="real")
+            residual_r2(qgt, pinv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * qgt.x.nbytes + 3 * p * p * 16
 
     @pytest.mark.parametrize("n,p", SHAPES)
     def test_one_eigensolve_per_rhs(self, n, p, monkeypatch):
