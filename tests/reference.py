@@ -141,6 +141,24 @@ def loop_circulation(theta, loop_sites, ell: int) -> float:
     return total / ell ** 2
 
 
+def jastrow_pair_sums(state, theta):
+    """(ln psi, d1, d2, O) of a Jastrow at a (B, N) batch, pair by pair:
+    ln psi = sum_p w_p cos(theta_i - theta_j), and each pair adds its
+    angle derivatives to its two sites with ``np.add.at``."""
+    i, j, w = state.pair_i, state.pair_j, state.alpha
+    diff = theta[:, i] - theta[:, j]
+    cos_d, sin_d = np.cos(diff), np.sin(diff)
+    log_psi = np.sum(w * cos_d, axis=-1)
+    d1 = np.zeros(theta.shape, dtype=np.complex128)
+    d2 = np.zeros(theta.shape, dtype=np.complex128)
+    rows = slice(None)
+    np.add.at(d1, (rows, i), -w * sin_d)
+    np.add.at(d1, (rows, j), w * sin_d)
+    np.add.at(d2, (rows, i), -w * cos_d)
+    np.add.at(d2, (rows, j), -w * cos_d)
+    return log_psi, d1, d2, cos_d.astype(np.complex128)
+
+
 def log_psi_periodicity_check(state, theta, k: int, tol=1e-12) -> bool:
     """True when shifting angle k by 2 pi leaves the wavefunction unchanged."""
     theta = np.asarray(theta, dtype=np.float64)

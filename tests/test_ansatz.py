@@ -5,10 +5,12 @@ log |psi|^2, and the per-site first/second angle derivatives entering the
 local energy) is verified against central finite differences.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
-from reference import log_psi_periodicity_check
+from reference import jastrow_pair_sums, log_psi_periodicity_check
 
 from rotor_tvmc.ansatz import (
     Angles,
@@ -335,6 +337,47 @@ class TestRbmMatchesEinsumReference:
                               _reference_grad_log_prob(state, theta))
 
 
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("dims,periodic", [
+    ((4, 4), (True, True)), ((8, 8), (True, True)),
+    ((5,), (False,)), ((3, 4), (True, False)),
+])
+def test_jastrow_matches_pair_sums(dims, periodic, batch):
+    """The dense-W Jastrow against the plain sum over its pairs."""
+    lattice = build_lattice(dims, periodic)
+    state = _random_state("jastrow", lattice, {}, seed=33, scale=0.7)
+    theta = np.random.default_rng(34).uniform(-np.pi, np.pi, size=(batch, lattice.n_sites))
+    log_psi, d1, d2, o = jastrow_pair_sums(state, theta)
+    g, coupling = 4.0, 1.5
+    bk, bl = lattice.bonds[:, 0], lattice.bonds[:, 1]
+    energy = (-(g * coupling / 2.0) * np.sum(d2 + np.square(d1), axis=-1)
+              - coupling * np.sum(np.cos(theta[:, bk] - theta[:, bl]), axis=-1))
+    got_log_psi, got_o, got_energy = state.local_kernels(theta, g, coupling)
+    for got, ref in ((got_log_psi, log_psi), (state.log_psi(theta), log_psi),
+                     (got_o, o), (state.log_derivatives(theta), o),
+                     (got_energy, energy),
+                     (state.grad_log_prob(theta), 2.0 * np.real(d1)),
+                     (state.log_prob(theta), 2.0 * np.real(log_psi))):
+        assert _relative_error(got, ref) <= 1e-13
+
+
+def test_jastrow_hmc_path_holds_no_pair_array():
+    """ln p and its gradient, the HMC path, allocate less than one (B, P)
+    float64 array on an 8x8 Jastrow: they are O(N^2) per configuration."""
+    state = _random_state("jastrow", build_lattice((8, 8), (True, True)), {})
+    theta = np.random.default_rng(35).uniform(-np.pi, np.pi, size=(6, state.n_sites))
+    bound = theta.shape[0] * state.n_params * 8
+    for call in (state.grad_log_prob, state.log_prob):
+        call(theta)
+        tracemalloc.start()
+        try:
+            call(theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
 def _kernel_cases():
     """``_cases()``, and two RBMs whose large batches rounded ln psi and E_L
     differently from small ones while NumPy reused their squares in place."""
@@ -561,6 +604,7 @@ class TestParameterViews:
         state = _random_state(kind, lat, hyper, seed=5, scale=0.3)
         before = {k: v.copy() for k, v in state.blocks().items()}
         weights = state._weights(state.blocks()).copy() if kind == "rbm" else None
+        source_w = state._w.copy() if kind == "jastrow" else None
         alpha = random_alpha(state, np.random.default_rng(6), 0.3)
         clone = state.with_alpha(alpha)
         fresh = make_ansatz(kind, lat, **hyper).with_alpha(alpha.copy())
@@ -575,6 +619,14 @@ class TestParameterViews:
                              (clone._a, fresh._a), (clone._b, fresh._b)):
                 assert np.array_equal(got, ref)
             assert np.array_equal(state._w, weights)
+            assert not np.array_equal(clone._w, state._w)
+        if kind == "jastrow":
+            w = clone._w
+            assert np.array_equal(w, w.T)
+            assert np.all(np.diag(w) == 0)
+            assert np.array_equal(w[clone.pair_i, clone.pair_j], alpha)
+            assert np.array_equal(clone._w2r, 2.0 * w.real)
+            assert np.array_equal(state._w, source_w)
             assert not np.array_equal(clone._w, state._w)
         theta = np.random.default_rng(7).uniform(-np.pi, np.pi, size=(6, 4))
         for got, ref in zip(clone.local_kernels(theta, 3.0, 1.0),
